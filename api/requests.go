@@ -398,11 +398,12 @@ type StatsResponse struct {
 	SimRuns uint64 `json:"sim_runs"`
 	// SimErrors counts replicated simulations that failed.
 	SimErrors uint64 `json:"sim_errors"`
-	// BatchGroups counts shared sweep batch solvers actually constructed
-	// (λ-invariant work hoisted once per environment group).
+	// BatchGroups counts hoisted spectral solvers constructed: every
+	// spectral cache miss solves through its environment's shared solver,
+	// built once per environment (again after the engine evicts it).
 	BatchGroups uint64 `json:"batch_groups"`
-	// BatchFallbacks counts batched sweep points solved through the
-	// scalar fallback after a failed batch-solver construction.
+	// BatchFallbacks counts spectral solves run on the scalar path because
+	// their environment's hoisted solver failed to build.
 	BatchFallbacks uint64 `json:"batch_fallbacks"`
 	// WarmedEntries counts cache entries restored from a boot snapshot.
 	WarmedEntries uint64 `json:"warmed_entries"`

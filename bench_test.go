@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -437,6 +438,33 @@ func BenchmarkSweepBatched(b *testing.B) {
 		sink += sol.MeanQueue()
 	}
 	_ = sink
+}
+
+// BenchmarkEngineColdSolve measures the engine's cache-miss path in the
+// shape of cold /v1/solve traffic (perfbench's solve-cold workload): a
+// default-config engine evaluates a fresh λ every iteration, N cycling
+// 8, 9, 10 at loads in [0.70, 0.71), so every call misses the memo and
+// solves through its environment's hoisted solver. The three environments
+// are built before the timer starts, as a running daemon has them. ns/op
+// and allocs/op are one cold solve's engine cost.
+func BenchmarkEngineColdSolve(b *testing.B) {
+	eng := service.NewEngine(service.Config{})
+	evaluate := func(n int, load float64) {
+		sys := core.System{Servers: n, ServiceRate: 1, Operative: benchOps, Repair: benchRepair}
+		sys.ArrivalRate = load * float64(n) * sys.Availability()
+		if _, err := eng.Evaluate(context.Background(), sys, core.Spectral); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for n := 8; n <= 10; n++ {
+		evaluate(n, 0.5)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A golden-ratio rotation never repeats a load, so no λ is a hit.
+		evaluate(8+i%3, 0.70+0.01*math.Mod(float64(i)*0.6180339887498949, 1))
+	}
 }
 
 // BenchmarkOptimizeServers measures the full Figure 5 style optimisation

@@ -194,6 +194,21 @@ func (p *Performance) ModeMarginals() []float64 { return p.sol.ModeMarginals() }
 // Solution exposes the underlying solver output for advanced callers.
 func (p *Performance) Solution() qbd.Solution { return p.sol }
 
+// SteadyState returns a new Performance holding only the four exported
+// steady-state fields. It keeps no solution, so its Solution is nil and
+// the queue-distribution accessors (QueueProb, QueueTail, ModeMarginals,
+// OperativeBreakdown) must not be called on it. It is the shape to retain
+// when many results outlive their solves: a few dozen bytes instead of the
+// solution's O(s²).
+func (p *Performance) SteadyState() *Performance {
+	return &Performance{
+		MeanJobs:     p.MeanJobs,
+		MeanResponse: p.MeanResponse,
+		TailDecay:    p.TailDecay,
+		Load:         p.Load,
+	}
+}
+
 func (s System) wrap(env *markov.Env, sol qbd.Solution) *Performance {
 	l := sol.MeanQueue()
 	return &Performance{

@@ -126,6 +126,14 @@ func TestPerformanceAccessors(t *testing.T) {
 	if math.Abs(perf.Load-s.Load()) > 1e-12 {
 		t.Errorf("Load field %v vs %v", perf.Load, s.Load())
 	}
+	ss := perf.SteadyState()
+	if ss == perf || ss.Solution() != nil {
+		t.Error("SteadyState must be a new value without the solution")
+	}
+	if ss.MeanJobs != perf.MeanJobs || ss.MeanResponse != perf.MeanResponse ||
+		ss.TailDecay != perf.TailDecay || ss.Load != perf.Load {
+		t.Errorf("SteadyState %+v does not carry the exported fields of %+v", ss, perf)
+	}
 }
 
 func TestOperativeBreakdown(t *testing.T) {

@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
-	"strings"
+
+	"repro/internal/dist"
 )
 
 // Fingerprint returns a canonical key identifying the system's complete
@@ -28,32 +29,42 @@ func (s System) EnvFingerprint() string {
 	return s.hashedPayload("env1|N=", false)
 }
 
+// hashedPayload hashes the canonical description of s. Both keys are
+// persisted (cache snapshots) and place work on the cluster ring, so the
+// byte sequence hashed here must never change; fingerprint_test.go pins
+// it. The description is built in a stack buffer, so the returned string
+// is the key's only allocation.
 func (s System) hashedPayload(tag string, withLambda bool) string {
-	var sb strings.Builder
-	sb.WriteString(tag)
-	sb.WriteString(strconv.Itoa(s.Servers))
+	var buf [512]byte
+	b := append(buf[:0], tag...)
+	b = strconv.AppendInt(b, int64(s.Servers), 10)
 	if withLambda {
-		sb.WriteString("|l=")
-		sb.WriteString(strconv.FormatFloat(s.ArrivalRate, 'x', -1, 64))
+		b = append(b, "|l="...)
+		b = strconv.AppendFloat(b, s.ArrivalRate, 'x', -1, 64)
 	}
-	sb.WriteString("|m=")
-	sb.WriteString(strconv.FormatFloat(s.ServiceRate, 'x', -1, 64))
-	writeDist := func(tag string, weights, rates []float64) {
-		sb.WriteString("|")
-		sb.WriteString(tag)
-		for i := range weights {
-			sb.WriteString("|")
-			sb.WriteString(strconv.FormatFloat(weights[i], 'x', -1, 64))
-			sb.WriteString(":")
-			sb.WriteString(strconv.FormatFloat(rates[i], 'x', -1, 64))
-		}
+	b = append(b, "|m="...)
+	b = strconv.AppendFloat(b, s.ServiceRate, 'x', -1, 64)
+	b = appendDist(b, "op", s.Operative)
+	b = appendDist(b, "rep", s.Repair)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendDist appends one tagged distribution section; a nil distribution
+// appends nothing.
+func appendDist(b []byte, tag string, d *dist.HyperExp) []byte {
+	if d == nil {
+		return b
 	}
-	if s.Operative != nil {
-		writeDist("op", s.Operative.Weights, s.Operative.Rates)
+	b = append(b, '|')
+	b = append(b, tag...)
+	for i := range d.Weights {
+		b = append(b, '|')
+		b = strconv.AppendFloat(b, d.Weights[i], 'x', -1, 64)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, d.Rates[i], 'x', -1, 64)
 	}
-	if s.Repair != nil {
-		writeDist("rep", s.Repair.Weights, s.Repair.Rates)
-	}
-	sum := sha256.Sum256([]byte(sb.String()))
-	return hex.EncodeToString(sum[:])
+	return b
 }

@@ -66,6 +66,38 @@ func TestFingerprintSeparatesParameters(t *testing.T) {
 	record("swapped", s)
 }
 
+// TestFingerprintGolden pins the keys to values recorded before the
+// encoder was rewritten: fingerprints persist in cache snapshots and place
+// work on the cluster ring, so any change to the hashed bytes would cold
+// every warmed cache and move every shard.
+func TestFingerprintGolden(t *testing.T) {
+	var zero System
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"Fingerprint", fpSystem().Fingerprint(), "0beac82aff61bdae9a02acf8ed569120ccd3315626562998e16f4312ea58350d"},
+		{"EnvFingerprint", fpSystem().EnvFingerprint(), "05dee64153e55b49c7b6bc922e44dec9e6b6fc21b454d26c75a8a8ec093039bf"},
+		{"zero Fingerprint", zero.Fingerprint(), "eecc779175c3b39983d5c248dd217ccbfcb090d46debb5105779a2238f6330ca"},
+		{"zero EnvFingerprint", zero.EnvFingerprint(), "5219721a84de8f707d60cc4e16cb5306d514d14a2b0b1df983227fd63d85d88a"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestFingerprintAllocs holds the key builders to the returned string's
+// own allocation: every /v1/solve computes two of them.
+func TestFingerprintAllocs(t *testing.T) {
+	s := fpSystem()
+	if n := testing.AllocsPerRun(100, func() { _ = s.Fingerprint() }); n > 1 {
+		t.Errorf("Fingerprint: %v allocs per call, want ≤ 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.EnvFingerprint() }); n > 1 {
+		t.Errorf("EnvFingerprint: %v allocs per call, want ≤ 1", n)
+	}
+}
+
 func TestFingerprintNilDistributions(t *testing.T) {
 	// Invalid systems still fingerprint (callers validate separately).
 	var s System

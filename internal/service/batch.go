@@ -1,106 +1,69 @@
 package service
 
-// This file is the engine's sweep batching: a λ-sweep submits many jobs
-// that differ only in the arrival rate, and the spectral solver's
-// λ-independent work (environment enumeration, companion scaffolding,
-// boundary structure) dominates a point when rebuilt from scratch each
-// time. EvaluateBatch and EvaluateStream therefore group their jobs by
-// core.System.EnvFingerprint — equality under "differs in at most λ" —
-// and route each group of two or more spectral jobs through one shared
-// core.BatchSolver, which hoists that work once and evaluates points into
-// pooled workspaces.
+// This file is the engine's hoisted-solver cache. Most of a cold spectral
+// solve is λ-independent — environment enumeration, the environment's
+// stationary distribution and service capacity, the −A and Aᵀ images the
+// per-point matrix builds copy from — and every configuration that
+// differs from another in at most λ shares it. The engine therefore keeps
+// one LRU of core.BatchSolvers keyed by core.System.EnvFingerprint, and
+// every spectral cache miss — a lone Evaluate, a sweep or job point, an
+// admission refit — solves through its environment's shared solver,
+// building it on first touch.
 //
-// The batched path is proven result-equivalent to the scalar one
-// (bit-identical on amd64; see internal/qbd's metamorphic suite), so
-// nothing else changes: cache keys, in-flight sharing, counters, NDJSON
-// streaming order and per-point errors are exactly as if every job had
-// been solved individually.
+// The hoisted path is result-equivalent to the scalar one (bit-identical
+// on amd64; see internal/qbd's metamorphic suite), so nothing else
+// changes: cache keys, in-flight sharing, NDJSON streaming order and
+// per-point errors are exactly as if every point had been solved scalar.
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/core"
 )
 
-// sweepGroup is one batch of spectral jobs sharing an environment. The
-// BatchSolver is built lazily by the first worker to reach the group —
-// groups whose points are all served from cache never pay construction —
-// and exactly once, however many workers arrive concurrently.
-type sweepGroup struct {
-	base core.System
+// hoistCacheSize bounds the hoisted-solver cache. An entry for an
+// environment of s modes retains about 32·s² bytes (chiefly the −A and Aᵀ
+// images; its pooled per-point workspaces last only until the next GC):
+// 62 and 141 KB for the paper's H2/exp model at N = 8 and 10, 2.7 MB at
+// N = 24. 32 entries cover the environments of a figure run or a
+// planner's working set at a bounded cost.
+const hoistCacheSize = 32
+
+// hoist is one environment's shared solver. The first miss to reach it
+// builds the BatchSolver, exactly once however many arrive concurrently;
+// a failed construction is kept as well, since it fails the same way for
+// every λ.
+type hoist struct {
 	once sync.Once
 	bs   *core.BatchSolver
 	err  error
 }
 
-// solve evaluates one point through the shared solver, falling back to
-// the scalar path when construction failed — the scalar solver then
-// reports the configuration's error with its usual precedence, keeping
-// error behaviour identical to the unbatched engine. The engine's batch
-// counters record both outcomes: one BatchGroups tick per solver actually
-// constructed (lazily, so all-cached groups never count) and one
-// BatchFallbacks tick per point solved scalar after a failed
-// construction.
-func (g *sweepGroup) solve(e *Engine, sys core.System) (*core.Performance, error) {
-	g.once.Do(func() {
-		g.bs, g.err = core.NewBatchSolver(g.base)
+// solve evaluates sys through the shared solver, falling back to the
+// scalar path when construction failed — the scalar solver then reports
+// the configuration's error with its usual precedence, keeping error text
+// identical to an unhoisted solve. The engine's batch counters record both
+// outcomes: one BatchGroups tick per construction and one BatchFallbacks
+// tick per point solved scalar after a failed one.
+func (h *hoist) solve(e *Engine, sys core.System) (*core.Performance, error) {
+	h.once.Do(func() {
+		h.bs, h.err = core.NewBatchSolver(sys)
 		e.batchGroups.Add(1)
 	})
-	if g.err != nil {
+	if h.err != nil {
 		e.batchFallbacks.Add(1)
 		return sys.SolveWith(core.Spectral)
 	}
-	return g.bs.Solve(sys.ArrivalRate)
+	return h.bs.Solve(sys.ArrivalRate)
 }
 
-// sweepBatches maps environment fingerprints to their shared group.
-type sweepBatches map[string]*sweepGroup
-
-// newSweepBatches groups the spectral jobs of a batch by environment
-// fingerprint. Only groups with at least two members batch — a singleton
-// gains nothing from hoisting and keeps the scalar path's exact
-// allocation profile. Non-spectral jobs never batch: the approximation
-// and matrix-geometric solvers have no hoisted form.
-func newSweepBatches(jobs []Job) sweepBatches {
-	if len(jobs) < 2 {
-		return nil
+// solve runs one cache miss: spectral configurations through their
+// environment's hoisted solver, the other methods — which have no hoisted
+// form — through the scalar solver.
+func (e *Engine) solve(sys core.System, m core.Method) (*core.Performance, error) {
+	if m != core.Spectral {
+		return sys.SolveWith(m)
 	}
-	counts := make(map[string]int)
-	for _, j := range jobs {
-		if j.Method == core.Spectral {
-			counts[j.System.EnvFingerprint()]++
-		}
-	}
-	var batches sweepBatches
-	for _, j := range jobs {
-		if j.Method != core.Spectral {
-			continue
-		}
-		fp := j.System.EnvFingerprint()
-		if counts[fp] < 2 {
-			continue
-		}
-		if batches == nil {
-			batches = make(sweepBatches)
-		}
-		if _, ok := batches[fp]; !ok {
-			batches[fp] = &sweepGroup{base: j.System}
-		}
-	}
-	return batches
-}
-
-// evaluateJob evaluates one batch member, routing it through its sweep
-// group's shared solver when it has one and the plain scalar path
-// otherwise. Caching and in-flight semantics are identical either way.
-func (e *Engine) evaluateJob(ctx context.Context, j Job, batches sweepBatches) (*core.Performance, error) {
-	if j.Method == core.Spectral && batches != nil {
-		if g, ok := batches[j.System.EnvFingerprint()]; ok {
-			return e.evaluate(ctx, j.System, j.Method, func(sys core.System) (*core.Performance, error) {
-				return g.solve(e, sys)
-			})
-		}
-	}
-	return e.Evaluate(ctx, j.System, j.Method)
+	h := e.hoists.getOrAdd(sys.EnvFingerprint(), func() *hoist { return new(hoist) })
+	return h.solve(e, sys)
 }

@@ -187,10 +187,10 @@ func TestBatchedSweepSharesCache(t *testing.T) {
 	}
 }
 
-// TestMixedBatchGroupsOnlySweeps checks grouping boundaries: jobs from
+// TestMixedBatchGroupsOnlySweeps checks hoisting boundaries: jobs from
 // different environments and non-spectral methods coexist in one batch,
-// each solved correctly — singleton groups and non-spectral jobs take the
-// scalar path, multi-point groups the batched one.
+// each solved correctly — spectral jobs through their own environment's
+// hoisted solver, non-spectral jobs on the scalar path.
 func TestMixedBatchGroupsOnlySweeps(t *testing.T) {
 	eng := NewEngine(Config{CacheSize: -1})
 	mk := func(n int, l float64, m core.Method) Job {
@@ -218,36 +218,7 @@ func TestMixedBatchGroupsOnlySweeps(t *testing.T) {
 	}
 }
 
-// TestNewSweepBatchesGrouping unit-tests the grouping rules directly.
-func TestNewSweepBatchesGrouping(t *testing.T) {
-	mk := func(n int, l float64, m core.Method) Job {
-		return Job{System: testSystem(n, l), Method: m}
-	}
-	if b := newSweepBatches([]Job{mk(3, 1, core.Spectral)}); b != nil {
-		t.Fatal("single job must not batch")
-	}
-	if b := newSweepBatches([]Job{mk(3, 1, core.Approximation), mk(3, 2, core.Approximation)}); b != nil {
-		t.Fatal("non-spectral jobs must not batch")
-	}
-	if b := newSweepBatches([]Job{mk(3, 1, core.Spectral), mk(4, 1, core.Spectral)}); b != nil {
-		t.Fatal("distinct environments must not batch")
-	}
-	b := newSweepBatches([]Job{
-		mk(3, 1, core.Spectral), mk(3, 2, core.Spectral), mk(4, 1, core.Spectral),
-	})
-	if len(b) != 1 {
-		t.Fatalf("got %d groups, want 1", len(b))
-	}
-	fp := testSystem(3, 1).EnvFingerprint()
-	if b[fp] == nil {
-		t.Fatal("the N=3 sweep group is missing")
-	}
-	if _, ok := b[testSystem(4, 1).EnvFingerprint()]; ok {
-		t.Fatal("the N=4 singleton must not have a group")
-	}
-}
-
-// TestSweepGroupConstructionFallback checks that a group whose batch
+// TestSweepGroupConstructionFallback checks that a hoist whose batch
 // solver cannot be built falls back to the scalar path and reports the
 // scalar error text. An unstable base is fine for construction (rates are
 // per-point), so the failure is forced with a zero service rate, which
@@ -255,9 +226,9 @@ func TestNewSweepBatchesGrouping(t *testing.T) {
 func TestSweepGroupConstructionFallback(t *testing.T) {
 	bad := testSystem(3, 1)
 	bad.ServiceRate = 0
-	g := &sweepGroup{base: bad}
+	h := new(hoist)
 	e := NewEngine(Config{})
-	_, err := g.solve(e, bad)
+	_, err := h.solve(e, bad)
 	if err == nil {
 		t.Fatal("expected an error from the fallback scalar solve")
 	}
@@ -270,5 +241,116 @@ func TestSweepGroupConstructionFallback(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "service rate") {
 		t.Fatalf("unexpected error %q", err)
+	}
+}
+
+// TestEvaluateReusesEnvironmentHoist checks the engine-wide hoist cache:
+// separate single-point evaluations at distinct λ in one environment
+// build exactly one solver, and every result matches a scalar solve.
+func TestEvaluateReusesEnvironmentHoist(t *testing.T) {
+	eng := NewEngine(Config{})
+	base := testSystem(5, 1)
+	lambdas := []float64{0.5, 1.1, 1.7, 2.3, 2.9, 3.5}
+	for _, l := range lambdas {
+		sys := base
+		sys.ArrivalRate = l
+		got, err := eng.Evaluate(context.Background(), sys, core.Spectral)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sys.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !identicalF64(want.MeanJobs, got.MeanJobs) ||
+			!identicalF64(want.MeanResponse, got.MeanResponse) ||
+			!identicalF64(want.TailDecay, got.TailDecay) ||
+			!identicalF64(want.Load, got.Load) {
+			t.Fatalf("λ=%v: performance diverges: %+v vs %+v", l, want, got)
+		}
+	}
+	if st := eng.Stats(); st.BatchGroups != 1 || st.BatchFallbacks != 0 || st.Solves != uint64(len(lambdas)) {
+		t.Fatalf("groups=%d fallbacks=%d solves=%d, want 1/0/%d", st.BatchGroups, st.BatchFallbacks, st.Solves, len(lambdas))
+	}
+}
+
+// TestHoistConcurrentFirstTouch releases many evaluations of one new
+// environment at once, each at its own λ so none joins another's flight:
+// the environment's solver must still be built exactly once. CI runs this
+// under -race.
+func TestHoistConcurrentFirstTouch(t *testing.T) {
+	eng := NewEngine(Config{Workers: 8})
+	base := testSystem(4, 1)
+	const callers = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sys := base
+			sys.ArrivalRate = 0.2 + 0.2*float64(i)
+			<-start
+			got, err := eng.Evaluate(context.Background(), sys, core.Spectral)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			want, err := sys.Solve()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if !identicalF64(want.MeanJobs, got.MeanJobs) {
+				errs[i] = errors.New("concurrent first-touch result diverged from the scalar solve")
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	if st := eng.Stats(); st.BatchGroups != 1 || st.Solves != callers {
+		t.Fatalf("groups=%d solves=%d, want 1/%d", st.BatchGroups, st.Solves, callers)
+	}
+}
+
+// TestHoistCacheEvictsLRU fills the hoist cache one environment past its
+// capacity: the least recently used environment is evicted, an
+// environment still cached is reused, and touching the evicted one again
+// rebuilds it.
+func TestHoistCacheEvictsLRU(t *testing.T) {
+	eng := NewEngine(Config{})
+	env := func(k int, lambda float64) core.System {
+		sys := testSystem(2, lambda)
+		sys.ServiceRate = 1 + float64(k)/64 // a distinct environment per k
+		return sys
+	}
+	evaluate := func(sys core.System) {
+		t.Helper()
+		if _, err := eng.Evaluate(context.Background(), sys, core.Spectral); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k <= hoistCacheSize; k++ {
+		evaluate(env(k, 0.5))
+	}
+	if st := eng.Stats(); st.BatchGroups != hoistCacheSize+1 {
+		t.Fatalf("built %d solvers for %d environments", st.BatchGroups, hoistCacheSize+1)
+	}
+	if hs := eng.hoists.stats(); hs.Evictions != 1 || hs.Entries != hoistCacheSize {
+		t.Fatalf("hoist cache evictions=%d entries=%d, want 1/%d", hs.Evictions, hs.Entries, hoistCacheSize)
+	}
+	evaluate(env(1, 0.6)) // still cached: a new λ reuses its solver
+	if st := eng.Stats(); st.BatchGroups != hoistCacheSize+1 {
+		t.Fatalf("a cached environment was rebuilt: %d solvers", st.BatchGroups)
+	}
+	evaluate(env(0, 0.6)) // evicted first, as least recently used
+	if st := eng.Stats(); st.BatchGroups != hoistCacheSize+2 {
+		t.Fatalf("the evicted environment was not rebuilt: %d solvers, want %d", st.BatchGroups, hoistCacheSize+2)
 	}
 }

@@ -36,8 +36,10 @@ func (s CacheStats) HitRate() float64 {
 // instantiates one per result family — solver output (*core.Performance,
 // keyed by fingerprint + method) and simulation output (core.SimResult,
 // keyed by fingerprint + seed + precision) — so the two workloads never
-// evict each other. Cached values must be immutable once inserted, since
-// they are handed out to concurrent readers without copying.
+// evict each other, plus one for hoisted spectral solvers (keyed by
+// environment fingerprint). Cached values are handed out to concurrent
+// readers without copying, so they must be immutable once inserted or
+// synchronise themselves.
 type lruCache[V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -100,6 +102,27 @@ func (c *lruCache[V]) add(key string, val V) {
 		c.order.MoveToFront(el)
 		return
 	}
+	c.insert(key, val)
+}
+
+// getOrAdd returns the entry under key, promoting it, or inserts and
+// returns mk() when there is none — in one critical section, so
+// concurrent callers of one key always share a single value.
+func (c *lruCache[V]) getOrAdd(key string, mk func() V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*cacheEntry[V]).val
+	}
+	val := mk()
+	c.insert(key, val)
+	return val
+}
+
+// insert adds an entry absent from the cache, evicting the least recently
+// used entry when full. The caller holds c.mu.
+func (c *lruCache[V]) insert(key string, val V) {
 	if c.order.Len() >= c.cap {
 		oldest := c.order.Back()
 		if oldest != nil {

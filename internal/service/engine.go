@@ -1,7 +1,8 @@
 // Package service is the shared model-evaluation subsystem: a bounded
 // worker pool that solves batches of core.System configurations
 // concurrently, backed by an LRU memoization of solver output keyed by the
-// canonical system fingerprint. The paper's workload — dense λ- and
+// canonical system fingerprint and an LRU of hoisted spectral solvers
+// keyed by the environment fingerprint. The paper's workload — dense λ- and
 // N-sweeps for Figures 4–9 and the cost optimisation — is embarrassingly
 // parallel and highly repetitive, so every figure run, benchmark and
 // mus-serve request routes through one engine and shares its cache.
@@ -60,9 +61,13 @@ type Engine struct {
 	// holds one slot, so total concurrency never exceeds Workers.
 	sem chan struct{}
 
+	// hoists caches one hoisted spectral solver per environment; every
+	// spectral cache miss solves through it (see batch.go).
+	hoists *lruCache[*hoist]
+
 	mu          sync.Mutex
-	inflight    map[string]*flight
-	simInflight map[string]*simFlight
+	inflight    map[string]*flight[*core.Performance]
+	simInflight map[string]*flight[core.SimResult]
 
 	evals          atomic.Uint64 // evaluations answered by any means
 	solves         atomic.Uint64 // solver invocations that actually ran
@@ -70,24 +75,72 @@ type Engine struct {
 	shared         atomic.Uint64 // evaluations that joined an in-flight solve
 	simRuns        atomic.Uint64 // replicated simulations that actually ran
 	simErrs        atomic.Uint64 // replicated simulations that failed
-	batchGroups    atomic.Uint64 // shared batch solvers actually constructed
-	batchFallbacks atomic.Uint64 // batched points solved scalar after a failed construction
+	batchGroups    atomic.Uint64 // hoisted spectral solvers constructed
+	batchFallbacks atomic.Uint64 // spectral solves run scalar after a failed construction
 	warmed         atomic.Uint64 // cache entries restored from a snapshot
 }
 
-// flight is one in-progress solve that concurrent callers of the same
-// configuration join instead of duplicating.
-type flight struct {
+// flight is one in-progress run — a solve or a simulation — that
+// concurrent callers of the same key join instead of duplicating.
+type flight[V any] struct {
 	done chan struct{}
-	perf *core.Performance
+	val  V
 	err  error
+	// abandoned marks a run that failed after its leader's context ended:
+	// the error is most likely the leader's own cancellation, which a
+	// joiner whose context is still live must not inherit.
+	abandoned bool
 }
 
-// simFlight is the simulation counterpart of flight.
-type simFlight struct {
-	done chan struct{}
-	res  core.SimResult
-	err  error
+// memoized answers key from cache, by joining the in-flight run of the
+// same key, or by leading run itself and handing its result to the cache
+// (on success) and to every joiner. A joiner whose leader gave up looks
+// again — cache, join or lead — unless its own context has ended too, so
+// one client's cancellation never fails another's request. A nil cache
+// disables memoisation but not in-flight sharing.
+func memoized[V any](ctx context.Context, e *Engine, cache *lruCache[V], inflight map[string]*flight[V], key string, run func() (V, error)) (V, error) {
+	for {
+		if cache != nil {
+			if v, ok := cache.get(key); ok {
+				cache.recordHit()
+				return v, nil
+			}
+		}
+		e.mu.Lock()
+		if f, ok := inflight[key]; ok {
+			e.mu.Unlock()
+			// Joining an in-flight run is neither a cache hit nor a miss —
+			// nothing runs for this caller and nothing was served from
+			// memory — so it only moves the SharedInFlight counter.
+			e.shared.Add(1)
+			select {
+			case <-f.done:
+				if f.abandoned && ctx.Err() == nil {
+					continue
+				}
+				return f.val, f.err
+			case <-ctx.Done():
+				var zero V
+				return zero, ctx.Err()
+			}
+		}
+		f := &flight[V]{done: make(chan struct{})}
+		inflight[key] = f
+		e.mu.Unlock()
+		if cache != nil {
+			cache.recordMiss()
+		}
+		f.val, f.err = run()
+		f.abandoned = f.err != nil && ctx.Err() != nil
+		if f.err == nil && cache != nil {
+			cache.add(key, f.val)
+		}
+		e.mu.Lock()
+		delete(inflight, key)
+		e.mu.Unlock()
+		close(f.done)
+		return f.val, f.err
+	}
 }
 
 // NewEngine builds an engine from the given configuration.
@@ -108,8 +161,9 @@ func NewEngine(cfg Config) *Engine {
 		cache:       newLRUCache[*core.Performance](size), // nil when size < 0
 		simCache:    newLRUCache[core.SimResult](simSize),
 		sem:         make(chan struct{}, cfg.Workers),
-		inflight:    make(map[string]*flight),
-		simInflight: make(map[string]*simFlight),
+		hoists:      newLRUCache[*hoist](hoistCacheSize),
+		inflight:    make(map[string]*flight[*core.Performance]),
+		simInflight: make(map[string]*flight[core.SimResult]),
 	}
 }
 
@@ -137,27 +191,30 @@ func jobKey(j Job) string {
 
 // Evaluate solves one configuration through the cache. Identical
 // configurations evaluated concurrently share a single solver run; waiting
-// callers respect context cancellation. When ctx carries a live trace the
-// solve is recorded as a mus.engine.solve child span (cache hits
-// included — a hit's microsecond span is what makes the cache visible in
-// a trace).
+// callers respect context cancellation. A spectral cache miss solves
+// through its environment's hoisted solver, shared by every configuration
+// that differs in at most λ. With caching on, the returned Performance is
+// the memoised steady-state block (Performance.SteadyState) shared by
+// every caller of the configuration: its queue-distribution accessors are
+// unavailable, so use core's solvers directly for queue distributions.
+// With caching off, callers receive the full solve. When ctx carries a
+// live trace the solve is recorded as a mus.engine.solve child span
+// (cache hits included — a hit's microsecond span is what makes the cache
+// visible in a trace).
 func (e *Engine) Evaluate(ctx context.Context, sys core.System, m core.Method) (*core.Performance, error) {
 	sp := trace.StartLeaf(ctx, "mus.engine.solve")
 	sp.Set(trace.Int("servers", int64(sys.Servers)))
 	sp.Set(trace.Float("lambda", sys.ArrivalRate))
-	perf, err := e.evaluate(ctx, sys, m, nil)
+	perf, err := e.evaluate(ctx, sys, m)
 	sp.Fail(err)
 	sp.End()
 	return perf, err
 }
 
-// evaluate is Evaluate with a pluggable solver: when solve is non-nil it
-// replaces sys.SolveWith(m) as the cache-miss path. The substitute must
-// be result-equivalent to the scalar solver (the batched sweep path is,
-// bit for bit) — cache keys, in-flight sharing and counters are identical
-// either way, so callers joining an in-flight solve or hitting the cache
-// cannot tell which path produced the entry.
-func (e *Engine) evaluate(ctx context.Context, sys core.System, m core.Method, solve func(core.System) (*core.Performance, error)) (*core.Performance, error) {
+// evaluate is Evaluate without the span — the one miss path that
+// Evaluate, EvaluateBatch and EvaluateStream share, so sweep points stay
+// span-less under their batch's single mus.engine.sweep span.
+func (e *Engine) evaluate(ctx context.Context, sys core.System, m core.Method) (*core.Performance, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -166,58 +223,28 @@ func (e *Engine) evaluate(ctx context.Context, sys core.System, m core.Method, s
 	}
 	e.evals.Add(1)
 	key := jobKey(Job{System: sys, Method: m})
-	if e.cache != nil {
-		if perf, ok := e.cache.get(key); ok {
-			e.cache.recordHit()
-			return perf, nil
-		}
-	}
-
-	e.mu.Lock()
-	if f, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		// Joining an in-flight solve is neither a cache hit nor a miss —
-		// no solver runs for this caller and nothing was served from
-		// memory — so it only moves the SharedInFlight counter.
-		e.shared.Add(1)
+	return memoized(ctx, e, e.cache, e.inflight, key, func() (*core.Performance, error) {
+		// This caller leads the solve; take an engine-wide worker slot so
+		// the configured bound holds across every concurrent entry point.
 		select {
-		case <-f.done:
-			return f.perf, f.err
+		case e.sem <- struct{}{}:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, ctx.Err() // cancelled waiting for a slot; not a solver error
 		}
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight[key] = f
-	e.mu.Unlock()
-	if e.cache != nil {
-		e.cache.recordMiss()
-	}
-
-	// This caller leads the solve; take an engine-wide worker slot so the
-	// configured bound holds across every concurrent entry point.
-	select {
-	case e.sem <- struct{}{}:
 		e.solves.Add(1)
-		if solve != nil {
-			f.perf, f.err = solve(sys)
-		} else {
-			f.perf, f.err = sys.SolveWith(m)
-		}
+		perf, err := e.solve(sys, m)
 		<-e.sem
-		if f.err != nil {
+		if err != nil {
 			e.errs.Add(1)
-		} else if e.cache != nil {
-			e.cache.add(key, f.perf)
+			return nil, err
 		}
-	case <-ctx.Done():
-		f.err = ctx.Err() // cancelled waiting for a slot; not a solver error
-	}
-	e.mu.Lock()
-	delete(e.inflight, key)
-	e.mu.Unlock()
-	close(f.done)
-	return f.perf, f.err
+		if e.cache != nil {
+			// The memo keeps the steady-state block alone, and the leader
+			// and every joiner get the pointer it keeps.
+			perf = perf.SteadyState()
+		}
+		return perf, nil
+	})
 }
 
 // EvaluateBatch evaluates all jobs on the worker pool and returns one
@@ -242,7 +269,6 @@ func (e *Engine) EvaluateBatch(ctx context.Context, jobs []Job) []Result {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	batches := newSweepBatches(jobs)
 	indices := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -250,7 +276,7 @@ func (e *Engine) EvaluateBatch(ctx context.Context, jobs []Job) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				perf, err := e.evaluateJob(ctx, jobs[i], batches)
+				perf, err := e.evaluate(ctx, jobs[i].System, jobs[i].Method)
 				results[i] = Result{Index: i, Job: jobs[i], Perf: perf, Err: err}
 			}
 		}()
@@ -302,7 +328,6 @@ func (e *Engine) EvaluateStream(ctx context.Context, jobs []Job, emit func(Resul
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	batches := newSweepBatches(jobs)
 	indices := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -310,7 +335,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, jobs []Job, emit func(Resul
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				perf, err := e.evaluateJob(ctx, jobs[i], batches)
+				perf, err := e.evaluate(ctx, jobs[i].System, jobs[i].Method)
 				results[i] = Result{Index: i, Job: jobs[i], Perf: perf, Err: err}
 				close(done[i])
 			}
@@ -497,11 +522,12 @@ type Stats struct {
 	SimRuns uint64
 	// SimErrors counts replicated simulations that failed.
 	SimErrors uint64
-	// BatchGroups counts shared batch solvers actually constructed — sweep
-	// groups whose λ-invariant work was hoisted once instead of per point.
+	// BatchGroups counts hoisted spectral solvers constructed: one per
+	// environment the engine's hoist cache builds (again after evicting
+	// it), however many solves then reuse its λ-invariant work.
 	BatchGroups uint64
-	// BatchFallbacks counts batched points that fell back to the scalar
-	// solver because their group's construction failed.
+	// BatchFallbacks counts spectral solves that fell back to the scalar
+	// solver because their environment's hoisted solver failed to build.
 	BatchFallbacks uint64
 	// WarmedEntries counts cache entries restored from a boot snapshot.
 	WarmedEntries uint64

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -23,6 +25,20 @@ func testSystem(n int, lambda float64) core.System {
 		ServiceRate: 1,
 		Operative:   testOps,
 		Repair:      testRepair,
+	}
+}
+
+// waitUntil spins until cond holds — how the concurrency tests wait for
+// an engine state change instead of sleeping — and fails the test if it
+// does not within ten seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -357,5 +373,52 @@ func TestCacheHitRate(t *testing.T) {
 	s = CacheStats{Hits: 3, Misses: 1}
 	if s.HitRate() != 0.75 {
 		t.Errorf("hit rate = %v, want 0.75", s.HitRate())
+	}
+}
+
+// TestJoinerSurvivesLeaderCancellation holds the only worker slot so the
+// leader of a solve waits for it, lets a second caller join the flight,
+// then cancels the leader. The joiner's context is live, so it must not
+// inherit the leader's cancellation: it looks again, leads its own solve
+// once the slot frees, and returns the right answer.
+func TestJoinerSurvivesLeaderCancellation(t *testing.T) {
+	eng := NewEngine(Config{Workers: 1})
+	eng.sem <- struct{}{} // hold the only worker slot
+	sys := testSystem(4, 2)
+	type outcome struct {
+		perf *core.Performance
+		err  error
+	}
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader, joiner := make(chan outcome, 1), make(chan outcome, 1)
+	go func() {
+		perf, err := eng.Evaluate(leaderCtx, sys, core.Spectral)
+		leader <- outcome{perf, err}
+	}()
+	waitUntil(t, "the leader starts its flight", func() bool { return eng.Stats().Cache.Misses == 1 })
+	go func() {
+		perf, err := eng.Evaluate(context.Background(), sys, core.Spectral)
+		joiner <- outcome{perf, err}
+	}()
+	waitUntil(t, "the second caller joins the flight", func() bool { return eng.Stats().SharedInFlight == 1 })
+	cancel()
+	if got := <-leader; !errors.Is(got.err, context.Canceled) {
+		t.Fatalf("leader: err %v, want context.Canceled", got.err)
+	}
+	<-eng.sem // free the slot for the joiner's own solve
+	got := <-joiner
+	if got.err != nil {
+		t.Fatalf("joiner inherited the leader's cancellation: %v", got.err)
+	}
+	want, err := sys.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identicalF64(want.MeanJobs, got.perf.MeanJobs) {
+		t.Fatalf("joiner's L = %v, want %v", got.perf.MeanJobs, want.MeanJobs)
+	}
+	if st := eng.Stats(); st.Solves != 1 || st.Errors != 0 {
+		t.Fatalf("solves=%d errors=%d, want 1/0 (the cancelled leader never ran)", st.Solves, st.Errors)
 	}
 }

@@ -27,10 +27,10 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		"Replicated simulations that failed.",
 		e.simErrs.Load)
 	r.CounterFunc("mus_engine_batch_groups_total",
-		"Shared sweep batch solvers actually constructed (λ-invariant work hoisted once per group).",
+		"Hoisted spectral solvers constructed (λ-invariant work built once per environment).",
 		e.batchGroups.Load)
 	r.CounterFunc("mus_engine_batch_fallbacks_total",
-		"Batched sweep points solved through the scalar fallback after a failed batch-solver construction.",
+		"Spectral solves run on the scalar path after their environment's hoisted solver failed to build.",
 		e.batchFallbacks.Load)
 	r.CounterFunc("mus_engine_warmed_entries_total",
 		"Cache entries restored from a boot snapshot.",

@@ -58,40 +58,9 @@ func (e *Engine) Simulate(ctx context.Context, sys core.System, opts core.SimOpt
 	if !cacheable {
 		return e.runSim(ctx, sys, opts)
 	}
-	if e.simCache != nil {
-		if res, ok := e.simCache.get(key); ok {
-			e.simCache.recordHit()
-			return res, nil
-		}
-	}
-
-	e.mu.Lock()
-	if f, ok := e.simInflight[key]; ok {
-		e.mu.Unlock()
-		e.shared.Add(1)
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return core.SimResult{}, ctx.Err()
-		}
-	}
-	f := &simFlight{done: make(chan struct{})}
-	e.simInflight[key] = f
-	e.mu.Unlock()
-	if e.simCache != nil {
-		e.simCache.recordMiss()
-	}
-
-	f.res, f.err = e.runSim(ctx, sys, opts)
-	if f.err == nil && e.simCache != nil {
-		e.simCache.add(key, f.res)
-	}
-	e.mu.Lock()
-	delete(e.simInflight, key)
-	e.mu.Unlock()
-	close(f.done)
-	return f.res, f.err
+	return memoized(ctx, e, e.simCache, e.simInflight, key, func() (core.SimResult, error) {
+		return e.runSim(ctx, sys, opts)
+	})
 }
 
 // runSim executes one simulation under the engine's worker gate: a

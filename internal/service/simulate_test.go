@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -175,5 +176,51 @@ func TestEngineSimulateCancellation(t *testing.T) {
 	cancel()
 	if _, err := eng.Simulate(ctx, simTestSystem(), simTestOptions()); err == nil {
 		t.Error("cancelled context must abort")
+	}
+}
+
+// TestSimJoinerSurvivesLeaderCancellation is the simulation counterpart
+// of TestJoinerSurvivesLeaderCancellation: the leader's replicated run
+// waits on the held worker slot for its replications and is cancelled
+// there; the joiner, whose context is live, runs the simulation itself.
+func TestSimJoinerSurvivesLeaderCancellation(t *testing.T) {
+	eng := NewEngine(Config{Workers: 1})
+	eng.sem <- struct{}{} // hold the only worker slot
+	sys, opts := simTestSystem(), simTestOptions()
+	type outcome struct {
+		res core.SimResult
+		err error
+	}
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader, joiner := make(chan outcome, 1), make(chan outcome, 1)
+	go func() {
+		res, err := eng.Simulate(leaderCtx, sys, opts)
+		leader <- outcome{res, err}
+	}()
+	waitUntil(t, "the leader starts its flight", func() bool { return eng.Stats().SimCache.Misses == 1 })
+	go func() {
+		res, err := eng.Simulate(context.Background(), sys, opts)
+		joiner <- outcome{res, err}
+	}()
+	waitUntil(t, "the second caller joins the flight", func() bool { return eng.Stats().SharedInFlight == 1 })
+	cancel()
+	if got := <-leader; !errors.Is(got.err, context.Canceled) {
+		t.Fatalf("leader: err %v, want context.Canceled", got.err)
+	}
+	<-eng.sem // free the slot for the joiner's own run
+	got := <-joiner
+	if got.err != nil {
+		t.Fatalf("joiner inherited the leader's cancellation: %v", got.err)
+	}
+	want, err := sys.Simulate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.res, want) {
+		t.Fatalf("joiner's result %+v differs from a direct run %+v", got.res, want)
+	}
+	if st := eng.Stats(); st.SimErrors != 0 || st.SimCache.Entries != 1 {
+		t.Fatalf("sim errors=%d entries=%d, want 0/1", st.SimErrors, st.SimCache.Entries)
 	}
 }

@@ -10,12 +10,13 @@ import "repro/internal/core"
 // because cache keys are canonical fingerprints: a key either matches a
 // future request exactly or is never looked up.
 //
-// Restored solver entries carry only core.Performance's exported
-// steady-state fields (the unexported spectral solution is not
-// serializable); that is exactly the part every HTTP response path reads,
-// so a warmed hit is indistinguishable from a memoised one on the wire.
-// Callers needing the deeper solution structure (OperativeBreakdown) run
-// through the figure pipeline, which never touches the service cache.
+// Solver entries carry only core.Performance's exported steady-state
+// fields — memoised entries are stored that way (Performance.SteadyState)
+// and restored ones can hold nothing more, since the spectral solution is
+// not serializable — so a warmed entry has exactly the shape of a
+// memoised one. Those fields are all that any HTTP response path reads.
+// Callers needing the deeper solution structure (QueueProb,
+// OperativeBreakdown) solve through core directly.
 
 // CachedSolve is one solver-cache entry in snapshot form.
 type CachedSolve struct {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -83,5 +84,60 @@ func TestBatchCountersOnSweep(t *testing.T) {
 	s := e.Stats()
 	if s.BatchGroups != 1 || s.BatchFallbacks != 0 {
 		t.Fatalf("batch counters after a clean sweep: groups=%d fallbacks=%d, want 1/0", s.BatchGroups, s.BatchFallbacks)
+	}
+}
+
+// TestMemoizedEntryIsSteadyState checks the memo's shape: the leader of a
+// solve, a caller that joined its flight and a later cache hit all get
+// one pointer to a steady-state block that keeps no solution, equal field
+// for field to the entry a snapshot round trip restores.
+func TestMemoizedEntryIsSteadyState(t *testing.T) {
+	hot := NewEngine(Config{Workers: 1})
+	hot.sem <- struct{}{} // hold the slot so a second caller can join
+	sys := testSystem(3, 0.9)
+	perfs := make(chan *core.Performance, 2)
+	evaluate := func() {
+		perf, err := hot.Evaluate(context.Background(), sys, core.Spectral)
+		if err != nil {
+			t.Error(err)
+		}
+		perfs <- perf
+	}
+	go evaluate()
+	waitUntil(t, "the leader starts its flight", func() bool { return hot.Stats().Cache.Misses == 1 })
+	go evaluate()
+	waitUntil(t, "the second caller joins the flight", func() bool { return hot.Stats().SharedInFlight == 1 })
+	<-hot.sem
+	first, second := <-perfs, <-perfs
+	hit, err := hot.Evaluate(context.Background(), sys, core.Spectral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == nil || first != second || first != hit {
+		t.Fatalf("leader, joiner and hit got different pointers: %p %p %p", first, second, hit)
+	}
+	if hit.Solution() != nil {
+		t.Fatal("the memo pins a full solution")
+	}
+
+	raw, err := json.Marshal(hot.ExportCaches(0))
+	if err != nil {
+		t.Fatalf("marshal snapshot: %v", err)
+	}
+	var snap CacheSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("unmarshal snapshot: %v", err)
+	}
+	cold := NewEngine(Config{})
+	cold.WarmCaches(snap)
+	warmed, err := cold.Evaluate(context.Background(), sys, core.Spectral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Stats().Solves != 0 {
+		t.Fatal("the warmed engine solved instead of hitting its cache")
+	}
+	if !reflect.DeepEqual(hit, warmed) {
+		t.Fatalf("memoised entry %+v differs from the warmed entry %+v", hit, warmed)
 	}
 }
