@@ -15,6 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/figures"
+	"repro/internal/linalg"
 	"repro/internal/markov"
 	"repro/internal/obs/trace"
 	"repro/internal/qbd"
@@ -438,6 +439,133 @@ func BenchmarkSweepBatched(b *testing.B) {
 		sink += sol.MeanQueue()
 	}
 	_ = sink
+}
+
+// BenchmarkSpectralKernels attributes a batched point's cost to its arena
+// kernels, at the shapes one N = 10 point of the Sun environment (s = 66
+// modes, λ = 7) feeds them: the eigenvalues of the 132×132 companion, the
+// real null vector of the 66×66 Q(z)ᵀ at the dominant eigenvalue, the
+// complex null vector of the 66×66 level-N matching system (the complex
+// kernel's one call per point, since every root is real here), and the
+// inverse of the 66×66 boundary matrix K_{N−1}. Inputs are built before
+// the timer; every iteration copies its input into a warm arena matrix,
+// so ns/op is one kernel call and allocs/op must be exactly 0 (CI gates
+// both, so a slowdown is attributed to a kernel and not only to the
+// whole point).
+func BenchmarkSpectralKernels(b *testing.B) {
+	const lambda = 7.0
+	p := benchParams(b, 10, lambda)
+	sol, err := qbd.SolveSpectral(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := p.A.Rows
+	da := p.A.RowSums()
+	c := p.ServiceDiag[len(p.ServiceDiag)-1]
+	// Companion of the polynomial in w = 1/z: [[0, I], [−Q2ᵀ/λ, −Q1ᵀ/λ]].
+	companion := linalg.NewMatrix(2*s, 2*s)
+	for i := 0; i < s; i++ {
+		companion.Set(i, s+i, 1)
+		companion.Set(s+i, i, -c[i]/lambda)
+		for j := 0; j < s; j++ {
+			v := p.A.At(j, i)
+			if i == j {
+				v -= da[i] + lambda + c[i]
+			}
+			companion.Set(s+i, s+j, -v/lambda)
+		}
+	}
+	realQ := p.QofZ(sol.TailDecay()).T()
+	// K_j = Dᴬ + λI + C_j − A − λ·S_{j−1}, S_j = C_{j+1}·K_j⁻¹, up to j = N−1.
+	var k, stage *linalg.Matrix
+	for j := 0; j+1 < len(p.ServiceDiag); j++ {
+		k = p.A.Scaled(-1)
+		for i := 0; i < s; i++ {
+			k.Add(i, i, da[i]+lambda+p.ServiceDiag[j][i])
+		}
+		if stage != nil {
+			k = k.Minus(stage.Scaled(lambda))
+		}
+		inv, err := linalg.Inverse(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stage = linalg.Diag(p.ServiceDiag[j+1]).Times(inv)
+	}
+	// Level-N matching system, transposed: Mᵀ with M[k][·] = u_k·(W − z_k·C)
+	// and W = Dᴬ + λI + C − A − λ·S_{N−1}.
+	w := p.A.Scaled(-1)
+	for i := 0; i < s; i++ {
+		w.Add(i, i, da[i]+lambda+c[i])
+	}
+	w = w.Minus(stage.Scaled(lambda))
+	matching := linalg.NewCMatrix(s, s)
+	for k, z := range sol.Eigenvalues() {
+		if imag(z) != 0 {
+			b.Fatalf("complex root %v: the inputs assume real roots at N = 10", z)
+		}
+		u, err := linalg.ForcedLeftNullVector(p.QofZ(real(z)), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for col := 0; col < s; col++ {
+			var acc complex128
+			for row := 0; row < s; row++ {
+				e := complex(w.At(row, col), 0)
+				if row == col {
+					e -= z * complex(c[row], 0)
+				}
+				acc += complex(u[row], 0) * e
+			}
+			matching.Set(col, k, acc)
+		}
+	}
+
+	run := func(name string, kernel func(*linalg.Arena) error) {
+		b.Run(name, func(b *testing.B) {
+			var ar linalg.Arena
+			for i := 0; i < 3; i++ { // the arena reaches its high-water mark
+				if err := kernel(&ar); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := kernel(&ar); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run(fmt.Sprintf("eigenvalues/n=%d", 2*s), func(ar *linalg.Arena) error {
+		ar.Reset()
+		w := ar.MatUninit(2*s, 2*s)
+		copy(w.Data, companion.Data)
+		_, err := linalg.EigenvaluesScratch(w, ar)
+		return err
+	})
+	run(fmt.Sprintf("nullvector/real/n=%d", s), func(ar *linalg.Arena) error {
+		ar.Reset()
+		w := ar.MatUninit(s, s)
+		copy(w.Data, realQ.Data)
+		_, err := linalg.ForcedNullVectorScratch(w, 0, ar)
+		return err
+	})
+	run(fmt.Sprintf("nullvector/complex/n=%d", s), func(ar *linalg.Arena) error {
+		ar.Reset()
+		w := ar.CMatUninit(s, s)
+		copy(w.Data, matching.Data)
+		_, err := linalg.CForcedNullVectorScratch(w, 0, ar)
+		return err
+	})
+	run(fmt.Sprintf("inverse/n=%d", s), func(ar *linalg.Arena) error {
+		ar.Reset()
+		w := ar.MatUninit(s, s)
+		copy(w.Data, k.Data)
+		_, err := linalg.InverseScratch(w, ar)
+		return err
+	})
 }
 
 // BenchmarkEngineColdSolve measures the engine's cache-miss path in the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/markov"
 	"repro/internal/qbd"
 )
@@ -30,7 +32,7 @@ type BatchSolver struct {
 // point of the batch would report.
 func NewBatchSolver(base System) (*BatchSolver, error) {
 	probe := base
-	if probe.ArrivalRate <= 0 {
+	if !(probe.ArrivalRate > 0) || math.IsInf(probe.ArrivalRate, 0) {
 		probe.ArrivalRate = 1 // structural validation only; Solve rates replace it
 	}
 	env, p, err := probe.envParams()

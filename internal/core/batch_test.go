@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/qbd"
 )
 
@@ -106,6 +108,79 @@ func TestBatchSolverErrorParity(t *testing.T) {
 		}
 		if errors.Is(wantErr, qbd.ErrUnstable) != errors.Is(gotErr, qbd.ErrUnstable) {
 			t.Fatalf("λ=%v: ErrUnstable identity differs", lambda)
+		}
+	}
+}
+
+// TestNonFiniteRatesRejected is the regression test for NaN and infinite
+// rates, which used to pass validation (x <= 0 is false for NaN) and then
+// iterate QR to its budget before failing with ErrNoConvergence. Every
+// entry point must return the validation error instead — scalar and
+// batched alike, so their errors stay identical.
+func TestNonFiniteRatesRejected(t *testing.T) {
+	base := fig5System(3, 1)
+	bs, err := NewBatchSolver(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, lambda := range []float64{nan, inf, -inf} {
+		sys := base
+		sys.ArrivalRate = lambda
+		want := sys.Validate()
+		if want == nil || !strings.Contains(want.Error(), "arrival rate") ||
+			!strings.Contains(want.Error(), "must be positive and finite") {
+			t.Fatalf("λ=%v: Validate returned %v", lambda, want)
+		}
+		_, scalarErr := sys.Solve()
+		_, batchErr := bs.Solve(lambda)
+		for _, err := range []error{scalarErr, batchErr} {
+			if err == nil || err.Error() != want.Error() || errors.Is(err, linalg.ErrNoConvergence) {
+				t.Fatalf("λ=%v: got %v, want the validation error %q", lambda, err, want)
+			}
+		}
+	}
+	for _, mu := range []float64{nan, inf} {
+		sys := base
+		sys.ServiceRate = mu
+		want := sys.Validate()
+		if want == nil || !strings.Contains(want.Error(), "service rate") ||
+			!strings.Contains(want.Error(), "must be positive and finite") {
+			t.Fatalf("µ=%v: Validate returned %v", mu, want)
+		}
+		if _, err := sys.Solve(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("µ=%v: Solve returned %v, want %q", mu, err, want)
+		}
+		if _, err := NewBatchSolver(sys); err == nil || err.Error() != want.Error() {
+			t.Fatalf("µ=%v: NewBatchSolver returned %v, want %q", mu, err, want)
+		}
+	}
+}
+
+// TestBatchSolverFromNaNBaseRate checks that a solver hoisted from a base
+// system whose rate is NaN — the rate is ignored at construction — still
+// solves valid rates, bit-identical to the scalar path. A NaN-unsafe
+// probe guard would fail construction and push every later point of the
+// environment onto the scalar fallback.
+func TestBatchSolverFromNaNBaseRate(t *testing.T) {
+	base := fig5System(3, math.NaN())
+	bs, err := NewBatchSolver(base)
+	if err != nil {
+		t.Fatalf("NaN base rate must not fail construction: %v", err)
+	}
+	for _, lambda := range []float64{0.7, 1.9} {
+		sys := base
+		sys.ArrivalRate = lambda
+		want, err := sys.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bs.Solve(lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameF64(want.MeanJobs, got.MeanJobs) || !sameF64(want.TailDecay, got.TailDecay) {
+			t.Fatalf("λ=%v: %+v vs %+v", lambda, want, got)
 		}
 	}
 }

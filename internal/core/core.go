@@ -49,11 +49,11 @@ func (s System) Validate() error {
 	if s.Servers < 1 {
 		return fmt.Errorf("core: %d servers, need at least 1", s.Servers)
 	}
-	if s.ArrivalRate <= 0 {
-		return fmt.Errorf("core: arrival rate %v must be positive", s.ArrivalRate)
+	if !(s.ArrivalRate > 0) || math.IsInf(s.ArrivalRate, 0) {
+		return fmt.Errorf("core: arrival rate %v must be positive and finite", s.ArrivalRate)
 	}
-	if s.ServiceRate <= 0 {
-		return fmt.Errorf("core: service rate %v must be positive", s.ServiceRate)
+	if !(s.ServiceRate > 0) || math.IsInf(s.ServiceRate, 0) {
+		return fmt.Errorf("core: service rate %v must be positive and finite", s.ServiceRate)
 	}
 	if s.Operative == nil || s.Repair == nil {
 		return errors.New("core: operative and repair distributions are required")

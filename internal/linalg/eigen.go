@@ -32,15 +32,17 @@ func Eigenvalues(a *Matrix) ([]complex128, error) {
 func balance(a *Matrix) {
 	const radix = 2.0
 	n := a.Rows
+	d := a.Data
 	sqrdx := radix * radix
 	for done := false; !done; {
 		done = true
 		for i := 0; i < n; i++ {
 			var r, c float64
-			for j := 0; j < n; j++ {
+			row := d[i*n : i*n+n]
+			for j, v := range row {
 				if j != i {
-					c += math.Abs(a.At(j, i))
-					r += math.Abs(a.At(i, j))
+					c += math.Abs(d[j*n+i])
+					r += math.Abs(v)
 				}
 			}
 			if c == 0 || r == 0 {
@@ -61,11 +63,11 @@ func balance(a *Matrix) {
 			if (c+r)/f < 0.95*s {
 				done = false
 				g = 1 / f
-				for j := 0; j < n; j++ {
-					a.Set(i, j, a.At(i, j)*g)
+				for j := range row {
+					row[j] *= g
 				}
 				for j := 0; j < n; j++ {
-					a.Set(j, i, a.At(j, i)*f)
+					d[j*n+i] *= f
 				}
 			}
 		}

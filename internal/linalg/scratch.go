@@ -12,9 +12,29 @@ import (
 // counterpart in eigen.go / nullspace.go / lu.go — same pivot choices, same
 // association order, same special-case branches — so results are
 // bit-identical on platforms without automatic FMA contraction (amd64).
-// The speed comes from memory reuse, direct Data indexing instead of
-// At/Set, skipping defensive clones/transposes the caller does not need,
-// and cheaper pivot searches that are proven to select the same pivots.
+//
+// What makes them faster, without touching any output value's operation
+// sequence:
+//
+//   - Memory reuse and direct Data indexing: no At/Set, no defensive
+//     clones or transposes the caller does not need, bounds-check-free
+//     inner loops.
+//   - Independent accumulator chains. A reference loop that finishes one
+//     dot product before starting the next makes every add wait on the
+//     previous one. Here several independent sums advance together —
+//     Hessenberg's left update walks rows once for all column sums, its
+//     right update and the inverse's substitutions carry four sums at a
+//     time — while each sum still adds its terms in the reference order.
+//   - Skipping provably neutral work: the inverse's forward sweep starts
+//     at the first structurally nonzero row of its right-hand sides (each
+//     skipped term is l·(+0) added to a +0 sum); the QR iteration's row
+//     updates stop at the active block's last column, as in the
+//     eigenvalue-only EISPACK hqr (columns right of it never feed an
+//     eigenvalue again); the null-vector eliminations swap only the live
+//     tail of two pivot rows, and the real one skips the division of a
+//     zero pivot-column entry, whose multiplier is zero either way.
+//   - Cheaper pivot searches that are proven to select the same pivots.
+//
 // scratch_test.go enforces both properties: exact agreement with the
 // reference kernels and zero allocations after warmup.
 
@@ -169,14 +189,19 @@ func EigenvaluesScratch(a *Matrix, ar *Arena) ([]complex128, error) {
 		return nil, nil
 	}
 	balance(a)
-	hessenbergScratch(a, ar.f64Raw(n))
+	buf := ar.f64Raw(2 * n)
+	hessenbergScratch(a, buf[:n], buf[n:])
 	return hqrScratch(a, ar)
 }
 
-// hessenbergScratch is hessenberg with the ort buffer supplied by the
-// caller and direct Data indexing; the loop structure and therefore the
-// float operation order is identical.
-func hessenbergScratch(a *Matrix, ort []float64) {
+// hessenbergScratch is hessenberg with caller-supplied buffers (ort, and
+// f for the left update's column sums, both of length n) and direct Data
+// indexing. Every entry receives the reference's operations in the
+// reference's order; only independent work is interleaved: the left update
+// walks the rows once, accumulating all column sums together, each still
+// adding rows in descending order, and the right update carries four row
+// sums at a time, each still adding columns in descending order.
+func hessenbergScratch(a *Matrix, ort, f []float64) {
 	n := a.Rows
 	if n < 3 {
 		return
@@ -201,24 +226,66 @@ func hessenbergScratch(a *Matrix, ort []float64) {
 		}
 		h -= ort[m] * g
 		ort[m] -= g
-		for j := m; j < n; j++ {
-			var f float64
-			for i := n - 1; i >= m; i-- {
-				f += ort[i] * d[i*n+j]
-			}
-			f /= h
-			for i := m; i < n; i++ {
-				d[i*n+j] -= f * ort[i]
+		u := ort[m:n]
+		// Left update: column j's sum f[j] = Σ_i u_i·a_ij, rows descending.
+		fs := f[m:n]
+		clear(fs)
+		for i := n - 1; i >= m; i-- {
+			ui := ort[i]
+			row := d[i*n+m : i*n+n]
+			row = row[:len(fs)]
+			for j, v := range row {
+				fs[j] += ui * v
 			}
 		}
-		for i := 0; i < n; i++ {
-			var f float64
-			for j := n - 1; j >= m; j-- {
-				f += ort[j] * d[i*n+j]
+		for j := range fs {
+			fs[j] /= h
+		}
+		for i := m; i < n; i++ {
+			ui := ort[i]
+			row := d[i*n+m : i*n+n]
+			row = row[:len(fs)]
+			for j, fj := range fs {
+				row[j] -= fj * ui
 			}
-			f /= h
-			for j := m; j < n; j++ {
-				d[i*n+j] -= f * ort[j]
+		}
+		// Right update: row i's sum Σ_j u_j·a_ij, columns descending.
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			r0 := d[i*n+m : i*n+n]
+			r1 := d[(i+1)*n+m : (i+1)*n+n]
+			r2 := d[(i+2)*n+m : (i+2)*n+n]
+			r3 := d[(i+3)*n+m : (i+3)*n+n]
+			r0, r1, r2, r3 = r0[:len(u)], r1[:len(u)], r2[:len(u)], r3[:len(u)]
+			var f0, f1, f2, f3 float64
+			for j := len(u) - 1; j >= 0; j-- {
+				uj := u[j]
+				f0 += uj * r0[j]
+				f1 += uj * r1[j]
+				f2 += uj * r2[j]
+				f3 += uj * r3[j]
+			}
+			f0 /= h
+			f1 /= h
+			f2 /= h
+			f3 /= h
+			for j, uj := range u {
+				r0[j] -= f0 * uj
+				r1[j] -= f1 * uj
+				r2[j] -= f2 * uj
+				r3[j] -= f3 * uj
+			}
+		}
+		for ; i < n; i++ {
+			row := d[i*n+m : i*n+n]
+			row = row[:len(u)]
+			var fi float64
+			for j := len(u) - 1; j >= 0; j-- {
+				fi += u[j] * row[j]
+			}
+			fi /= h
+			for j, uj := range u {
+				row[j] -= fi * uj
 			}
 		}
 		d[m*n+m-1] = scale * g
@@ -228,9 +295,19 @@ func hessenbergScratch(a *Matrix, ort []float64) {
 	}
 }
 
-// hqrScratch is hqr with the eigenvalue slice drawn from the arena and the
-// h/hset closures replaced by direct Data indexing; every arithmetic step
-// matches the reference routine.
+// hqrScratch is hqr with the eigenvalue slice drawn from the arena, the
+// h/hset closures replaced by direct Data indexing, and the double QR
+// step's row updates confined to columns up to n — the range of EISPACK
+// hqr rather than the full-Schur range of hqr2 that hqr uses. No Schur
+// vectors are kept, and n only decreases, so columns right of n never
+// enter an active block again; each row update reads only its own column,
+// so skipping them changes nothing that reaches an eigenvalue. Column
+// updates keep hqr2's range from row 0: a subdiagonal judged negligible
+// relative to its diagonal neighbours can stop being negligible after a
+// deflation, and the rows above it then rejoin the active block, so
+// skipping their updates (EISPACK's rows-from-l range) would change bits.
+// Every value that reaches an eigenvalue gets the reference's operations
+// in the reference's order, so the eigenvalues are bit-identical.
 func hqrScratch(hm *Matrix, ar *Arena) ([]complex128, error) {
 	nn := hm.Rows
 	d := hm.Data
@@ -386,8 +463,8 @@ func hqrScratch(hm *Matrix, ar *Arena) ([]complex128, error) {
 				q /= p
 				r /= p
 
-				// Row modification.
-				for j := k; j < nn; j++ {
+				// Row modification, columns k..n.
+				for j := k; j <= n; j++ {
 					p = d[k*nn+j] + q*d[(k+1)*nn+j]
 					if notlast {
 						p += r * d[(k+2)*nn+j]
@@ -419,7 +496,10 @@ func hqrScratch(hm *Matrix, ar *Arena) ([]complex128, error) {
 // structural change — the full-pivot search reuses per-row maxima tracked
 // during the previous step's row updates instead of rescanning the
 // trailing submatrix — which provably selects the same pivot sequence (see
-// the argument at nullVectorScratch), so results are bit-identical.
+// the argument at nullVectorScratch), so results are bit-identical. Row
+// swaps skip the entries left of the pivot column (see swapTails), and a
+// row whose pivot-column entry is ±0 takes the zero-multiplier path
+// without dividing (±0/pivot is ±0 for the nonzero pivot).
 func ForcedNullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
 	return nullVectorScratch(a, rtol, ar)
 }
@@ -487,7 +567,7 @@ func nullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
 			break // numerical rank reached
 		}
 		rank++
-		swapRows(w, k, pi)
+		swapTails(d, n, k, pi)
 		rmax[k], rmax[pi] = rmax[pi], rmax[k]
 		rarg[k], rarg[pi] = rarg[pi], rarg[k]
 		swapCols(w, k, pj)
@@ -496,7 +576,10 @@ func nullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
 		prow := d[k*n : k*n+n]
 		for i := k + 1; i < n; i++ {
 			irow := d[i*n : i*n+n]
-			m := irow[k] / pivot
+			var m float64
+			if irow[k] != 0 { // ±0/pivot is ±0: no division needed
+				m = irow[k] / pivot
+			}
 			if m == 0 {
 				// Row untouched; its cache stays valid unless the argmax sat
 				// on one of the two swapped columns.
@@ -513,10 +596,12 @@ func nullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
 			}
 			irow[k] = 0
 			nm, narg := 0.0, 0
-			for j := k + 1; j < n; j++ {
-				irow[j] -= m * prow[j]
-				if av := math.Abs(irow[j]); av > nm {
-					nm, narg = av, j
+			tail, ptail := irow[k+1:], prow[k+1:]
+			ptail = ptail[:len(tail)]
+			for j, pv := range ptail {
+				tail[j] -= m * pv
+				if av := math.Abs(tail[j]); av > nm {
+					nm, narg = av, k+1+j
 				}
 			}
 			rmax[i], rarg[i] = nm, narg
@@ -546,7 +631,8 @@ func nullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
 
 // CForcedNullVectorScratch is the complex analogue of
 // ForcedNullVectorScratch: CForcedNullVector semantics, matrix destroyed
-// in place, result in the arena, bit-identical output.
+// in place, result in the arena, bit-identical output, row swaps
+// confined to the live tail.
 func CForcedNullVectorScratch(a *CMatrix, rtol float64, ar *Arena) ([]complex128, error) {
 	if rtol <= 0 {
 		rtol = 1e-10
@@ -592,7 +678,7 @@ func CForcedNullVectorScratch(a *CMatrix, rtol float64, ar *Arena) ([]complex128
 			break
 		}
 		rank++
-		cswapRows(w, k, pi)
+		swapTails(d, n, k, pi)
 		rmax[k], rmax[pi] = rmax[pi], rmax[k]
 		rarg[k], rarg[pi] = rarg[pi], rarg[k]
 		cswapCols(w, k, pj)
@@ -616,10 +702,12 @@ func CForcedNullVectorScratch(a *CMatrix, rtol float64, ar *Arena) ([]complex128
 			}
 			irow[k] = 0
 			nm, narg := 0.0, 0
-			for j := k + 1; j < n; j++ {
-				irow[j] -= m * prow[j]
-				if av := cAbsIfAbove(irow[j], nm); av > nm {
-					nm, narg = av, j
+			tail, ptail := irow[k+1:], prow[k+1:]
+			ptail = ptail[:len(tail)]
+			for j, pv := range ptail {
+				tail[j] -= m * pv
+				if av := cAbsIfAbove(tail[j], nm); av > nm {
+					nm, narg = av, k+1+j
 				}
 			}
 			rmax[i], rarg[i] = nm, narg
@@ -646,6 +734,22 @@ func CForcedNullVectorScratch(a *CMatrix, rtol float64, ar *Arena) ([]complex128
 	return x, nil
 }
 
+// swapTails swaps columns k..n−1 of rows k and p of the row-major n×n
+// matrix d — the part of a pivot-row swap the null-vector eliminations
+// read again. Entries left of the pivot column are never read once it is
+// eliminated (back substitution reads only a row's diagonal and what lies
+// right of it), so leaving them unswapped changes no result.
+func swapTails[T float64 | complex128](d []T, n, k, p int) {
+	if p == k {
+		return
+	}
+	a, b := d[k*n+k:k*n+n], d[p*n+k:p*n+n]
+	b = b[:len(a)]
+	for j := range a {
+		a[j], b[j] = b[j], a[j]
+	}
+}
+
 // cAbsIfAbove returns cmplx.Abs(v), skipping the Hypot when v provably
 // cannot exceed the threshold t: |re|+|im| overestimates the true modulus
 // and the rounded sum underestimates it by at most a few ulps, so when the
@@ -664,7 +768,14 @@ func cAbsIfAbove(v complex128, t float64) float64 {
 // place (destroyed) and the result lives in the arena. Factorisation,
 // permuted identity columns and the two substitution sweeps replay
 // FactorLU + SolveMatrix(Identity) operation-for-operation, so the inverse
-// is bit-identical and the same ErrSingular is reported.
+// is bit-identical and the same ErrSingular is reported. The sweeps solve
+// four right-hand sides at a time, each column's sums still adding their
+// terms in the reference order, and the forward sweep of a block starts at
+// its first structurally nonzero row r: every row above r holds +0 in all
+// four columns, and partial pivoting keeps every multiplier l in [−1, 1],
+// so each skipped term is l·(+0) = ±0 added to a +0 sum, which leaves it
+// +0. (A NaN multiplier, from an infinite or NaN input, turns every entry
+// of the inverse into NaN on both paths.)
 func InverseScratch(a *Matrix, ar *Arena) (*Matrix, error) {
 	a.square()
 	n := a.Rows
@@ -700,8 +811,10 @@ func InverseScratch(a *Matrix, ar *Arena) (*Matrix, error) {
 			if m == 0 {
 				continue
 			}
-			for j := k + 1; j < n; j++ {
-				irow[j] -= m * prow[j]
+			tail, ptail := irow[k+1:], prow[k+1:]
+			ptail = ptail[:len(tail)]
+			for j, pv := range ptail {
+				tail[j] -= m * pv
 			}
 		}
 	}
@@ -710,35 +823,64 @@ func InverseScratch(a *Matrix, ar *Arena) (*Matrix, error) {
 			return nil, ErrSingular
 		}
 	}
+	// rowOf[c] is the row where P·e_c holds its 1.
+	rowOf := ar.Ints(n)
+	for i, p := range piv {
+		rowOf[p] = i
+	}
 	out := ar.MatUninit(n, n)
-	x := ar.f64Raw(n)
-	for col := 0; col < n; col++ {
-		// x = P·e_col, then L·U·x = e_col by the two substitutions.
-		for i := 0; i < n; i++ {
-			if piv[i] == col {
-				x[i] = 1
-			} else {
-				x[i] = 0
-			}
+	// x holds four right-hand sides interleaved: x[4i+c] is row i of column
+	// col+c. A short final block pads with zero columns that are computed
+	// and discarded.
+	x := ar.f64Raw(4 * n)
+	for col := 0; col < n; col += 4 {
+		w := min(4, n-col)
+		clear(x)
+		first := n
+		for c := 0; c < w; c++ {
+			r := rowOf[col+c]
+			x[4*r+c] = 1
+			first = min(first, r)
 		}
-		for i := 1; i < n; i++ {
-			var s float64
-			row := lu[i*n : i*n+i]
+		// Forward substitution with unit-diagonal L.
+		for i := first + 1; i < n; i++ {
+			row := lu[i*n+first : i*n+i]
+			xs := x[4*first : 4*i]
+			var s0, s1, s2, s3 float64
 			for j, l := range row {
-				s += l * x[j]
+				xj := xs[4*j : 4*j+4]
+				s0 += l * xj[0]
+				s1 += l * xj[1]
+				s2 += l * xj[2]
+				s3 += l * xj[3]
 			}
-			x[i] -= s
+			xi := x[4*i : 4*i+4]
+			xi[0] -= s0
+			xi[1] -= s1
+			xi[2] -= s2
+			xi[3] -= s3
 		}
+		// Back substitution with U.
 		for i := n - 1; i >= 0; i-- {
-			var s float64
-			row := lu[i*n : i*n+n]
-			for j := i + 1; j < n; j++ {
-				s += row[j] * x[j]
+			row := lu[i*n+i+1 : i*n+n]
+			xs := x[4*(i+1) : 4*n]
+			var s0, s1, s2, s3 float64
+			for j, u := range row {
+				xj := xs[4*j : 4*j+4]
+				s0 += u * xj[0]
+				s1 += u * xj[1]
+				s2 += u * xj[2]
+				s3 += u * xj[3]
 			}
-			x[i] = (x[i] - s) / row[i]
+			xi := x[4*i : 4*i+4]
+			d := lu[i*n+i]
+			xi[0] = (xi[0] - s0) / d
+			xi[1] = (xi[1] - s1) / d
+			xi[2] = (xi[2] - s2) / d
+			xi[3] = (xi[3] - s3) / d
 		}
 		for i := 0; i < n; i++ {
-			out.Data[i*n+col] = x[i]
+			copy(out.Data[i*n+col:i*n+col+w], x[4*i:4*i+w])
 		}
 	}
 	return out, nil

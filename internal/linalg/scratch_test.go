@@ -177,6 +177,169 @@ func TestInverseScratchSingular(t *testing.T) {
 	}
 }
 
+// TestScratchKernelsMatchReferenceLarge repeats the reference comparisons
+// at sizes up to 40, where the kernels' blocks of four rows or columns run
+// many times and leave every remainder mod 4.
+func TestScratchKernelsMatchReferenceLarge(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var ar Arena
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(40)
+		m := randomTestMatrix(rng, n)
+		want, wantErr := Eigenvalues(m)
+		ar.Reset()
+		got, gotErr := EigenvaluesScratch(m.Clone(), &ar)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d n=%d: eigenvalue error mismatch: %v vs %v", trial, n, wantErr, gotErr)
+		}
+		if wantErr == nil {
+			requireSameC128(t, "eigenvalues", want, got)
+		}
+
+		wantInv, wantErr := Inverse(m)
+		ar.Reset()
+		gotInv, gotErr := InverseScratch(m.Clone(), &ar)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d n=%d: inverse error mismatch: %v vs %v", trial, n, wantErr, gotErr)
+		}
+		if wantErr == nil {
+			requireSameF64(t, "inverse", wantInv.Data, gotInv.Data)
+		}
+
+		if n > 1 && rng.Intn(2) == 0 {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			copy(m.Data[dst*n:(dst+1)*n], m.Data[src*n:(src+1)*n])
+		}
+		wantNull, wantErr := ForcedNullVector(m, 0)
+		ar.Reset()
+		gotNull, gotErr := ForcedNullVectorScratch(m.Clone(), 0, &ar)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d n=%d: null vector error mismatch: %v vs %v", trial, n, wantErr, gotErr)
+		}
+		if wantErr == nil {
+			requireSameF64(t, "null vector", wantNull, gotNull)
+		}
+
+		cm := NewCMatrix(n, n)
+		for i, v := range m.Data {
+			cm.Data[i] = complex(v, float64(rng.Intn(3)-1))
+		}
+		wantC, wantErr := CForcedNullVector(cm, 0)
+		ar.Reset()
+		gotC, gotErr := CForcedNullVectorScratch(cm.Clone(), 0, &ar)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d n=%d: complex null vector error mismatch: %v vs %v", trial, n, wantErr, gotErr)
+		}
+		if wantErr == nil {
+			requireSameC128(t, "complex null vector", wantC, gotC)
+		}
+	}
+}
+
+// TestEigenvaluesScratchBlockTriangularMatchesReference feeds block upper
+// triangular matrices. Their Hessenberg forms keep exact zeros on the
+// subdiagonal between blocks, so QR deflates with l > 0, and each block
+// above a deflated one is iterated on while the columns right of it hold
+// live entries that the reference keeps updating and the eigenvalue-only
+// row window skips. It also guards the column window: restricting column
+// updates to rows l.. (EISPACK hqr's range) changes eigenvalue bits here.
+func TestEigenvaluesScratchBlockTriangularMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var ar Arena
+	deflated := 0
+	for trial := 0; trial < 150; trial++ {
+		n := 2 + rng.Intn(39)
+		m := randomTestMatrix(rng, n)
+		// Zero everything below a random block-diagonal partition.
+		start := 0
+		for start < n {
+			end := min(n, start+1+rng.Intn(8))
+			for i := end; i < n; i++ {
+				for j := start; j < end; j++ {
+					m.Data[i*n+j] = 0
+				}
+			}
+			if end < n {
+				deflated++
+			}
+			start = end
+		}
+		want, wantErr := Eigenvalues(m)
+		ar.Reset()
+		got, gotErr := EigenvaluesScratch(m.Clone(), &ar)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, wantErr, gotErr)
+		}
+		if wantErr == nil {
+			requireSameC128(t, "eigenvalues", want, got)
+		}
+	}
+	if deflated == 0 {
+		t.Fatal("no trial had more than one diagonal block")
+	}
+}
+
+// TestInverseScratchLatePivotMatchesReference permutes the rows of
+// well-conditioned and tie-heavy matrices so that partial pivoting places
+// the 1 of several consecutive identity columns late — the forward sweep
+// then starts deep inside the matrix — and includes inputs with a NaN
+// multiplier, where the skipped terms are NaN·0 rather than ±0 and the
+// inverse must still be NaN wherever the reference's is.
+func TestInverseScratchLatePivotMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var ar Arena
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		base := randomTestMatrix(rng, n)
+		if trial%2 == 0 {
+			for i := 0; i < n; i++ {
+				base.Data[i*n+i] += float64(2 * n) // diagonally dominant: pivots stay on the diagonal
+			}
+		}
+		// Reverse the rows, or shuffle them, so row i of the input is row
+		// perm[i] of the base and pivoting must undo the permutation.
+		perm := rng.Perm(n)
+		if trial%3 == 0 {
+			for i := range perm {
+				perm[i] = n - 1 - i
+			}
+		}
+		m := NewMatrix(n, n)
+		for i, src := range perm {
+			copy(m.Data[i*n:(i+1)*n], base.Data[src*n:(src+1)*n])
+		}
+		nonFinite := trial%10 == 9 && n > 1
+		if nonFinite {
+			// Two infinite entries in one column give a NaN multiplier,
+			// and a NaN input elsewhere may reach the factors too.
+			m.Data[0] = math.Inf(1)
+			m.Data[n] = math.Inf(-1)
+			m.Data[n+rng.Intn(n*n-n)] = math.NaN()
+		}
+		want, wantErr := Inverse(m)
+		ar.Reset()
+		got, gotErr := InverseScratch(m.Clone(), &ar)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d n=%d: error mismatch: %v vs %v", trial, n, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if !nonFinite {
+			requireSameF64(t, "inverse", want.Data, got.Data)
+			continue
+		}
+		// A NaN's payload follows the operand order the compiler picks
+		// for a commutative add, so NaN entries are compared as NaN.
+		for i, w := range want.Data {
+			g := got.Data[i]
+			if math.IsNaN(w) != math.IsNaN(g) || (!math.IsNaN(w) && math.Float64bits(w) != math.Float64bits(g)) {
+				t.Fatalf("trial %d n=%d: inverse[%d] %v vs %v", trial, n, i, w, g)
+			}
+		}
+	}
+}
+
 // TestScratchKernelsAllocationFree pins the arena contract: once the arena
 // has grown to its high-water mark, repeated solves allocate nothing.
 func TestScratchKernelsAllocationFree(t *testing.T) {

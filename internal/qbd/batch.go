@@ -23,9 +23,10 @@ import (
 // SolveSpectral(p) with p.Lambda set to that point — the same pivot
 // choices, the same operation order — so results are bit-identical on
 // amd64 (and within 1e-12 relative error on platforms whose compilers
-// contract multiply-adds differently). Per-point failures (λ ≤ 0,
-// instability, eigenvalue-count defects) return the same errors as the
-// scalar path and never affect the shared hoisted state or later points.
+// contract multiply-adds differently). Per-point failures (a λ that is not
+// positive and finite, instability, eigenvalue-count defects) return the
+// same errors as the scalar path and never affect the shared hoisted state
+// or later points.
 //
 // A SweepSolver is safe for concurrent use; workers are pooled.
 type SweepSolver struct {
@@ -45,7 +46,7 @@ type SweepSolver struct {
 // the batch, so a failed construction means every point would fail.
 func NewSweepSolver(p Params) (*SweepSolver, error) {
 	probe := p
-	if probe.Lambda <= 0 {
+	if !(probe.Lambda > 0) || math.IsInf(probe.Lambda, 0) {
 		probe.Lambda = 1 // structural validation only; per-point rates replace it
 	}
 	if err := probe.Validate(); err != nil {
@@ -120,8 +121,8 @@ func (sv *SweepSolver) NewWorker() *SweepWorker { return &SweepWorker{sv: sv} }
 func (w *SweepWorker) SolveInto(lambda float64, sol *SpectralSolution) error {
 	sv := w.sv
 	// Per-point validation and stability, with the scalar path's errors.
-	if lambda <= 0 {
-		return fmt.Errorf("qbd: arrival rate %v must be positive", lambda)
+	if !(lambda > 0) || math.IsInf(lambda, 0) {
+		return fmt.Errorf("qbd: arrival rate %v must be positive and finite", lambda)
 	}
 	load := math.Inf(1)
 	if sv.capacity > 0 {
@@ -227,17 +228,21 @@ func (w *SweepWorker) unitDiskEigenvalues(lambda float64) ([]complex128, error) 
 }
 
 // eigenvectorTerms mirrors the package-level eigenvectorTerms, building
-// Q(z_k)ᵀ directly in the arena (skipping the reference path's transpose
-// copy) and writing each term into sol.terms in place.
+// Q(z_k)ᵀ directly (skipping the reference path's transpose copy) and
+// writing each term into sol.terms in place. Every eigenvalue's Q(z_k)ᵀ
+// is rebuilt in the same real or complex s×s buffer, which the null-vector
+// kernel destroys anyway, so the s eigenvalues take O(s²) arena memory in
+// total rather than O(s³), and the buffer stays in cache.
 func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *SpectralSolution) error {
 	sv := w.sv
 	s := sv.s
+	qt := w.ar.MatUninit(s, s)
+	cqt := w.ar.CMatUninit(s, s)
 	for k := 0; k < len(zs); k++ {
 		z := zs[k]
 		switch {
 		case imag(z) == 0:
 			zr := real(z)
-			qt := w.ar.MatUninit(s, s)
 			for i := 0; i < s; i++ {
 				at := sv.aT.Data[i*s : (i+1)*s]
 				row := qt.Data[i*s : (i+1)*s]
@@ -256,11 +261,10 @@ func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *Spe
 				cu[i] = complex(v, 0)
 			}
 		case imag(z) > 0:
-			qt := w.ar.CMatUninit(s, s)
 			lam := complex(lambda, 0)
 			for i := 0; i < s; i++ {
 				at := sv.aT.Data[i*s : (i+1)*s]
-				row := qt.Data[i*s : (i+1)*s]
+				row := cqt.Data[i*s : (i+1)*s]
 				for j, v := range at {
 					row[j] = z * complex(v, 0)
 				}
@@ -268,7 +272,7 @@ func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *Spe
 				di := complex(sv.da[i], 0)
 				row[i] += lam - z*(di+lam+ci) + z*z*ci
 			}
-			u, err := linalg.CForcedNullVectorScratch(qt, 0, &w.ar)
+			u, err := linalg.CForcedNullVectorScratch(cqt, 0, &w.ar)
 			if err != nil {
 				return fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
 			}
@@ -294,7 +298,9 @@ func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *Spe
 // assemble mirrors boundaryStages + assembleSpectral: the S_j recursion
 // with in-place inverses, the level-N matching system built directly in
 // transposed form, and the normalisation — all in arena memory, writing
-// the result into sol.
+// the result into sol. Every level's K_j, and then W, is built in one
+// reused s×s buffer, and each S_j overwrites its K_j⁻¹, so the boundary
+// takes O(N·s²) arena memory.
 func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	sv := w.sv
 	s, n := sv.s, sv.n
@@ -304,41 +310,44 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	} else {
 		w.stages = w.stages[:n]
 	}
+	kj := w.ar.MatUninit(s, s)
 	var prev *linalg.Matrix
 	for j := 0; j < n; j++ {
-		k := w.ar.MatUninit(s, s)
-		copy(k.Data, sv.negA.Data)
+		copy(kj.Data, sv.negA.Data)
 		cj := sv.p.serviceAt(j)
 		for i := 0; i < s; i++ {
-			k.Data[i*s+i] += sv.da[i] + lambda + cj[i]
+			kj.Data[i*s+i] += sv.da[i] + lambda + cj[i]
 		}
 		if prev != nil {
 			for i, pv := range prev.Data {
-				k.Data[i] -= lambda * pv
+				kj.Data[i] -= lambda * pv
 			}
 		}
-		kinv, err := linalg.InverseScratch(k, &w.ar)
+		st, err := linalg.InverseScratch(kj, &w.ar)
 		if err != nil {
 			return fmt.Errorf("qbd: boundary stage %d is singular: %w", j, err)
 		}
+		// S_j = diag(C_{j+1})·K_j⁻¹ row by row in place. Times accumulates
+		// into a zeroed product, so an entry is +0 + c_i·k_ij (which turns
+		// a −0 product into +0) and a zero c_i leaves a zero row.
 		cnext := sv.p.serviceAt(j + 1)
-		st := w.ar.Mat(s, s)
 		for i := 0; i < s; i++ {
+			row := st.Data[i*s : (i+1)*s]
 			ci := cnext[i]
 			if ci == 0 {
-				continue // zero diagonal leaves an exactly-zero row, as Times does
+				clear(row)
+				continue
 			}
-			srow := st.Data[i*s : (i+1)*s]
-			krow := kinv.Data[i*s : (i+1)*s]
-			for j2, kv := range krow {
-				srow[j2] += ci * kv
+			for j2, kv := range row {
+				row[j2] = 0 + ci*kv
 			}
 		}
 		w.stages[j] = st
 		prev = st
 	}
-	// W = Dᴬ + B + C − A − λS_{N−1} from the level-N balance equation.
-	wm := w.ar.MatUninit(s, s)
+	// W = Dᴬ + B + C − A − λS_{N−1} from the level-N balance equation, in
+	// the K buffer, which the last inverse has finished with.
+	wm := kj
 	copy(wm.Data, sv.negA.Data)
 	for i := 0; i < s; i++ {
 		wm.Data[i*s+i] += sv.da[i] + lambda + sv.c[i]
@@ -349,11 +358,39 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 		}
 	}
 	// M[k][·] = u_k·(W − z_k·C); solve γ̃·M = 0. Built directly as Mᵀ so the
-	// null-vector kernel needs no transpose pass.
+	// null-vector kernel needs no transpose pass, four columns of M at a
+	// time; each entry still sums its rows in order.
 	mt := w.ar.CMatUninit(s, s)
 	for k := range sol.terms {
 		t := &sol.terms[k]
-		for col := 0; col < s; col++ {
+		col := 0
+		for ; col+4 <= s; col += 4 {
+			var a0, a1, a2, a3 complex128
+			for row := 0; row < s; row++ {
+				wr := wm.Data[row*s+col : row*s+col+4]
+				e0, e1, e2, e3 := complex(wr[0], 0), complex(wr[1], 0), complex(wr[2], 0), complex(wr[3], 0)
+				switch row - col {
+				case 0:
+					e0 -= t.z * complex(sv.c[row], 0)
+				case 1:
+					e1 -= t.z * complex(sv.c[row], 0)
+				case 2:
+					e2 -= t.z * complex(sv.c[row], 0)
+				case 3:
+					e3 -= t.z * complex(sv.c[row], 0)
+				}
+				u := t.u[row]
+				a0 += u * e0
+				a1 += u * e1
+				a2 += u * e2
+				a3 += u * e3
+			}
+			mt.Data[col*s+k] = a0
+			mt.Data[(col+1)*s+k] = a1
+			mt.Data[(col+2)*s+k] = a2
+			mt.Data[(col+3)*s+k] = a3
+		}
+		for ; col < s; col++ {
 			var acc complex128
 			for row := 0; row < s; row++ {
 				entry := complex(wm.Data[row*s+col], 0)

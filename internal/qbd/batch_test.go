@@ -127,6 +127,38 @@ func TestSweepSolverMatchesSolveSpectral(t *testing.T) {
 	}
 }
 
+// TestSweepSolverMatchesSolveSpectralLargeN runs the full-state
+// equivalence check at the daemon's sizes: N = 8, 9, 10 and 12 give
+// s = 45, 55, 66 and 91 and companions of 90–182, so the kernels' blocks
+// of four rows or columns leave every remainder mod 4, and one worker
+// carries its workspaces from each size to the next.
+func TestSweepSolverMatchesSolveSpectralLargeN(t *testing.T) {
+	for _, n := range []int{8, 9, 10, 12} {
+		p := paramsFor(t, n, 1, 1, paperOps, paperRepair)
+		load1, err := p.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv, err := NewSweepSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := sv.NewWorker()
+		var sol SpectralSolution
+		for _, load := range []float64{0.35, 0.8, 0.97} {
+			p.Lambda = load / load1
+			want, err := SolveSpectral(p)
+			if err != nil {
+				t.Fatalf("N=%d load %v: %v", n, load, err)
+			}
+			if err := w.SolveInto(p.Lambda, &sol); err != nil {
+				t.Fatalf("N=%d load %v: %v", n, load, err)
+			}
+			requireSolutionsIdentical(t, want, &sol)
+		}
+	}
+}
+
 // TestSweepSolverPooledSolveMatches exercises the pooled Solve entry point
 // and checks the returned solutions are caller-owned (still correct after
 // later points were solved on the same pool).
@@ -194,6 +226,44 @@ func TestSweepSolverMidGridErrors(t *testing.T) {
 	}
 
 	// The shared state survives: the next point is still bit-identical.
+	p.Lambda = 1.3
+	want, err := SolveSpectral(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SolveInto(1.3, &sol); err != nil {
+		t.Fatal(err)
+	}
+	requireSolutionsIdentical(t, want, &sol)
+}
+
+// TestSweepSolverRejectsNonFiniteRates is the regression test for NaN and
+// infinite arrival rates: Params.Validate, SolveSpectral and SolveInto all
+// return the same validation error at once instead of iterating QR on a
+// NaN companion, and a solver hoisted from a NaN base rate still solves
+// valid rates bit-identically.
+func TestSweepSolverRejectsNonFiniteRates(t *testing.T) {
+	p := paramsFor(t, 3, math.NaN(), 1, paperOps, paperRepair)
+	sv, err := NewSweepSolver(p)
+	if err != nil {
+		t.Fatalf("NaN base rate must not fail construction: %v", err)
+	}
+	w := sv.NewWorker()
+	var sol SpectralSolution
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p.Lambda = lambda
+		want := p.Validate()
+		if want == nil || !strings.Contains(want.Error(), "must be positive and finite") {
+			t.Fatalf("λ=%v: Validate returned %v", lambda, want)
+		}
+		_, scalarErr := SolveSpectral(p)
+		batchErr := w.SolveInto(lambda, &sol)
+		for _, err := range []error{scalarErr, batchErr} {
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("λ=%v: got %v, want the validation error %q", lambda, err, want)
+			}
+		}
+	}
 	p.Lambda = 1.3
 	want, err := SolveSpectral(p)
 	if err != nil {
@@ -286,6 +356,46 @@ func TestSweepWorkerSolveIntoAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SolveInto allocated %v times per point, want 0 (sink %v)", allocs, sink)
+	}
+}
+
+// TestSweepWorkerMemoryBounded pins the worker's working set at
+// O(N·s²): a warm worker and its solution may retain at most
+// 16·(2N+16)·s² bytes (1.0, 2.5 and 18 MB at N = 8, 10 and 16). A worker
+// that takes a fresh s×s matrix per eigenvalue — O(s³) — holds 2.2, 4.8
+// and 50 MB and fails.
+func TestSweepWorkerMemoryBounded(t *testing.T) {
+	for _, n := range []int{8, 10, 16} {
+		p := paramsFor(t, n, 1, 1, paperOps, paperRepair)
+		load1, err := p.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv, err := NewSweepSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w := sv.NewWorker()
+		sol := new(SpectralSolution)
+		for _, load := range []float64{0.6, 0.7, 0.8} {
+			if err := w.SolveInto(load/load1, sol); err != nil {
+				t.Fatalf("N=%d: %v", n, err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		runtime.KeepAlive(w)
+		runtime.KeepAlive(sol)
+		s := int64(sv.Size())
+		bound := 16 * (2*int64(n) + 16) * s * s
+		t.Logf("N=%d s=%d: warm worker holds %.2f MB (bound %.2f MB)", n, s, float64(held)/1e6, float64(bound)/1e6)
+		if held > bound {
+			t.Errorf("N=%d s=%d: warm worker holds %d bytes, want ≤ 16·(2N+16)·s² = %d", n, s, held, bound)
+		}
 	}
 }
 

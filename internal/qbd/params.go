@@ -44,13 +44,15 @@ func (p Params) Size() int { return p.A.Rows }
 // constant.
 func (p Params) Threshold() int { return len(p.ServiceDiag) - 1 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency. Every rate must be finite: an
+// infinite one would never let the eigensolver's balancing terminate, and
+// a NaN one would leave QR iterating until its budget runs out.
 func (p Params) Validate() error {
 	if p.A == nil || p.A.Rows != p.A.Cols {
 		return errors.New("qbd: A must be square")
 	}
-	if p.Lambda <= 0 {
-		return fmt.Errorf("qbd: arrival rate %v must be positive", p.Lambda)
+	if !(p.Lambda > 0) || math.IsInf(p.Lambda, 0) {
+		return fmt.Errorf("qbd: arrival rate %v must be positive and finite", p.Lambda)
 	}
 	if len(p.ServiceDiag) < 2 {
 		return errors.New("qbd: need service diagonals for at least levels 0 and 1")
@@ -64,6 +66,9 @@ func (p Params) Validate() error {
 			if v < 0 {
 				return fmt.Errorf("qbd: negative service rate %v at level %d mode %d", v, j, i)
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("qbd: service rate %v at level %d mode %d must be finite", v, j, i)
+			}
 		}
 	}
 	for i := 0; i < s; i++ {
@@ -71,8 +76,12 @@ func (p Params) Validate() error {
 			return fmt.Errorf("qbd: A diagonal entry %d is %v, want 0", i, p.A.At(i, i))
 		}
 		for j := 0; j < s; j++ {
-			if p.A.At(i, j) < 0 {
-				return fmt.Errorf("qbd: negative rate A[%d][%d] = %v", i, j, p.A.At(i, j))
+			v := p.A.At(i, j)
+			if v < 0 {
+				return fmt.Errorf("qbd: negative rate A[%d][%d] = %v", i, j, v)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("qbd: rate A[%d][%d] = %v must be finite", i, j, v)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package qbd
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -44,6 +45,33 @@ func TestValidate(t *testing.T) {
 	bad.A.Set(0, 0, 1)
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for nonzero diagonal")
+	}
+	// Non-finite rates must fail validation, so the solvers report them
+	// at once: an infinite service rate used to hang the eigensolver's
+	// balancing loop.
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		bad = p
+		bad.ServiceDiag = make([][]float64, len(p.ServiceDiag))
+		for j, d := range p.ServiceDiag {
+			bad.ServiceDiag[j] = append([]float64(nil), d...)
+		}
+		bad.ServiceDiag[len(bad.ServiceDiag)-1][1] = v
+		want := bad.Validate()
+		if want == nil || !strings.Contains(want.Error(), "must be finite") {
+			t.Fatalf("service rate %v: Validate returned %v", v, want)
+		}
+		if _, err := SolveSpectral(bad); err == nil || err.Error() != want.Error() {
+			t.Fatalf("service rate %v: SolveSpectral returned %v, want %v", v, err, want)
+		}
+		if _, err := NewSweepSolver(bad); err == nil || err.Error() != want.Error() {
+			t.Fatalf("service rate %v: NewSweepSolver returned %v, want %v", v, err, want)
+		}
+		bad = p
+		bad.A = p.A.Clone()
+		bad.A.Set(0, 1, v)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Fatalf("A entry %v: Validate returned %v", v, err)
+		}
 	}
 }
 

@@ -23,10 +23,12 @@ import (
 
 // hoistCacheSize bounds the hoisted-solver cache. An entry for an
 // environment of s modes retains about 32·s² bytes (chiefly the −A and Aᵀ
-// images; its pooled per-point workspaces last only until the next GC):
-// 62 and 141 KB for the paper's H2/exp model at N = 8 and 10, 2.7 MB at
-// N = 24. 32 entries cover the environments of a figure run or a
-// planner's working set at a bounded cost.
+// images): 62 and 141 KB for the paper's H2/exp model at N = 8 and 10,
+// 2.7 MB at N = 24. Each pooled per-point worker adds an O(N·s²)
+// workspace while it solves and until the next GC drops it: 0.7, 1.6, 8.6
+// and 19 MB at N = 8, 10, 16 and 20 (qbd's TestSweepWorkerMemoryBounded).
+// 32 entries cover the environments of a figure run or a planner's
+// working set at a bounded cost.
 const hoistCacheSize = 32
 
 // hoist is one environment's shared solver. The first miss to reach it

@@ -244,6 +244,38 @@ func TestSweepGroupConstructionFallback(t *testing.T) {
 	}
 }
 
+// TestHoistFromNaNRateStaysBatched checks that an environment's hoist
+// first touched by a NaN-rate system is still built: that point reports
+// the validation error, and later valid rates solve through the batched
+// path (no fallback) with the scalar path's results.
+func TestHoistFromNaNRateStaysBatched(t *testing.T) {
+	h := new(hoist)
+	e := NewEngine(Config{})
+	bad := testSystem(3, math.NaN())
+	wantErr := bad.Validate()
+	if wantErr == nil {
+		t.Fatal("a NaN arrival rate passed validation")
+	}
+	if _, err := h.solve(e, bad); err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("NaN rate: got %v, want the validation error %v", err, wantErr)
+	}
+	sys := testSystem(3, 1.2)
+	got, err := h.solve(e, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identicalF64(want.MeanJobs, got.MeanJobs) {
+		t.Fatalf("MeanJobs %v vs %v", want.MeanJobs, got.MeanJobs)
+	}
+	if s := e.Stats(); s.BatchGroups != 1 || s.BatchFallbacks != 0 {
+		t.Fatalf("groups=%d fallbacks=%d, want 1/0", s.BatchGroups, s.BatchFallbacks)
+	}
+}
+
 // TestEvaluateReusesEnvironmentHoist checks the engine-wide hoist cache:
 // separate single-point evaluations at distinct λ in one environment
 // build exactly one solver, and every result matches a scalar solve.

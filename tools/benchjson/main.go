@@ -22,14 +22,17 @@
 //
 // Benchmark names are matched with the trailing GOMAXPROCS suffix
 // stripped ("/cached-8" equals "/cached-4"), so baselines recorded on one
-// machine compare on another; benchmarks present on only one side are
-// reported but never fail the gate.
+// machine compare on another. Benchmarks present on only one side are
+// reported — NEW for a benchmark without a baseline, MISSING for a
+// baseline the new run lacks (renamed or removed) — but never fail the
+// gate.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -73,7 +76,7 @@ func main() {
 	)
 	flag.Parse()
 	if *compare {
-		if err := runCompare(*oldPath, *newPath, *threshold, *zeroalloc); err != nil {
+		if err := runCompare(os.Stdout, *oldPath, *newPath, *threshold, *zeroalloc); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -168,10 +171,11 @@ var procSuffixRE = regexp.MustCompile(`-\d+$`)
 
 func baseName(name string) string { return procSuffixRE.ReplaceAllString(name, "") }
 
-// runCompare diffs two documents on ns/op and fails when any benchmark
-// present in both regressed beyond the threshold, or when a benchmark
-// matching the zeroalloc pattern reports a non-zero allocs/op.
-func runCompare(oldPath, newPath string, threshold float64, zeroalloc string) error {
+// runCompare diffs two documents on ns/op, writing one line per benchmark
+// to w, and fails when any benchmark present in both regressed beyond the
+// threshold, or when a benchmark matching the zeroalloc pattern reports a
+// non-zero allocs/op.
+func runCompare(w io.Writer, oldPath, newPath string, threshold float64, zeroalloc string) error {
 	if oldPath == "" || newPath == "" {
 		return fmt.Errorf("-compare needs both -old and -new")
 	}
@@ -184,7 +188,7 @@ func runCompare(oldPath, newPath string, threshold float64, zeroalloc string) er
 		return err
 	}
 	if zeroalloc != "" {
-		if err := checkZeroAlloc(newDoc.Benchmarks, zeroalloc); err != nil {
+		if err := checkZeroAlloc(w, newDoc.Benchmarks, zeroalloc); err != nil {
 			return err
 		}
 	}
@@ -201,13 +205,15 @@ func runCompare(oldPath, newPath string, threshold float64, zeroalloc string) er
 		byName[n] = b
 	}
 	sort.Strings(names)
+	compared := 0
 	for _, n := range names {
 		nb := byName[n]
 		ob, ok := oldBy[n]
 		if !ok {
-			fmt.Printf("NEW      %-55s %12.0f ns/op (no baseline)\n", n, nb.Metrics["ns/op"])
+			fmt.Fprintf(w, "NEW      %-55s %12.0f ns/op (no baseline)\n", n, nb.Metrics["ns/op"])
 			continue
 		}
+		compared++
 		oldNs, newNs := ob.Metrics["ns/op"], nb.Metrics["ns/op"]
 		if oldNs <= 0 || newNs <= 0 {
 			continue
@@ -219,21 +225,32 @@ func runCompare(oldPath, newPath string, threshold float64, zeroalloc string) er
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %.0f → %.0f ns/op (%+.1f%%, threshold %+.0f%%)", n, oldNs, newNs, 100*delta, 100*threshold))
 		}
-		fmt.Printf("%-8s %-55s %12.0f → %12.0f ns/op  %+7.1f%%\n", verdict, n, oldNs, newNs, 100*delta)
+		fmt.Fprintf(w, "%-8s %-55s %12.0f → %12.0f ns/op  %+7.1f%%\n", verdict, n, oldNs, newNs, 100*delta)
+	}
+	missing := make([]string, 0, len(oldBy))
+	for n := range oldBy {
+		if _, ok := byName[n]; !ok {
+			missing = append(missing, n)
+		}
+	}
+	sort.Strings(missing)
+	for _, n := range missing {
+		fmt.Fprintf(w, "MISSING  %-55s %12.0f ns/op (absent from the new run)\n", n, oldBy[n].Metrics["ns/op"])
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed:\n  %s", len(regressions), strings.Join(regressions, "\n  "))
 	}
-	fmt.Printf("no ns/op regression beyond %+.0f%% (%d benchmarks compared)\n", 100*threshold, len(names))
+	fmt.Fprintf(w, "no ns/op regression beyond %+.0f%% (%d compared, %d new, %d missing)\n",
+		100*threshold, compared, len(names)-compared, len(missing))
 	return nil
 }
 
 // checkZeroAlloc enforces the allocation-free gate: every candidate
-// benchmark matching pattern must report exactly 0 allocs/op. A pattern
-// that matches no benchmark is itself an error — it means the gated
-// benchmark was renamed or dropped, and the gate would otherwise pass
-// without checking anything.
-func checkZeroAlloc(benchmarks []Benchmark, pattern string) error {
+// benchmark matching pattern must report exactly 0 allocs/op; each that
+// does is listed on w. A pattern that matches no benchmark is itself an
+// error — it means the gated benchmark was renamed or dropped, and the
+// gate would otherwise pass without checking anything.
+func checkZeroAlloc(w io.Writer, benchmarks []Benchmark, pattern string) error {
 	re, err := regexp.Compile(pattern)
 	if err != nil {
 		return fmt.Errorf("-zeroalloc pattern: %w", err)
@@ -251,7 +268,7 @@ func checkZeroAlloc(benchmarks []Benchmark, pattern string) error {
 		} else if allocs != 0 {
 			dirty = append(dirty, fmt.Sprintf("%s: %.0f allocs/op, want 0", b.Name, allocs))
 		} else {
-			fmt.Printf("ZEROALLOC %-54s 0 allocs/op\n", baseName(b.Name))
+			fmt.Fprintf(w, "ZEROALLOC %-54s 0 allocs/op\n", baseName(b.Name))
 		}
 	}
 	if matched == 0 {
