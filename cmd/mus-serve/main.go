@@ -233,11 +233,15 @@ func run(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// snapDone closes once no periodic snapshot can still be written, so
+	// the drain's final snapshot below is the last one.
+	snapDone := make(chan struct{})
 	if snapPath != "" && *snapEvery > 0 {
 		// Periodic cache snapshots are advisory: each one atomically
 		// replaces snapshot.json, and losing the newest just means a
 		// slightly colder warm-up after the next boot.
 		go func() {
+			defer close(snapDone)
 			t := time.NewTicker(*snapEvery)
 			defer t.Stop()
 			for {
@@ -249,6 +253,8 @@ func run(args []string) error {
 				}
 			}
 		}()
+	} else {
+		close(snapDone)
 	}
 	errc := make(chan error, 1)
 	go func() {
@@ -279,7 +285,9 @@ func run(args []string) error {
 			log.Printf("mus-serve: http drain incomplete: %v", err)
 		}
 		// One last snapshot so the caches are as warm as possible when the
-		// successor process boots.
+		// successor process boots, written after the periodic writer has
+		// stopped so a late tick cannot replace it with an older one.
+		<-snapDone
 		writeSnapshot()
 		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 			return err

@@ -160,6 +160,10 @@ func (s *Scheduler) replay() {
 		s.log.Warn("job log replay incomplete; continuing with partial history",
 			olog.F{K: "error", V: err.Error()})
 	}
+	if n := s.jlog.ReplaySkipped(); n > 0 {
+		s.log.Warn("job log replay skipped undecodable records",
+			olog.F{K: "records", V: n})
+	}
 	var requeue []*job
 	for _, j := range s.jobs {
 		j.total = totalOf(j.req)

@@ -2,12 +2,16 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/api"
 	"repro/internal/cluster"
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -25,7 +29,8 @@ func openTestLog(t *testing.T, dir string) *store.JobLog {
 // TestDurableJobHistorySurvivesRestart submits jobs against a log,
 // finishes them, then boots a second scheduler on the same log: the
 // history must reappear — the done sweep with its result re-synthesised
-// from its persisted points, the optimize result served verbatim.
+// from its persisted points, equal to the one served before the restart,
+// and the optimize result served verbatim.
 func TestDurableJobHistorySurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir)
@@ -47,6 +52,10 @@ func TestDurableJobHistorySurvivesRestart(t *testing.T) {
 		if got, err := s.Wait(context.Background(), id); err != nil || got.State != api.JobStateDone {
 			t.Fatalf("Wait(%s): %+v, %v", id, got, err)
 		}
+	}
+	before, err := s.Result(st.ID)
+	if err != nil {
+		t.Fatalf("sweep Result before restart: %v", err)
 	}
 	s.Close()
 	if err := l.Close(); err != nil {
@@ -75,6 +84,12 @@ func TestDurableJobHistorySurvivesRestart(t *testing.T) {
 		if pt.Index != i || pt.Perf == nil {
 			t.Fatalf("replayed point %d mangled: %+v", i, pt)
 		}
+	}
+	if !reflect.DeepEqual(res, before) {
+		t.Fatalf("replayed sweep result %+v differs from the one served before the restart %+v", res, before)
+	}
+	if n := l2.ReplaySkipped(); n != 0 {
+		t.Fatalf("replay skipped %d records", n)
 	}
 	optRes, err := s2.Result(opt.ID)
 	if err != nil {
@@ -164,6 +179,104 @@ func TestReplayResumesIncompleteSweep(t *testing.T) {
 	}
 	if n := eng.streamRuns.Load(); n != 1 {
 		t.Fatalf("engine streams = %d, want 1", n)
+	}
+}
+
+// countingEngine solves on a real engine and counts the sweep points it
+// is asked for.
+type countingEngine struct {
+	*service.Engine
+	points atomic.Int64
+}
+
+func (c *countingEngine) EvaluateStream(ctx context.Context, jobs []service.Job, emit func(service.Result) error) error {
+	c.points.Add(int64(len(jobs)))
+	return c.Engine.EvaluateStream(ctx, jobs, emit)
+}
+
+// TestReplayResumesAcrossFormatUpgrade forges the log an upgrade across a
+// crash leaves behind: a 7-point sweep whose points 0–2 an older binary
+// wrote as JSON records and points 3–4 this one wrote in the points
+// layout, with no terminal state. Grid values 5 and 4.2 overload the
+// 4-server system, so each encoding also carries a failed point. The job
+// must resume at index 5 and finish with exactly the result of an
+// uninterrupted run.
+func TestReplayResumesAcrossFormatUpgrade(t *testing.T) {
+	req := sweepJob(0.5, 1, 5, 2, 4.2, 3, 3.5)
+	ref := New(Config{Engine: service.NewEngine(service.Config{})})
+	st, err := ref.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ref.Wait(context.Background(), st.ID); err != nil || got.State != api.JobStateDone {
+		t.Fatalf("uninterrupted run: %+v, %v", got, err)
+	}
+	want, err := ref.Result(st.ID)
+	ref.Close()
+	if err != nil {
+		t.Fatalf("uninterrupted Result: %v", err)
+	}
+	pts := want.Sweep.Points
+	if pts[2].Error == "" || pts[4].Error == "" || pts[3].Perf == nil {
+		t.Fatalf("reference points lack the expected failures: %+v", pts)
+	}
+
+	dir := t.TempDir()
+	now := time.Unix(1_700_000_000, 0).UTC()
+	old, err := store.OpenWAL(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
+	}
+	legacy := []store.Entry{
+		{Kind: store.EntrySubmit, Job: "j-upgraded", Time: now, Origin: "node-a", Request: &req},
+		{Kind: store.EntryState, Job: "j-upgraded", Time: now, State: api.JobStateRunning},
+	}
+	for _, pt := range pts[:3] {
+		legacy = append(legacy, store.Entry{Kind: store.EntryPoints, Job: "j-upgraded", Time: now, Points: []api.SweepPoint{pt}})
+	}
+	for _, e := range legacy {
+		payload, err := json.Marshal(e) // every record as the pre-layout JobLog.Append wrote it
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Append(payload); err != nil {
+			t.Fatalf("legacy append: %v", err)
+		}
+	}
+	if err := old.Close(); err != nil {
+		t.Fatalf("close legacy log: %v", err)
+	}
+	l := openTestLog(t, dir)
+	for _, pt := range pts[3:5] {
+		if err := l.Append(store.Entry{Kind: store.EntryPoints, Job: "j-upgraded", Time: now, Points: []api.SweepPoint{pt}}); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+
+	l2 := openTestLog(t, dir)
+	defer l2.Close()
+	eng := &countingEngine{Engine: service.NewEngine(service.Config{})}
+	s := New(Config{Engine: eng, Log: l2, NodeID: "node-a"})
+	defer s.Close()
+	if n := l2.ReplaySkipped(); n != 0 {
+		t.Fatalf("replay skipped %d records", n)
+	}
+	final, err := s.Wait(context.Background(), "j-upgraded")
+	if err != nil || final.State != api.JobStateDone {
+		t.Fatalf("resumed job: %+v, %v", final, err)
+	}
+	if n := eng.points.Load(); n != 2 {
+		t.Fatalf("engine solved %d points after the restart, want 2 (resume at index 5)", n)
+	}
+	got, err := s.Result("j-upgraded")
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if !reflect.DeepEqual(got.Sweep, want.Sweep) {
+		t.Fatalf("resumed result %+v, want the uninterrupted %+v", got.Sweep, want.Sweep)
 	}
 }
 

@@ -2,8 +2,11 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
+
+	"repro/api"
 )
 
 // benchRecord is a realistic job-log payload size: a points entry of a
@@ -34,8 +37,9 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALReplay10k measures boot-replay time over a 10k-record log —
-// the recovery-time budget of the crash-recovery acceptance test.
+// BenchmarkWALReplay10k measures the WAL's framing and CRC scan over a
+// 10k-record log, with a no-op callback: the floor of boot replay, without
+// the cost of decoding entries (BenchmarkJobLogReplay measures that).
 func BenchmarkWALReplay10k(b *testing.B) {
 	dir := b.TempDir()
 	w, err := OpenWAL(dir, Options{FsyncInterval: time.Second})
@@ -62,4 +66,64 @@ func BenchmarkWALReplay10k(b *testing.B) {
 	}
 	b.StopTimer()
 	w.Close()
+}
+
+// BenchmarkJobLogReplay measures boot replay as a durable node pays it:
+// JobLog.Replay decoding every entry of a log shaped like a populated
+// node's — per job one submit of a 32-value sweep, the running and done
+// states, and 32 one-point points records, 1600 jobs (56,000 records).
+func BenchmarkJobLogReplay(b *testing.B) {
+	const jobs, points = 1600, 32
+	l, err := OpenJobLog(b.TempDir(), Options{FsyncInterval: time.Second})
+	if err != nil {
+		b.Fatalf("OpenJobLog: %v", err)
+	}
+	defer l.Close()
+	at := time.Date(2026, 10, 17, 12, 0, 0, 0, time.UTC)
+	values := make([]float64, points)
+	for i := range values {
+		values[i] = 4 + 0.1*float64(i)
+	}
+	for j := 0; j < jobs; j++ {
+		id := fmt.Sprintf("j%016x", uint64(j)*0x9e3779b97f4a7c15)
+		req := api.NewSweepJob(api.SweepRequest{
+			System: api.System{Servers: 10, Mu: 1, OpWeights: []float64{1}, OpRates: []float64{0.05},
+				RepWeights: []float64{1}, RepRates: []float64{0.5}},
+			Param:  api.ParamLambda,
+			Values: values,
+		})
+		entries := []Entry{
+			{Kind: EntrySubmit, Job: id, Time: at, Origin: "local", RequestID: id + "-req",
+				Trace: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", Request: &req},
+			{Kind: EntryState, Job: id, Time: at, State: api.JobStateRunning},
+		}
+		for i, v := range values {
+			w := 1 / (1 - v/10.5)
+			entries = append(entries, Entry{Kind: EntryPoints, Job: id, Time: at, Points: []api.SweepPoint{{
+				Index: i, Value: v,
+				Perf: &api.Performance{MeanJobs: v * w, MeanResponse: w, TailDecay: math.Sqrt(v / 10.5), Load: v / 10.5},
+			}}})
+		}
+		entries = append(entries, Entry{Kind: EntryState, Job: id, Time: at, State: api.JobStateDone})
+		for _, e := range entries {
+			if err := l.Append(e); err != nil {
+				b.Fatalf("Append: %v", err)
+			}
+		}
+	}
+	if err := l.Sync(); err != nil {
+		b.Fatalf("Sync: %v", err)
+	}
+	const want = jobs * (3 + points)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := l.Replay(func(Entry) error { n++; return nil }); err != nil {
+			b.Fatalf("Replay: %v", err)
+		}
+		if n != want {
+			b.Fatalf("replayed %d entries, want %d", n, want)
+		}
+	}
 }

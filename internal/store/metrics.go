@@ -27,5 +27,11 @@ func (w *WAL) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(w.Stats().ReplayedRecords) })
 }
 
-// RegisterMetrics exposes the job log's underlying WAL counters.
-func (l *JobLog) RegisterMetrics(r *obs.Registry) { l.wal.RegisterMetrics(r) }
+// RegisterMetrics exposes the job log's underlying WAL counters and the
+// count of records its last replay skipped as undecodable.
+func (l *JobLog) RegisterMetrics(r *obs.Registry) {
+	l.wal.RegisterMetrics(r)
+	r.GaugeFunc("mus_store_replay_skipped_records",
+		"CRC-valid records the last boot replay skipped because they decode in no known encoding (counted in mus_store_replayed_records too).",
+		func() float64 { return float64(l.ReplaySkipped()) })
+}

@@ -14,18 +14,33 @@ import (
 var ErrNoSnapshot = errors.New("store: no snapshot")
 
 // WriteSnapshot atomically replaces the snapshot at path with the JSON
-// encoding of v: the bytes are written to a sibling tmp file, fsynced,
-// and renamed into place, so a crash mid-write leaves the previous
-// snapshot intact. Snapshots are advisory (they only warm caches), so
-// unlike WAL appends they are all-or-nothing rather than incremental.
-func WriteSnapshot(path string, v any) error {
+// encoding of v: the bytes are written to a temp file of their own in
+// path's directory, fsynced, and renamed into place, so a crash mid-write
+// leaves the previous snapshot intact and concurrent calls never share a
+// temp file — whichever rename lands last publishes one whole payload.
+// Temp names end in .tmp, so OpenWAL sweeps a leftover from a crash.
+// Snapshots are advisory (they only warm caches), so unlike WAL appends
+// they are all-or-nothing rather than incremental.
+func WriteSnapshot(path string, v any) (err error) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("store: encode snapshot: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
+		return fmt.Errorf("store: write snapshot: %w", err)
+	}
+	tmp := f.Name()
+	defer func() {
+		if err != nil {
+			_ = os.Remove(tmp)
+		}
+	}()
+	// CreateTemp makes the file 0600; keep the snapshot world-readable as
+	// it has always been.
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
 	if _, err := f.Write(data); err != nil {
@@ -42,7 +57,7 @@ func WriteSnapshot(path string, v any) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("store: publish snapshot: %w", err)
 	}
-	syncDir(filepath.Dir(path))
+	syncDir(dir)
 	return nil
 }
 

@@ -25,7 +25,9 @@
 //     costing replay time. A crash at any point leaves either the old
 //     generation or the new one — never a mix.
 //
-// JobLog (joblog.go) types the payloads for the job scheduler;
+// JobLog (joblog.go) types the payloads for the job scheduler: points
+// entries in a compact binary layout behind a one-byte tag, every other
+// entry as JSON, the first byte of a payload naming its encoding.
 // WriteSnapshot/ReadSnapshot (snapshot.go) handle the cache snapshot.
 package store
 
