@@ -402,8 +402,8 @@ type StatsResponse struct {
 	// spectral cache miss solves through its environment's shared solver,
 	// built once per environment (again after the engine evicts it).
 	BatchGroups uint64 `json:"batch_groups"`
-	// BatchFallbacks counts spectral solves run on the scalar path because
-	// their environment's hoisted solver failed to build.
+	// BatchFallbacks counts spectral solves run without their
+	// environment's hoisted solver because it failed to build.
 	BatchFallbacks uint64 `json:"batch_fallbacks"`
 	// WarmedEntries counts cache entries restored from a boot snapshot.
 	WarmedEntries uint64 `json:"warmed_entries"`

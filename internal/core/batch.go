@@ -13,12 +13,14 @@ import (
 // environment, assembles the solver parameters and hoists every
 // λ-independent piece once; each Solve then reuses pooled workspaces, so a
 // G-point sweep costs one environment build plus G allocation-light point
-// evaluations instead of G full rebuilds.
+// evaluations, where G separate System.Solve calls would pay G environment
+// builds, hoists and fresh workspaces.
 //
 // Solve(λ) returns a Performance bit-identical (on amd64) to what
-// sys.Solve() returns for the same system with ArrivalRate = λ, including
-// per-point errors for invalid or unstable rates; see qbd.SweepSolver for
-// the equivalence contract. A BatchSolver is safe for concurrent use.
+// sys.Solve() — the same solver run as a batch of one — returns for the
+// same system with ArrivalRate = λ, including per-point errors for invalid
+// or unstable rates; see qbd.SweepSolver for the equivalence contract. A
+// BatchSolver is safe for concurrent use.
 type BatchSolver struct {
 	base     System
 	env      *markov.Env
@@ -56,7 +58,8 @@ func (b *BatchSolver) Modes() int { return b.env.NumModes() }
 
 // Solve evaluates one arrival rate, mirroring System.Solve exactly: the
 // same validation precedence, the same solver errors, and on success a
-// Performance whose every field matches the scalar path bit for bit. The
+// Performance whose every field matches a one-off System.Solve bit for
+// bit. The
 // returned Performance is caller-owned and independent of the solver's
 // internal workspaces.
 func (b *BatchSolver) Solve(lambda float64) (*Performance, error) {

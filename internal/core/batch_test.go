@@ -13,7 +13,7 @@ import (
 
 // sameF64 matches the equivalence contract of the batched solver:
 // bit-identical on amd64, 1e-12 relative elsewhere (where compiler FMA
-// contraction may round the two paths differently).
+// contraction may round a reused and a fresh solve differently).
 func sameF64(a, b float64) bool {
 	if runtime.GOARCH == "amd64" {
 		return math.Float64bits(a) == math.Float64bits(b)
@@ -21,11 +21,12 @@ func sameF64(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-12*(1+math.Abs(a))
 }
 
-// TestBatchSolverMatchesSystemSolve checks BatchSolver.Solve against
-// System.Solve across a λ-grid: every Performance field, queue
-// probabilities and tails, mode marginals and the operative breakdown
-// must match bit for bit, and error cases (invalid and unstable rates)
-// must produce the scalar path's exact errors.
+// TestBatchSolverMatchesSystemSolve checks BatchSolver.Solve, which reuses
+// pooled workers, against System.Solve, a fresh one-shot solve, across a
+// λ-grid: every Performance field, queue probabilities and tails, mode
+// marginals and the operative breakdown must match bit for bit, and error
+// cases (invalid and unstable rates) must produce the one-shot solve's
+// exact errors.
 func TestBatchSolverMatchesSystemSolve(t *testing.T) {
 	base := fig5System(5, 1)
 	bs, err := NewBatchSolver(base)
@@ -115,7 +116,7 @@ func TestBatchSolverErrorParity(t *testing.T) {
 // TestNonFiniteRatesRejected is the regression test for NaN and infinite
 // rates, which used to pass validation (x <= 0 is false for NaN) and then
 // iterate QR to its budget before failing with ErrNoConvergence. Every
-// entry point must return the validation error instead — scalar and
+// entry point must return the validation error instead — one-shot and
 // batched alike, so their errors stay identical.
 func TestNonFiniteRatesRejected(t *testing.T) {
 	base := fig5System(3, 1)
@@ -159,9 +160,10 @@ func TestNonFiniteRatesRejected(t *testing.T) {
 
 // TestBatchSolverFromNaNBaseRate checks that a solver hoisted from a base
 // system whose rate is NaN — the rate is ignored at construction — still
-// solves valid rates, bit-identical to the scalar path. A NaN-unsafe
-// probe guard would fail construction and push every later point of the
-// environment onto the scalar fallback.
+// solves valid rates, bit-identical to a one-shot System.Solve. A
+// NaN-unsafe probe guard would fail construction and push every later
+// point of the environment onto the engine's fallback, which solves
+// without the hoisted solver.
 func TestBatchSolverFromNaNBaseRate(t *testing.T) {
 	base := fig5System(3, math.NaN())
 	bs, err := NewBatchSolver(base)

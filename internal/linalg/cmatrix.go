@@ -20,15 +20,6 @@ func NewCMatrix(r, c int) *CMatrix {
 	return &CMatrix{Rows: r, Cols: c, Data: make([]complex128, r*c)}
 }
 
-// Complexify converts a real matrix to a complex one.
-func Complexify(m *Matrix) *CMatrix {
-	c := NewCMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		c.Data[i] = complex(v, 0)
-	}
-	return c
-}
-
 // At returns element (i, j).
 func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 

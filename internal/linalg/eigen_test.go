@@ -199,17 +199,6 @@ func TestEigenvaluesDefective(t *testing.T) {
 	}
 }
 
-func TestSortEigenvalues(t *testing.T) {
-	ev := []complex128{complex(1, -2), 3, complex(1, 2), -3}
-	SortEigenvalues(ev)
-	if ev[0] != 3 || ev[1] != -3 {
-		t.Fatalf("modulus-descending order wrong: %v", ev)
-	}
-	if ev[2] != complex(1, 2) || ev[3] != complex(1, -2) {
-		t.Fatalf("conjugate pair order wrong: %v", ev)
-	}
-}
-
 // assertEigenvalueSet checks the two multisets match via greedy matching.
 func assertEigenvalueSet(t *testing.T, got, want []complex128, tol float64) {
 	t.Helper()
@@ -225,6 +214,10 @@ func assertEigenvalueSet(t *testing.T, got, want []complex128, tol float64) {
 			t.Fatalf("eigenvalue %d: got %v, want %v (full: %v vs %v)", i, g[i], w[i], g, w)
 		}
 	}
+}
+
+func absC(v complex128) float64 {
+	return math.Hypot(real(v), imag(v))
 }
 
 func cmpC(a, b complex128) bool {

@@ -161,9 +161,11 @@ func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Inverse returns A⁻¹ for a square matrix a.
+// Inverse returns A⁻¹ for a square matrix a, or ErrSingular. a is left
+// unchanged: InverseScratch runs on a copy with a fresh arena.
 func Inverse(a *Matrix) (*Matrix, error) {
-	return FactorLU(a).SolveMatrix(Identity(a.Rows))
+	var ar Arena
+	return InverseScratch(a.Clone(), &ar)
 }
 
 // Solve solves A·x = b with a fresh factorisation.

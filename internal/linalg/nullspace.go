@@ -1,222 +1,46 @@
 package linalg
 
 import (
-	"errors"
 	"math"
 	"math/cmplx"
 )
 
-// ErrFullRank is returned by null-space extraction when the matrix has no
-// (numerical) null vector at the requested tolerance.
-var ErrFullRank = errors.New("linalg: matrix is numerically full rank, no null vector")
-
-// NullVector returns a right null vector x (‖x‖∞ = 1) of a square matrix a
-// that is expected to have rank n−1, using Gaussian elimination with full
-// pivoting. rtol is the relative rank tolerance (entries below rtol·maxpivot
-// are treated as zero); pass 0 for a default of 1e-10.
+// ForcedNullVector returns a right null vector x (‖x‖∞ = 1) of a square
+// matrix a known to be singular by construction (e.g. Q(z_k) at a computed
+// eigenvalue, or a censored-chain generator), by Gaussian elimination with
+// full pivoting. Elimination stops once the largest remaining entry falls
+// to nullRankTol times the first pivot; when it reaches full numerical rank
+// instead, the smallest — final — pivot is treated as zero. Full pivoting
+// guarantees that pivot is the least significant one. a is left unchanged:
+// ForcedNullVectorScratch runs on a copy with a fresh arena.
 //
-// The spectral-expansion solver calls this to recover the eigenvector for
-// each root of det Q(z): Q(z_k) is singular by construction, so elimination
-// leaves exactly one free column.
-func NullVector(a *Matrix, rtol float64) ([]float64, error) {
-	return nullVector(a, rtol, false)
+// The spectral-expansion solver relies on this policy, through
+// ForcedNullVectorScratch, to recover the eigenvector for each root of
+// det Q(z): Q(z_k) is singular by construction, so elimination leaves
+// exactly one free column.
+func ForcedNullVector(a *Matrix) ([]float64, error) {
+	var ar Arena
+	return ForcedNullVectorScratch(a.Clone(), &ar)
 }
 
-// ForcedNullVector is NullVector for matrices known to be singular by
-// construction (e.g. Q(z_k) at a computed eigenvalue, or a censored-chain
-// generator): when elimination finds full numerical rank, the smallest —
-// final — pivot is treated as zero instead of returning ErrFullRank. Full
-// pivoting guarantees that pivot is the least significant one.
-func ForcedNullVector(a *Matrix, rtol float64) ([]float64, error) {
-	return nullVector(a, rtol, true)
-}
-
-func nullVector(a *Matrix, rtol float64, force bool) ([]float64, error) {
-	if rtol <= 0 {
-		rtol = 1e-10
-	}
-	a.square()
-	n := a.Rows
-	w := a.Clone()
-	colPerm := make([]int, n)
-	for i := range colPerm {
-		colPerm[i] = i
-	}
-	var maxPivot float64
-	rank := 0
-	for k := 0; k < n; k++ {
-		// Full pivot over the trailing submatrix.
-		pi, pj, mx := k, k, 0.0
-		for i := k; i < n; i++ {
-			for j := k; j < n; j++ {
-				if v := math.Abs(w.At(i, j)); v > mx {
-					mx, pi, pj = v, i, j
-				}
-			}
-		}
-		if k == 0 {
-			maxPivot = mx
-			if maxPivot == 0 {
-				// Zero matrix: any unit vector is a null vector.
-				x := make([]float64, n)
-				x[0] = 1
-				return x, nil
-			}
-		}
-		if mx <= rtol*maxPivot {
-			break // numerical rank reached
-		}
-		rank++
-		swapRows(w, k, pi)
-		swapCols(w, k, pj)
-		colPerm[k], colPerm[pj] = colPerm[pj], colPerm[k]
-		pivot := w.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := w.At(i, k) / pivot
-			if m == 0 {
-				continue
-			}
-			w.Set(i, k, 0)
-			for j := k + 1; j < n; j++ {
-				w.Data[i*n+j] -= m * w.Data[k*n+j]
-			}
-		}
-	}
-	if rank == n {
-		if !force {
-			return nil, ErrFullRank
-		}
-		rank = n - 1 // treat the smallest pivot as zero
-	}
-	// Back-substitute with the first free variable set to 1, the rest to 0.
-	y := make([]float64, n)
-	y[rank] = 1
-	for i := rank - 1; i >= 0; i-- {
-		var s float64
-		for j := i + 1; j <= rank; j++ {
-			s += w.At(i, j) * y[j]
-		}
-		y[i] = -s / w.At(i, i)
-	}
-	x := make([]float64, n)
-	for k := 0; k < n; k++ {
-		x[colPerm[k]] = y[k]
-	}
-	normalizeInf(x)
-	return x, nil
-}
-
-// LeftNullVector returns a row vector u (‖u‖∞ = 1) with u·a ≈ 0.
-func LeftNullVector(a *Matrix, rtol float64) ([]float64, error) {
-	return NullVector(a.T(), rtol)
-}
-
-// ForcedLeftNullVector is LeftNullVector with the ForcedNullVector rank
-// policy.
-func ForcedLeftNullVector(a *Matrix, rtol float64) ([]float64, error) {
-	return ForcedNullVector(a.T(), rtol)
-}
-
-// CNullVector is the complex analogue of NullVector.
-func CNullVector(a *CMatrix, rtol float64) ([]complex128, error) {
-	return cNullVector(a, rtol, false)
+// ForcedLeftNullVector returns a row vector u (‖u‖∞ = 1) with u·a ≈ 0,
+// under ForcedNullVector's rank policy.
+func ForcedLeftNullVector(a *Matrix) ([]float64, error) {
+	var ar Arena
+	return ForcedNullVectorScratch(a.T(), &ar)
 }
 
 // CForcedNullVector is the complex analogue of ForcedNullVector.
-func CForcedNullVector(a *CMatrix, rtol float64) ([]complex128, error) {
-	return cNullVector(a, rtol, true)
+func CForcedNullVector(a *CMatrix) ([]complex128, error) {
+	var ar Arena
+	return CForcedNullVectorScratch(a.Clone(), &ar)
 }
 
-func cNullVector(a *CMatrix, rtol float64, force bool) ([]complex128, error) {
-	if rtol <= 0 {
-		rtol = 1e-10
-	}
-	a.square()
-	n := a.Rows
-	w := a.Clone()
-	colPerm := make([]int, n)
-	for i := range colPerm {
-		colPerm[i] = i
-	}
-	var maxPivot float64
-	rank := 0
-	for k := 0; k < n; k++ {
-		pi, pj, mx := k, k, 0.0
-		for i := k; i < n; i++ {
-			for j := k; j < n; j++ {
-				if v := cmplx.Abs(w.At(i, j)); v > mx {
-					mx, pi, pj = v, i, j
-				}
-			}
-		}
-		if k == 0 {
-			maxPivot = mx
-			if maxPivot == 0 {
-				x := make([]complex128, n)
-				x[0] = 1
-				return x, nil
-			}
-		}
-		if mx <= rtol*maxPivot {
-			break
-		}
-		rank++
-		cswapRows(w, k, pi)
-		cswapCols(w, k, pj)
-		colPerm[k], colPerm[pj] = colPerm[pj], colPerm[k]
-		pivot := w.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := w.At(i, k) / pivot
-			if m == 0 {
-				continue
-			}
-			w.Set(i, k, 0)
-			for j := k + 1; j < n; j++ {
-				w.Data[i*n+j] -= m * w.Data[k*n+j]
-			}
-		}
-	}
-	if rank == n {
-		if !force {
-			return nil, ErrFullRank
-		}
-		rank = n - 1
-	}
-	y := make([]complex128, n)
-	y[rank] = 1
-	for i := rank - 1; i >= 0; i-- {
-		var s complex128
-		for j := i + 1; j <= rank; j++ {
-			s += w.At(i, j) * y[j]
-		}
-		y[i] = -s / w.At(i, i)
-	}
-	x := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		x[colPerm[k]] = y[k]
-	}
-	cnormalizeInf(x)
-	return x, nil
-}
-
-// CLeftNullVector returns a complex row vector u (‖u‖∞ = 1) with u·a ≈ 0.
-func CLeftNullVector(a *CMatrix, rtol float64) ([]complex128, error) {
-	return CNullVector(a.T(), rtol)
-}
-
-// CForcedLeftNullVector is CLeftNullVector with the forced rank policy.
-func CForcedLeftNullVector(a *CMatrix, rtol float64) ([]complex128, error) {
-	return CForcedNullVector(a.T(), rtol)
-}
-
-func swapRows(m *Matrix, a, b int) {
-	if a == b {
-		return
-	}
-	n := m.Cols
-	for j := 0; j < n; j++ {
-		m.Data[a*n+j], m.Data[b*n+j] = m.Data[b*n+j], m.Data[a*n+j]
-	}
+// CForcedLeftNullVector returns a complex row vector u (‖u‖∞ = 1) with
+// u·a ≈ 0, under ForcedNullVector's rank policy.
+func CForcedLeftNullVector(a *CMatrix) ([]complex128, error) {
+	var ar Arena
+	return CForcedNullVectorScratch(a.T(), &ar)
 }
 
 func swapCols(m *Matrix, a, b int) {
@@ -226,16 +50,6 @@ func swapCols(m *Matrix, a, b int) {
 	n := m.Cols
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*n+a], m.Data[i*n+b] = m.Data[i*n+b], m.Data[i*n+a]
-	}
-}
-
-func cswapRows(m *CMatrix, a, b int) {
-	if a == b {
-		return
-	}
-	n := m.Cols
-	for j := 0; j < n; j++ {
-		m.Data[a*n+j], m.Data[b*n+j] = m.Data[b*n+j], m.Data[a*n+j]
 	}
 }
 

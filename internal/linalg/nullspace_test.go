@@ -16,21 +16,15 @@ func TestNullVectorKnown(t *testing.T) {
 		{0, 1, -1},
 		{1, 0, -1},
 	})
-	x, err := NullVector(a, 0)
+	x, err := ForcedNullVector(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertNull(t, a, x, 1e-10)
 }
 
-func TestNullVectorFullRank(t *testing.T) {
-	if _, err := NullVector(Identity(4), 0); !errors.Is(err, ErrFullRank) {
-		t.Fatalf("err = %v, want ErrFullRank", err)
-	}
-}
-
 func TestNullVectorZeroMatrix(t *testing.T) {
-	x, err := NullVector(NewMatrix(3, 3), 0)
+	x, err := ForcedNullVector(NewMatrix(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +45,7 @@ func TestNullVectorRandomRankDeficientProperty(t *testing.T) {
 		b := randomMatrix(rng, n, n-1)
 		c := randomMatrix(rng, n-1, n)
 		a := b.Times(c)
-		x, err := NullVector(a, 0)
+		x, err := ForcedNullVector(a)
 		if err != nil {
 			return false
 		}
@@ -75,7 +69,7 @@ func TestLeftNullVectorGenerator(t *testing.T) {
 		{-2, 2},
 		{3, -3},
 	})
-	u, err := LeftNullVector(g, 0)
+	u, err := ForcedLeftNullVector(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +87,7 @@ func TestCNullVectorKnown(t *testing.T) {
 	a.Set(0, 1, -1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, complex(0, 1))
-	x, err := CNullVector(a, 0)
+	x, err := CForcedNullVector(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +99,6 @@ func TestCNullVectorKnown(t *testing.T) {
 	}
 }
 
-func TestCNullVectorFullRank(t *testing.T) {
-	a := Complexify(Identity(3))
-	if _, err := CNullVector(a, 0); !errors.Is(err, ErrFullRank) {
-		t.Fatalf("err = %v, want ErrFullRank", err)
-	}
-}
-
 func TestCLeftNullVectorProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -120,7 +107,7 @@ func TestCLeftNullVectorProperty(t *testing.T) {
 		b := randomCMatrix(rng, n, n-1)
 		c := randomCMatrix(rng, n-1, n)
 		a := cTimes(b, c)
-		u, err := CLeftNullVector(a, 0)
+		u, err := CForcedLeftNullVector(a)
 		if err != nil {
 			return false
 		}

@@ -5,16 +5,19 @@ import (
 	"math/cmplx"
 )
 
-// This file is the allocation-free mirror of the package's solver kernels,
-// built for the batched sweep path (qbd.SweepSolver): every routine here
-// takes an Arena for its working memory and is written to perform the
-// *identical* floating-point operation sequence as its reference
-// counterpart in eigen.go / nullspace.go / lu.go — same pivot choices, same
-// association order, same special-case branches — so results are
-// bit-identical on platforms without automatic FMA contraction (amd64).
+// This file holds the package's one implementation of each solver kernel
+// — eigenvalues, forced null vectors (real and complex) and the inverse.
+// Every routine takes an Arena for its working memory, so the spectral
+// solver (qbd.SweepSolver) reaches an allocation-free steady state; the
+// allocating entry points Eigenvalues, ForcedNullVector and friends, and
+// Inverse run these kernels on a copy of their input with a fresh arena.
 //
-// What makes them faster, without touching any output value's operation
-// sequence:
+// Each kernel performs the *identical* floating-point operation sequence
+// as a straightforward reference implementation kept in reference_test.go
+// — same pivot choices, same association order, same special-case
+// branches — so results are bit-identical to it on platforms without
+// automatic FMA contraction (amd64). What makes the kernels faster than
+// the reference, without touching any output value's operation sequence:
 //
 //   - Memory reuse and direct Data indexing: no At/Set, no defensive
 //     clones or transposes the caller does not need, bounds-check-free
@@ -37,6 +40,14 @@ import (
 //
 // scratch_test.go enforces both properties: exact agreement with the
 // reference kernels and zero allocations after warmup.
+
+// nullRankTol is the forced null-vector kernels' rank cut-off: elimination
+// stops once the largest remaining entry is at most nullRankTol times the
+// first pivot, and the columns left are treated as null. It is known to be
+// too coarse at large N, where the mode probabilities span dozens of
+// orders of magnitude and the level-N matching system meets the cut before
+// rank s−1 (see ROADMAP.md); this constant is the one place to revisit.
+const nullRankTol = 1e-10
 
 // Arena is a grow-only typed scratch allocator. Handouts are slices of a
 // few large backing arrays; Reset recycles everything at once, so a solver
@@ -181,7 +192,7 @@ func (a *Arena) CMatUninit(r, c int) *CMatrix {
 // in place (its contents are destroyed) and the result slice comes from the
 // arena. The balance / Hessenberg / QR passes perform the same operation
 // sequence as the reference implementation, so the eigenvalues are
-// bit-identical to Eigenvalues(a).
+// bit-identical to it.
 func EigenvaluesScratch(a *Matrix, ar *Arena) ([]complex128, error) {
 	a.square()
 	n := a.Rows
@@ -492,7 +503,7 @@ func hqrScratch(hm *Matrix, ar *Arena) ([]complex128, error) {
 
 // ForcedNullVectorScratch is ForcedNullVector with caller-owned memory:
 // the matrix is eliminated in place (destroyed) and the returned vector
-// lives in the arena. The elimination is the reference algorithm with one
+// lives in the arena. The elimination is the reference nullVector with one
 // structural change — the full-pivot search reuses per-row maxima tracked
 // during the previous step's row updates instead of rescanning the
 // trailing submatrix — which provably selects the same pivot sequence (see
@@ -500,12 +511,11 @@ func hqrScratch(hm *Matrix, ar *Arena) ([]complex128, error) {
 // swaps skip the entries left of the pivot column (see swapTails), and a
 // row whose pivot-column entry is ±0 takes the zero-multiplier path
 // without dividing (±0/pivot is ±0 for the nonzero pivot).
-func ForcedNullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
-	return nullVectorScratch(a, rtol, ar)
+func ForcedNullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
+	return nullVectorScratch(a, ar)
 }
 
-// nullVectorScratch mirrors nullVector(a, rtol, force=true) without
-// cloning a.
+// nullVectorScratch mirrors the reference nullVector without cloning a.
 //
 // Pivot-equivalence argument: the reference search scans the trailing
 // submatrix in row-major order keeping the first strictly-larger entry, so
@@ -519,10 +529,7 @@ func ForcedNullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, err
 // multiplier) keep a valid cache because the departing pivot column holds
 // a zero for them, except when the cached argmax sat on a column moved by
 // the pivot column swap, in which case the row is rescanned.
-func nullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
-	if rtol <= 0 {
-		rtol = 1e-10
-	}
+func nullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
 	a.square()
 	n := a.Rows
 	w := a
@@ -563,7 +570,7 @@ func nullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
 				return x, nil
 			}
 		}
-		if mx <= rtol*maxPivot {
+		if mx <= nullRankTol*maxPivot {
 			break // numerical rank reached
 		}
 		rank++
@@ -633,10 +640,7 @@ func nullVectorScratch(a *Matrix, rtol float64, ar *Arena) ([]float64, error) {
 // ForcedNullVectorScratch: CForcedNullVector semantics, matrix destroyed
 // in place, result in the arena, bit-identical output, row swaps
 // confined to the live tail.
-func CForcedNullVectorScratch(a *CMatrix, rtol float64, ar *Arena) ([]complex128, error) {
-	if rtol <= 0 {
-		rtol = 1e-10
-	}
+func CForcedNullVectorScratch(a *CMatrix, ar *Arena) ([]complex128, error) {
 	a.square()
 	n := a.Rows
 	w := a
@@ -674,7 +678,7 @@ func CForcedNullVectorScratch(a *CMatrix, rtol float64, ar *Arena) ([]complex128
 				return x, nil
 			}
 		}
-		if mx <= rtol*maxPivot {
+		if mx <= nullRankTol*maxPivot {
 			break
 		}
 		rank++
@@ -766,9 +770,9 @@ func cAbsIfAbove(v complex128, t float64) float64 {
 
 // InverseScratch is Inverse with caller-owned memory: a is factored in
 // place (destroyed) and the result lives in the arena. Factorisation,
-// permuted identity columns and the two substitution sweeps replay
-// FactorLU + SolveMatrix(Identity) operation-for-operation, so the inverse
-// is bit-identical and the same ErrSingular is reported. The sweeps solve
+// permuted identity columns and the two substitution sweeps replay the
+// reference FactorLU + SolveMatrix(Identity) route operation for
+// operation, so the inverse is bit-identical and the same ErrSingular is reported. The sweeps solve
 // four right-hand sides at a time, each column's sums still adding their
 // terms in the reference order, and the forward sweep of a block starts at
 // its first structurally nonzero row r: every row above r holds +0 in all

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// The scratch kernels promise bit-identical results to their reference
-// counterparts (on amd64, where the compiler does not contract
+// The scratch kernels promise bit-identical results to the reference
+// kernels in reference_test.go (on amd64, where the compiler does not contract
 // multiply-adds into FMAs; elsewhere both sides carry the same expression
 // shapes, so agreement is still expected but asserted with a tolerance).
 
@@ -78,7 +78,7 @@ func TestEigenvaluesScratchMatchesReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(12)
 		m := randomTestMatrix(rng, n)
-		want, wantErr := Eigenvalues(m)
+		want, wantErr := refEigenvalues(m)
 		ar.Reset()
 		got, gotErr := EigenvaluesScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -102,9 +102,9 @@ func TestForcedNullVectorScratchMatchesReference(t *testing.T) {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			copy(m.Data[dst*n:(dst+1)*n], m.Data[src*n:(src+1)*n])
 		}
-		want, wantErr := ForcedNullVector(m, 0)
+		want, wantErr := refForcedNullVector(m)
 		ar.Reset()
-		got, gotErr := ForcedNullVectorScratch(m.Clone(), 0, &ar)
+		got, gotErr := ForcedNullVectorScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, wantErr, gotErr)
 		}
@@ -134,9 +134,9 @@ func TestCForcedNullVectorScratchMatchesReference(t *testing.T) {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			copy(m.Data[dst*n:(dst+1)*n], m.Data[src*n:(src+1)*n])
 		}
-		want, wantErr := CForcedNullVector(m, 0)
+		want, wantErr := refCForcedNullVector(m)
 		ar.Reset()
-		got, gotErr := CForcedNullVectorScratch(m.Clone(), 0, &ar)
+		got, gotErr := CForcedNullVectorScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, wantErr, gotErr)
 		}
@@ -153,7 +153,7 @@ func TestInverseScratchMatchesReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(12)
 		m := randomTestMatrix(rng, n)
-		want, wantErr := Inverse(m)
+		want, wantErr := refInverse(m)
 		ar.Reset()
 		got, gotErr := InverseScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -186,7 +186,7 @@ func TestScratchKernelsMatchReferenceLarge(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		n := 1 + rng.Intn(40)
 		m := randomTestMatrix(rng, n)
-		want, wantErr := Eigenvalues(m)
+		want, wantErr := refEigenvalues(m)
 		ar.Reset()
 		got, gotErr := EigenvaluesScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -196,7 +196,7 @@ func TestScratchKernelsMatchReferenceLarge(t *testing.T) {
 			requireSameC128(t, "eigenvalues", want, got)
 		}
 
-		wantInv, wantErr := Inverse(m)
+		wantInv, wantErr := refInverse(m)
 		ar.Reset()
 		gotInv, gotErr := InverseScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -210,9 +210,9 @@ func TestScratchKernelsMatchReferenceLarge(t *testing.T) {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			copy(m.Data[dst*n:(dst+1)*n], m.Data[src*n:(src+1)*n])
 		}
-		wantNull, wantErr := ForcedNullVector(m, 0)
+		wantNull, wantErr := refForcedNullVector(m)
 		ar.Reset()
-		gotNull, gotErr := ForcedNullVectorScratch(m.Clone(), 0, &ar)
+		gotNull, gotErr := ForcedNullVectorScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d n=%d: null vector error mismatch: %v vs %v", trial, n, wantErr, gotErr)
 		}
@@ -224,9 +224,9 @@ func TestScratchKernelsMatchReferenceLarge(t *testing.T) {
 		for i, v := range m.Data {
 			cm.Data[i] = complex(v, float64(rng.Intn(3)-1))
 		}
-		wantC, wantErr := CForcedNullVector(cm, 0)
+		wantC, wantErr := refCForcedNullVector(cm)
 		ar.Reset()
-		gotC, gotErr := CForcedNullVectorScratch(cm.Clone(), 0, &ar)
+		gotC, gotErr := CForcedNullVectorScratch(cm.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d n=%d: complex null vector error mismatch: %v vs %v", trial, n, wantErr, gotErr)
 		}
@@ -264,7 +264,7 @@ func TestEigenvaluesScratchBlockTriangularMatchesReference(t *testing.T) {
 			}
 			start = end
 		}
-		want, wantErr := Eigenvalues(m)
+		want, wantErr := refEigenvalues(m)
 		ar.Reset()
 		got, gotErr := EigenvaluesScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -316,7 +316,7 @@ func TestInverseScratchLatePivotMatchesReference(t *testing.T) {
 			m.Data[n] = math.Inf(-1)
 			m.Data[n+rng.Intn(n*n-n)] = math.NaN()
 		}
-		want, wantErr := Inverse(m)
+		want, wantErr := refInverse(m)
 		ar.Reset()
 		got, gotErr := InverseScratch(m.Clone(), &ar)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -358,7 +358,7 @@ func TestScratchKernelsAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		copy(work.Data, src.Data)
-		if _, err := ForcedNullVectorScratch(work, 0, &ar); err != nil {
+		if _, err := ForcedNullVectorScratch(work, &ar); err != nil {
 			t.Fatal(err)
 		}
 		copy(work.Data, src.Data)

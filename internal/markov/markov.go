@@ -212,7 +212,7 @@ func (e *Env) StationaryModeProbs() ([]float64, error) {
 	for i := 0; i < s; i++ {
 		gen.Add(i, i, -rows[i])
 	}
-	pi, err := linalg.ForcedLeftNullVector(gen, 0)
+	pi, err := linalg.ForcedLeftNullVector(gen)
 	if err != nil {
 		return nil, fmt.Errorf("markov: environment generator has no stationary vector: %w", err)
 	}

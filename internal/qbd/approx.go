@@ -55,7 +55,11 @@ func dominantPair(p Params) (float64, []float64, error) {
 		return z, u, nil
 	}
 	// Fallback: full eigensolve, accepting the best real root.
-	zs, err := unitDiskEigenvalues(p)
+	w, err := newWorker(p)
+	if err != nil {
+		return 0, nil, err
+	}
+	zs, err := w.unitDiskEigenvalues(p.Lambda)
 	if err != nil {
 		return 0, nil, fmt.Errorf("qbd: determinant scan found no dominant root and eigensolve failed: %w", err)
 	}
@@ -113,7 +117,7 @@ func scanForRoot(p Params, grid int) (float64, bool) {
 // sum 1, and rejects it when entries are negative beyond tol — the Perron
 // check that distinguishes z_s from subdominant real roots.
 func dominantVector(p Params, z, tol float64) ([]float64, error) {
-	u, err := linalg.ForcedLeftNullVector(p.QofZ(z), 0)
+	u, err := linalg.ForcedLeftNullVector(p.QofZ(z))
 	if err != nil {
 		return nil, fmt.Errorf("qbd: eigenvector at z = %v: %w", z, err)
 	}

@@ -10,23 +10,26 @@ import (
 	"repro/internal/linalg"
 )
 
-// SweepSolver evaluates SolveSpectral across a batch of arrival rates that
-// share one breakdown/repair environment — the shape of every λ-sweep in
-// the paper's Figures 4–9. Construction hoists all λ-independent work
-// (structural validation, the environment's stationary distribution and
-// service capacity, Dᴬ row sums, the top service diagonal, and the −A /
-// Aᵀ images the per-point matrix builds copy from); each Solve then runs
-// the per-point remainder of the spectral expansion inside a reusable
-// worker workspace, allocation-free once warm.
+// SweepSolver is the package's spectral-expansion solver: it evaluates the
+// solution across a batch of arrival rates that share one
+// breakdown/repair environment — the shape of every λ-sweep in the paper's
+// Figures 4–9 — and SolveSpectral is its batch of one. Construction hoists
+// all λ-independent work (structural validation, the environment's
+// stationary distribution and service capacity, Dᴬ row sums, the top
+// service diagonal, and the −A / Aᵀ images the per-point matrix builds
+// copy from); each Solve then runs the per-point remainder of the
+// spectral expansion inside a reusable worker workspace, allocation-free
+// once warm.
 //
-// Equivalence contract: a SweepSolver point is the *same computation* as
-// SolveSpectral(p) with p.Lambda set to that point — the same pivot
-// choices, the same operation order — so results are bit-identical on
-// amd64 (and within 1e-12 relative error on platforms whose compilers
-// contract multiply-adds differently). Per-point failures (a λ that is not
-// positive and finite, instability, eigenvalue-count defects) return the
-// same errors as the scalar path and never affect the shared hoisted state
-// or later points.
+// Equivalence contract: a point solved on a reused or pooled worker is the
+// *same computation* as SolveSpectral(p) with p.Lambda set to that point,
+// which runs on a fresh worker — the same pivot choices, the same
+// operation order — so results are bit-identical on amd64 (and within
+// 1e-12 relative error on platforms whose compilers contract
+// multiply-adds differently): no workspace state leaks from one point into
+// the next. Per-point failures (a λ that is not positive and finite,
+// instability, eigenvalue-count defects) return the same errors as
+// SolveSpectral and never affect the shared hoisted state or later points.
 //
 // A SweepSolver is safe for concurrent use; workers are pooled.
 type SweepSolver struct {
@@ -120,7 +123,8 @@ func (sv *SweepSolver) NewWorker() *SweepWorker { return &SweepWorker{sv: sv} }
 // arrays are recycled by the next SolveInto on the same sol).
 func (w *SweepWorker) SolveInto(lambda float64, sol *SpectralSolution) error {
 	sv := w.sv
-	// Per-point validation and stability, with the scalar path's errors.
+	// Per-point validation and stability, with Params.Validate's and
+	// Params.CheckStable's errors.
 	if !(lambda > 0) || math.IsInf(lambda, 0) {
 		return fmt.Errorf("qbd: arrival rate %v must be positive and finite", lambda)
 	}
@@ -175,9 +179,12 @@ func (sol *SpectralSolution) reshape(n, s int) {
 	}
 }
 
-// unitDiskEigenvalues mirrors the package-level unitDiskEigenvalues with
-// the companion matrix built in the arena (reading A through the hoisted
-// transpose, row-contiguously) and the scratch eigensolver.
+// unitDiskEigenvalues returns the s eigenvalues of det Q(z) = 0 with
+// |z| < 1, sorted by descending modulus (so the dominant z_s comes first).
+// It solves the companion of the reversed polynomial in w = 1/z,
+// Q(z)ᵀx = 0 ⇔ (Q0ᵀw² + Q1ᵀw + Q2ᵀ)x = 0, which with Q0 = λI has the block
+// form [[0, I], [−Q2ᵀ/λ, −Q1ᵀ/λ]], built in the arena (reading A through
+// the hoisted transpose, row-contiguously).
 func (w *SweepWorker) unitDiskEigenvalues(lambda float64) ([]complex128, error) {
 	sv := w.sv
 	s := sv.s
@@ -204,6 +211,8 @@ func (w *SweepWorker) unitDiskEigenvalues(lambda float64) ([]complex128, error) 
 	if err != nil {
 		return nil, fmt.Errorf("qbd: companion eigenvalues: %w", err)
 	}
+	// The s eigenvalues z inside the unit disk correspond to the s largest
+	// |w| (all > 1); the next one down is the unit root w = 1.
 	sortModulusDesc(ws)
 	if len(ws) < s+1 {
 		return nil, fmt.Errorf("%w: companion produced %d eigenvalues", ErrEigenCount, len(ws))
@@ -218,6 +227,8 @@ func (w *SweepWorker) unitDiskEigenvalues(lambda float64) ([]complex128, error) 
 	for k := 0; k < s; k++ {
 		zs[k] = 1 / ws[k]
 	}
+	// Clean tiny imaginary parts so real roots are treated as real; the
+	// rest must then come in adjacent conjugate pairs.
 	for k := range zs {
 		if math.Abs(imag(zs[k])) < 1e-9*(1+math.Abs(real(zs[k]))) {
 			zs[k] = complex(real(zs[k]), 0)
@@ -227,12 +238,13 @@ func (w *SweepWorker) unitDiskEigenvalues(lambda float64) ([]complex128, error) 
 	return zs, nil
 }
 
-// eigenvectorTerms mirrors the package-level eigenvectorTerms, building
-// Q(z_k)ᵀ directly (skipping the reference path's transpose copy) and
-// writing each term into sol.terms in place. Every eigenvalue's Q(z_k)ᵀ
-// is rebuilt in the same real or complex s×s buffer, which the null-vector
-// kernel destroys anyway, so the s eigenvalues take O(s²) arena memory in
-// total rather than O(s³), and the buffer stays in cache.
+// eigenvectorTerms recovers the left eigenvector u_k of every eigenvalue
+// as the right null vector of Q(z_k)ᵀ, computing each conjugate pair only
+// once, and writes each term into sol.terms in place. Q(z_k)ᵀ is built
+// directly, with no transpose copy, and every eigenvalue's is rebuilt in
+// the same real or complex s×s buffer, which the null-vector kernel
+// destroys anyway, so the s eigenvalues take O(s²) arena memory in total
+// rather than O(s³), and the buffer stays in cache.
 func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *SpectralSolution) error {
 	sv := w.sv
 	s := sv.s
@@ -251,7 +263,7 @@ func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *Spe
 				}
 				row[i] += lambda - zr*(sv.da[i]+lambda+sv.c[i]) + zr*zr*sv.c[i]
 			}
-			u, err := linalg.ForcedNullVectorScratch(qt, 0, &w.ar)
+			u, err := linalg.ForcedNullVectorScratch(qt, &w.ar)
 			if err != nil {
 				return fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
 			}
@@ -272,7 +284,7 @@ func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *Spe
 				di := complex(sv.da[i], 0)
 				row[i] += lam - z*(di+lam+ci) + z*z*ci
 			}
-			u, err := linalg.CForcedNullVectorScratch(cqt, 0, &w.ar)
+			u, err := linalg.CForcedNullVectorScratch(cqt, &w.ar)
 			if err != nil {
 				return fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
 			}
@@ -295,12 +307,13 @@ func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *Spe
 	return nil
 }
 
-// assemble mirrors boundaryStages + assembleSpectral: the S_j recursion
-// with in-place inverses, the level-N matching system built directly in
-// transposed form, and the normalisation — all in arena memory, writing
-// the result into sol. Every level's K_j, and then W, is built in one
-// reused s×s buffer, and each S_j overwrites its K_j⁻¹, so the boundary
-// takes O(N·s²) arena memory.
+// assemble solves the boundary and normalisation for the γ̃ coefficients:
+// the S_j recursion of boundaryStages with in-place inverses, the level-N
+// matching system γ̃·M = 0 built directly in transposed form, and the
+// normalisation (eq. 20) — all in arena memory, writing the result into
+// sol. Every level's K_j, and then W, is built in one reused s×s buffer,
+// and each S_j overwrites its K_j⁻¹, so the boundary takes O(N·s²) arena
+// memory.
 func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	sv := w.sv
 	s, n := sv.s, sv.n
@@ -402,7 +415,7 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 			mt.Data[col*s+k] = acc
 		}
 	}
-	gamma, err := linalg.CForcedNullVectorScratch(mt, 0, &w.ar)
+	gamma, err := linalg.CForcedNullVectorScratch(mt, &w.ar)
 	if err != nil {
 		return fmt.Errorf("qbd: level-N matching system: %w", err)
 	}

@@ -10,11 +10,12 @@ import (
 	"testing"
 )
 
-// The batched sweep path promises bit-identical results to per-point
-// SolveSpectral on amd64; on architectures whose compilers contract
-// multiply-adds into FMAs the two sides may round differently, so the
-// assertions fall back to a 1e-12 relative tolerance there (documented in
-// ARCHITECTURE.md).
+// SolveSpectral is a sweep of one point on a fresh worker, so these tests
+// check that a reused or pooled worker reproduces it — a stale arena,
+// solution or pool state would show as a difference. Results must be
+// bit-identical on amd64; on architectures whose compilers contract
+// multiply-adds into FMAs the assertions fall back to a 1e-12 relative
+// tolerance (documented in ARCHITECTURE.md).
 
 const exactArch = "amd64"
 
@@ -99,8 +100,9 @@ func sweepGrid(low, high float64, g int) []float64 {
 }
 
 // TestSweepSolverMatchesSolveSpectral drives one worker across a λ-grid
-// with a single reused solution value and checks every point against the
-// scalar path — the core equivalence property, including workspace reuse.
+// with a single reused solution value and checks every point against a
+// fresh one-shot SolveSpectral — the core equivalence property: reusing a
+// workspace changes nothing.
 func TestSweepSolverMatchesSolveSpectral(t *testing.T) {
 	p := paramsFor(t, 4, 1, 1, paperOps, paperRepair)
 	load1, err := Params{Lambda: 1, A: p.A, ServiceDiag: p.ServiceDiag}.Load()
@@ -128,7 +130,7 @@ func TestSweepSolverMatchesSolveSpectral(t *testing.T) {
 }
 
 // TestSweepSolverMatchesSolveSpectralLargeN runs the full-state
-// equivalence check at the daemon's sizes: N = 8, 9, 10 and 12 give
+// reused-versus-fresh check at the daemon's sizes: N = 8, 9, 10 and 12 give
 // s = 45, 55, 66 and 91 and companions of 90–182, so the kernels' blocks
 // of four rows or columns leave every remainder mod 4, and one worker
 // carries its workspaces from each size to the next.
@@ -160,8 +162,8 @@ func TestSweepSolverMatchesSolveSpectralLargeN(t *testing.T) {
 }
 
 // TestSweepSolverPooledSolveMatches exercises the pooled Solve entry point
-// and checks the returned solutions are caller-owned (still correct after
-// later points were solved on the same pool).
+// and checks the returned solutions are caller-owned: still equal to a
+// fresh one-shot solve after later points were solved on the same pool.
 func TestSweepSolverPooledSolveMatches(t *testing.T) {
 	p := paramsFor(t, 3, 1, 1, paperOps, paperRepair)
 	sv, err := NewSweepSolver(p)
@@ -186,9 +188,9 @@ func TestSweepSolverPooledSolveMatches(t *testing.T) {
 }
 
 // TestSweepSolverMidGridErrors is the regression test for mid-sweep
-// failures: invalid and unstable rates inside the grid must return the
-// scalar path's exact errors without poisoning the shared batch state —
-// points solved after the failure stay bit-identical to the scalar path.
+// failures: invalid and unstable rates inside the grid must return a
+// one-shot solve's exact errors without poisoning the shared batch state
+// — points solved after the failure stay bit-identical to a fresh solve.
 func TestSweepSolverMidGridErrors(t *testing.T) {
 	p := paramsFor(t, 3, 1, 1, paperOps, paperRepair)
 	sv, err := NewSweepSolver(p)
@@ -203,7 +205,7 @@ func TestSweepSolverMidGridErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Unstable rate mid-grid: same error as the scalar path.
+	// Unstable rate mid-grid: same error as a one-shot solve.
 	p.Lambda = 1e6
 	_, wantErr := SolveSpectral(p)
 	gotErr := w.SolveInto(1e6, &sol)
@@ -217,7 +219,7 @@ func TestSweepSolverMidGridErrors(t *testing.T) {
 		t.Fatalf("error text differs:\n  scalar: %v\n  batch:  %v", wantErr, gotErr)
 	}
 
-	// Invalid rate mid-grid: same error text as scalar validation.
+	// Invalid rate mid-grid: same error text as Params.Validate.
 	p.Lambda = -2
 	wantErr = p.Validate()
 	gotErr = w.SolveInto(-2, &sol)
@@ -241,7 +243,7 @@ func TestSweepSolverMidGridErrors(t *testing.T) {
 // infinite arrival rates: Params.Validate, SolveSpectral and SolveInto all
 // return the same validation error at once instead of iterating QR on a
 // NaN companion, and a solver hoisted from a NaN base rate still solves
-// valid rates bit-identically.
+// valid rates bit-identically to a one-shot solve.
 func TestSweepSolverRejectsNonFiniteRates(t *testing.T) {
 	p := paramsFor(t, 3, math.NaN(), 1, paperOps, paperRepair)
 	sv, err := NewSweepSolver(p)
@@ -276,9 +278,9 @@ func TestSweepSolverRejectsNonFiniteRates(t *testing.T) {
 }
 
 // TestSweepSolverConcurrent hammers one shared SweepSolver from many
-// goroutines and verifies every result against precomputed scalar
-// references — pooled workspaces must never alias across concurrent
-// points. Run under -race in CI.
+// goroutines and verifies every result against precomputed one-shot
+// solves — pooled workspaces must never alias across concurrent points.
+// Run under -race in CI.
 func TestSweepSolverConcurrent(t *testing.T) {
 	p := paramsFor(t, 3, 1, 1, paperOps, paperRepair)
 	sv, err := NewSweepSolver(p)
@@ -310,7 +312,7 @@ func TestSweepSolverConcurrent(t *testing.T) {
 					}
 					w := want[idx]
 					// Canary: a torn or aliased workspace shows up as a
-					// mean-queue mismatch against the scalar reference.
+					// mean-queue mismatch against the one-shot reference.
 					if !sameFloat(w.MeanQueue(), got.MeanQueue()) ||
 						!sameFloat(w.TailDecay(), got.TailDecay()) {
 						errs <- errors.New("concurrent result diverged from scalar reference")
@@ -399,9 +401,10 @@ func TestSweepWorkerMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestSweepSolverEigenvaluesMatch spot-checks that the eigenvalue sets
-// agree exactly — the piece of the pipeline where a different sort or
-// selection rule would silently change everything downstream.
+// TestSweepSolverEigenvaluesMatch spot-checks that a pooled solve and a
+// one-shot solve agree exactly on the eigenvalue set — the piece of the
+// pipeline where an order that depended on state would silently change
+// everything downstream.
 func TestSweepSolverEigenvaluesMatch(t *testing.T) {
 	p := paramsFor(t, 5, 3.1, 1, paperOps, paperRepair)
 	want, err := SolveSpectral(p)

@@ -54,29 +54,6 @@ func foldBoundary(stages []*linalg.Matrix, vTop []float64) [][]float64 {
 	return levels
 }
 
-// foldBoundaryComplex is foldBoundary for a complex top vector (used by the
-// spectral solution before normalisation makes everything real).
-func foldBoundaryComplex(stages []*linalg.Matrix, vTop []complex128) [][]complex128 {
-	n := len(stages)
-	levels := make([][]complex128, n)
-	cur := vTop
-	for j := n - 1; j >= 0; j-- {
-		next := make([]complex128, len(cur))
-		st := stages[j]
-		for r, vr := range cur {
-			if vr == 0 {
-				continue
-			}
-			for c := 0; c < st.Cols; c++ {
-				next[c] += vr * complex(st.At(r, c), 0)
-			}
-		}
-		cur = next
-		levels[j] = cur
-	}
-	return levels
-}
-
 func vecSum(v []float64) float64 {
 	var s float64
 	for _, x := range v {

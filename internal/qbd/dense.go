@@ -17,24 +17,30 @@ import (
 //
 // It exists as an ablation baseline for the O(N·s³) staged elimination used
 // by SolveSpectral: the two must agree to machine precision, and the
-// benchmark suite measures the O((Ns)³) cost this formulation pays.
+// benchmark suite measures the O((Ns)³) cost this formulation pays. It
+// shares only the eigen steps (z_k, u_k) with SolveSpectral, taken from a
+// SweepWorker, and solves the boundary and γ̃ independently of the staged
+// elimination it checks.
 func SolveSpectralDense(p Params) (*SpectralSolution, error) {
-	if err := p.Validate(); err != nil {
+	w, err := newWorker(p)
+	if err != nil {
 		return nil, err
 	}
 	if err := p.CheckStable(); err != nil {
 		return nil, err
 	}
-	zs, err := unitDiskEigenvalues(p)
-	if err != nil {
-		return nil, err
-	}
-	terms, err := eigenvectorTerms(p, zs)
-	if err != nil {
-		return nil, err
-	}
 	s := p.Size()
 	n := p.Threshold()
+	sol := new(SpectralSolution)
+	sol.reshape(n, s)
+	zs, err := w.unitDiskEigenvalues(p.Lambda)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.eigenvectorTerms(p.Lambda, zs, sol); err != nil {
+		return nil, err
+	}
+	terms := sol.terms
 	da := p.dA()
 	dim := (n + 1) * s
 	// Unknown vector x = (v_0, ..., v_{N−1}, γ̃) of length (N+1)s. Row-vector
@@ -125,19 +131,15 @@ func SolveSpectralDense(p Params) (*SpectralSolution, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qbd: dense boundary system: %w", err)
 	}
-	sol := &SpectralSolution{n: n, s: s, terms: terms}
-	sol.boundary = make([][]float64, n)
 	var maxImag float64
-	for j := 0; j < n; j++ {
-		row := make([]float64, s)
-		for i := 0; i < s; i++ {
+	for j, row := range sol.boundary {
+		for i := range row {
 			v := x[j*s+i]
 			row[i] = real(v)
 			if im := math.Abs(imag(v)); im > maxImag {
 				maxImag = im
 			}
 		}
-		sol.boundary[j] = row
 	}
 	for k := range sol.terms {
 		sol.terms[k].gamma = x[n*s+k]

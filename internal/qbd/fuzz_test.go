@@ -27,11 +27,12 @@ func fuzzParams(seed int64, single bool) (Params, bool) {
 	return randomStableParams(rng)
 }
 
-// FuzzSweepSolver fuzzes the batched solver against the scalar one over
+// FuzzSweepSolver fuzzes a reused worker against one-shot solves over
 // degenerate batches: single-point grids (span = 0), grids whose upper
 // points cross the stability threshold mid-sweep, and s = 1 environments.
-// Every grid point must agree with per-point SolveSpectral — identical
-// error text on failing points, bit-identical metrics (amd64) on the rest.
+// Every grid point must agree with per-point SolveSpectral on a fresh
+// worker — identical error text on failing points, bit-identical metrics
+// (amd64) on the rest.
 func FuzzSweepSolver(f *testing.F) {
 	f.Add(int64(1), 0.8, 0.0, false)  // single-point batch
 	f.Add(int64(2), 0.5, 1.2, false)  // grid crossing into instability
@@ -49,7 +50,7 @@ func FuzzSweepSolver(f *testing.F) {
 		}
 		sv, err := NewSweepSolver(p)
 		if err != nil {
-			// Construction rejects only what every scalar point rejects too.
+			// Construction rejects only what every one-shot solve rejects too.
 			p2 := p
 			p2.Lambda = 1
 			if _, scalarErr := SolveSpectral(p2); scalarErr == nil {

@@ -92,7 +92,7 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 		w = w.Minus(stages[n-1].Scaled(p.Lambda))
 	}
 	w = w.Minus(r.Times(cdiag))
-	vN, err := linalg.ForcedLeftNullVector(w, 0)
+	vN, err := linalg.ForcedLeftNullVector(w)
 	if err != nil {
 		return nil, fmt.Errorf("qbd: level-N matching system: %w", err)
 	}

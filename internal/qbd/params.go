@@ -5,7 +5,10 @@
 //   - SolveSpectral: the paper's exact spectral-expansion solution (§3.1),
 //     with the characteristic matrix polynomial linearised in w = 1/z so
 //     that a standard QR eigensolve applies, and the boundary handled by an
-//     O(N·s³) block elimination rather than a dense (N+1)s system.
+//     O(N·s³) block elimination rather than a dense (N+1)s system. It is
+//     one point of a SweepSolver, which hoists the λ-independent work once
+//     per environment and solves a λ-sweep allocation-free; a one-off
+//     solve and every sweep point run the same code.
 //   - SolveApprox: the geometric approximation (§3.2, eq. 21) that keeps
 //     only the dominant eigenvalue; asymptotically exact in heavy traffic.
 //   - SolveMatrixGeometric: the classical R-matrix method of Neuts, the
@@ -108,24 +111,6 @@ func (p Params) QofZ(z float64) *linalg.Matrix {
 	return q
 }
 
-// CQofZ evaluates Q(z) for complex z.
-func (p Params) CQofZ(z complex128) *linalg.CMatrix {
-	s := p.Size()
-	da := p.dA()
-	c := p.cTop()
-	q := linalg.NewCMatrix(s, s)
-	for i := 0; i < s; i++ {
-		for j := 0; j < s; j++ {
-			q.Set(i, j, z*complex(p.A.At(i, j), 0))
-		}
-		lam := complex(p.Lambda, 0)
-		ci := complex(c[i], 0)
-		di := complex(da[i], 0)
-		q.Add(i, i, lam-z*(di+lam+ci)+z*z*ci)
-	}
-	return q
-}
-
 // EnvStationary returns the stationary distribution π of the environment
 // process alone (π(A − Dᴬ) = 0, normalised).
 func (p Params) EnvStationary() ([]float64, error) {
@@ -135,7 +120,7 @@ func (p Params) EnvStationary() ([]float64, error) {
 	for i := 0; i < s; i++ {
 		gen.Add(i, i, -da[i])
 	}
-	pi, err := linalg.ForcedLeftNullVector(gen, 0)
+	pi, err := linalg.ForcedLeftNullVector(gen)
 	if err != nil {
 		return nil, fmt.Errorf("qbd: environment has no stationary vector: %w", err)
 	}

@@ -100,13 +100,14 @@ func randomStableParams(rng *rand.Rand) (p Params, ok bool) {
 	return p, true
 }
 
-// TestSweepSolverMetamorphicProperty is the batched path's metamorphic
+// TestSweepSolverMetamorphicProperty is the worker-reuse metamorphic
 // suite: for fuzzed random stable environments and λ-grids around each
 // drawn rate, a SweepSolver evaluating the grid through one reused worker
-// must reproduce per-point SolveSpectral exactly — bit-identical on amd64,
-// within 1e-12 relative elsewhere — including level probabilities, queue
-// tails and mode marginals. Per-point errors (unstable grid points at the
-// high end) must appear on exactly the same points as the scalar path.
+// must reproduce per-point SolveSpectral, which runs on a fresh worker,
+// exactly — bit-identical on amd64, within 1e-12 relative elsewhere —
+// including level probabilities, queue tails and mode marginals. Per-point
+// errors (unstable grid points at the high end) must appear on exactly the
+// same points as the one-shot solves.
 func TestSweepSolverMetamorphicProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

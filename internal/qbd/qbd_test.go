@@ -154,30 +154,54 @@ func TestSpectralModeMarginalsMatchEnvironment(t *testing.T) {
 }
 
 func TestSpectralMatchesMatrixGeometric(t *testing.T) {
-	// Two completely different exact methods must agree everywhere.
-	for _, lambda := range []float64{0.5, 1.5, 2.4} {
-		p := paramsFor(t, 3, lambda, 1.0, paperOps, paperRepair)
+	// Two completely different exact methods must agree everywhere: at
+	// N = 3 for given rates, and at the daemon's sizes for given loads, so
+	// the spectral solver keeps an independent oracle where it serves.
+	type row struct {
+		n            int
+		lambda, load float64 // a row sets one of the two
+	}
+	rows := []row{{n: 3, lambda: 0.5}, {n: 3, lambda: 1.5}, {n: 3, lambda: 2.4}}
+	for _, n := range []int{8, 10, 12} {
+		for _, load := range []float64{0.5, 0.7, 0.9} {
+			rows = append(rows, row{n: n, load: load})
+		}
+	}
+	if !testing.Short() {
+		rows = append(rows, row{n: 16, load: 0.7}, row{n: 20, load: 0.5})
+	}
+	for _, r := range rows {
+		p := paramsFor(t, r.n, r.lambda, 1.0, paperOps, paperRepair)
+		if r.load > 0 {
+			p.Lambda = 1
+			load1, err := p.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Lambda = r.load / load1
+		}
+		n, lambda := r.n, p.Lambda
 		sp, err := SolveSpectral(p)
 		if err != nil {
-			t.Fatalf("λ=%v: %v", lambda, err)
+			t.Fatalf("N=%d λ=%v: %v", n, lambda, err)
 		}
 		mg, err := SolveMatrixGeometric(p, MGOptions{})
 		if err != nil {
-			t.Fatalf("λ=%v: %v", lambda, err)
+			t.Fatalf("N=%d λ=%v: %v", n, lambda, err)
 		}
 		if d := math.Abs(sp.MeanQueue() - mg.MeanQueue()); d > 1e-7*(1+mg.MeanQueue()) {
-			t.Errorf("λ=%v: L spectral %v vs MG %v", lambda, sp.MeanQueue(), mg.MeanQueue())
+			t.Errorf("N=%d λ=%v: L spectral %v vs MG %v", n, lambda, sp.MeanQueue(), mg.MeanQueue())
 		}
-		for j := 0; j <= 25; j++ {
+		for j := 0; j <= max(25, n+10); j++ {
 			a, b := sp.Level(j), mg.Level(j)
 			for i := range a {
 				if math.Abs(a[i]-b[i]) > 1e-9 {
-					t.Fatalf("λ=%v level %d mode %d: %v vs %v", lambda, j, i, a[i], b[i])
+					t.Fatalf("N=%d λ=%v level %d mode %d: %v vs %v", n, lambda, j, i, a[i], b[i])
 				}
 			}
 		}
 		if d := math.Abs(sp.TailDecay() - mg.TailDecay()); d > 1e-7 {
-			t.Errorf("λ=%v: tail decay %v vs %v", lambda, sp.TailDecay(), mg.TailDecay())
+			t.Errorf("N=%d λ=%v: tail decay %v vs %v", n, lambda, sp.TailDecay(), mg.TailDecay())
 		}
 	}
 }

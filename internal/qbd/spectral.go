@@ -2,12 +2,8 @@ package qbd
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"math/cmplx"
 	"slices"
-
-	"repro/internal/linalg"
 )
 
 // ErrEigenCount is returned when the number of eigenvalues found strictly
@@ -46,88 +42,45 @@ type SpectralSolution struct {
 //  3. The boundary probabilities are eliminated by the S_j recursion and
 //     the level-N balance equation becomes an s×s singular system for γ̃,
 //     closed by the normalisation condition (eq. 20).
+//
+// It is a sweep of one point: p is validated, its environment hoisted by
+// NewSweepSolver, and p.Lambda solved on a fresh SweepWorker, so a one-off
+// solve and every point of a batched sweep run the same code.
 func SolveSpectral(p Params) (*SpectralSolution, error) {
+	w, err := newWorker(p)
+	if err != nil {
+		return nil, err
+	}
+	sol := new(SpectralSolution)
+	if err := w.SolveInto(p.Lambda, sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// newWorker validates p and returns a fresh worker bound to its hoisted
+// environment. Errors keep SolveSpectral's precedence: validation, then
+// the environment's stationary vector; instability is left to the
+// worker's per-point check.
+func newWorker(p Params) (*SweepWorker, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := p.CheckStable(); err != nil {
-		return nil, err
-	}
-	zs, err := unitDiskEigenvalues(p)
+	sv, err := NewSweepSolver(p)
 	if err != nil {
 		return nil, err
 	}
-	terms, err := eigenvectorTerms(p, zs)
-	if err != nil {
-		return nil, err
-	}
-	return assembleSpectral(p, terms)
+	return sv.NewWorker(), nil
 }
 
-// unitDiskEigenvalues returns the s eigenvalues of det Q(z) = 0 with
-// |z| < 1, sorted by descending modulus (so the dominant z_s comes first).
-func unitDiskEigenvalues(p Params) ([]complex128, error) {
-	s := p.Size()
-	da := p.dA()
-	c := p.cTop()
-	// Companion matrix of the reversed polynomial in w = 1/z:
-	// Q(z)ᵀ x = 0  ⇔  (Q0ᵀw² + Q1ᵀw + Q2ᵀ)x = 0, and with Q0 = λI the
-	// block companion form is [[0, I], [−Q2ᵀ/λ, −Q1ᵀ/λ]].
-	cm := linalg.NewMatrix(2*s, 2*s)
-	for i := 0; i < s; i++ {
-		cm.Set(i, s+i, 1)
-	}
-	for i := 0; i < s; i++ {
-		// −Q2ᵀ/λ block: Q2 = diag(c).
-		cm.Set(s+i, i, -c[i]/p.Lambda)
-		// −Q1ᵀ/λ block: Q1 = A − Dᴬ − λI − C.
-		for j := 0; j < s; j++ {
-			v := p.A.At(j, i) // transpose
-			if i == j {
-				v -= da[i] + p.Lambda + c[i]
-			}
-			cm.Set(s+i, s+j, -v/p.Lambda)
-		}
-	}
-	ws, err := linalg.Eigenvalues(cm)
-	if err != nil {
-		return nil, fmt.Errorf("qbd: companion eigenvalues: %w", err)
-	}
-	// The s eigenvalues z inside the unit disk correspond to the s largest
-	// |w| (all > 1); the next one down is the unit root w = 1.
-	sortModulusDesc(ws)
-	if len(ws) < s+1 {
-		return nil, fmt.Errorf("%w: companion produced %d eigenvalues", ErrEigenCount, len(ws))
-	}
-	if in := cmplx.Abs(ws[s-1]); in <= 1 {
-		return nil, fmt.Errorf("%w: only %d strictly outside the unit circle (|w_s| = %v)", ErrEigenCount, countAbove(ws, 1), in)
-	}
-	if out := cmplx.Abs(ws[s]); out > 1+1e-6 {
-		return nil, fmt.Errorf("%w: at least %d outside the unit circle (|w_{s+1}| = %v)", ErrEigenCount, countAbove(ws, 1), out)
-	}
-	zs := make([]complex128, s)
-	for k := 0; k < s; k++ {
-		zs[k] = 1 / ws[k]
-	}
-	// Clean tiny imaginary parts so real roots are treated as real, and force
-	// exact conjugate pairing for the rest.
-	for k := range zs {
-		if math.Abs(imag(zs[k])) < 1e-9*(1+math.Abs(real(zs[k]))) {
-			zs[k] = complex(real(zs[k]), 0)
-		}
-	}
-	sortModulusDesc(zs)
-	return zs, nil
-}
-
-// sortModulusDesc orders eigenvalues by descending modulus with the same
-// tie-break as linalg.SortEigenvalues (real part, then imaginary part,
-// both descending). Because the comparator is a total order on values,
-// the sorted sequence is unique — so the scalar and batched sweep paths,
-// which must produce bit-identical eigenvalue sets, can sort
-// independently and still agree even when moduli tie at the unit-disk
-// boundary. slices.SortFunc is also allocation-free, which the batched
-// path's zero-allocation invariant relies on.
+// sortModulusDesc orders eigenvalues by descending modulus, breaking ties
+// by real part, then imaginary part, both descending, so conjugate pairs
+// sit adjacently with the +imag member first. Because the comparator is a
+// total order on values, the sorted sequence is unique: the roots picked
+// as the s inside the unit disk, and their order, depend only on the
+// eigenvalue set, never on the order QR found them in, even when moduli
+// tie at the unit-disk boundary. slices.SortFunc is also allocation-free,
+// which the worker's zero-allocation invariant relies on.
 func sortModulusDesc(ws []complex128) {
 	slices.SortFunc(ws, func(a, b complex128) int {
 		aa, ab := cmplx.Abs(a), cmplx.Abs(b)
@@ -161,126 +114,6 @@ func countAbove(ws []complex128, r float64) int {
 		}
 	}
 	return n
-}
-
-// eigenvectorTerms recovers the left eigenvector for every eigenvalue,
-// computing each conjugate pair only once.
-func eigenvectorTerms(p Params, zs []complex128) ([]spectralTerm, error) {
-	terms := make([]spectralTerm, len(zs))
-	for k := 0; k < len(zs); k++ {
-		z := zs[k]
-		switch {
-		case imag(z) == 0:
-			u, err := linalg.ForcedLeftNullVector(p.QofZ(real(z)), 0)
-			if err != nil {
-				return nil, fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
-			}
-			cu := make([]complex128, len(u))
-			for i, v := range u {
-				cu[i] = complex(v, 0)
-			}
-			terms[k] = spectralTerm{z: z, u: cu}
-		case imag(z) > 0:
-			u, err := linalg.CForcedLeftNullVector(p.CQofZ(z), 0)
-			if err != nil {
-				return nil, fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
-			}
-			terms[k] = spectralTerm{z: z, u: u}
-			// The conjugate must sit adjacent after SortEigenvalues.
-			if k+1 >= len(zs) || zs[k+1] != cmplx.Conj(z) {
-				return nil, fmt.Errorf("qbd: unpaired complex eigenvalue %v", z)
-			}
-			cu := make([]complex128, len(u))
-			for i, v := range u {
-				cu[i] = cmplx.Conj(v)
-			}
-			terms[k+1] = spectralTerm{z: cmplx.Conj(z), u: cu}
-			k++
-		default:
-			return nil, fmt.Errorf("qbd: unpaired complex eigenvalue %v", z)
-		}
-	}
-	return terms, nil
-}
-
-// assembleSpectral solves the boundary and normalisation for the γ̃
-// coefficients and packages the solution.
-func assembleSpectral(p Params, terms []spectralTerm) (*SpectralSolution, error) {
-	s := p.Size()
-	n := p.Threshold()
-	stages, err := boundaryStages(p, n)
-	if err != nil {
-		return nil, err
-	}
-	// W = Dᴬ + B + C − A − λS_{N−1} from the level-N balance equation.
-	da := p.dA()
-	c := p.cTop()
-	w := p.A.Scaled(-1)
-	for i := 0; i < s; i++ {
-		w.Add(i, i, da[i]+p.Lambda+c[i])
-	}
-	if n > 0 {
-		w = w.Minus(stages[n-1].Scaled(p.Lambda))
-	}
-	// M[k][·] = u_k·(W − z_k·C); solve γ̃·M = 0.
-	m := linalg.NewCMatrix(s, s)
-	for k, t := range terms {
-		for col := 0; col < s; col++ {
-			var acc complex128
-			for row := 0; row < s; row++ {
-				entry := complex(w.At(row, col), 0)
-				if row == col {
-					entry -= t.z * complex(c[row], 0)
-				}
-				acc += t.u[row] * entry
-			}
-			m.Set(k, col, acc)
-		}
-	}
-	gamma, err := linalg.CForcedLeftNullVector(m, 0)
-	if err != nil {
-		return nil, fmt.Errorf("qbd: level-N matching system: %w", err)
-	}
-	// Normalise: Σ_{j<N} v_j·1 + Σ_k γ̃_k(u_k·1)/(1−z_k) = 1.
-	vN := make([]complex128, s)
-	for k, t := range terms {
-		g := gamma[k]
-		for i := range vN {
-			vN[i] += g * t.u[i]
-		}
-	}
-	levelsC := foldBoundaryComplex(stages, vN)
-	var total complex128
-	for _, lv := range levelsC {
-		total += cvecSum(lv)
-	}
-	for k, t := range terms {
-		total += gamma[k] * cvecSum(t.u) / (1 - t.z)
-	}
-	if total == 0 {
-		return nil, errors.New("qbd: zero total probability mass in spectral assembly")
-	}
-	sol := &SpectralSolution{n: n, s: s, terms: terms}
-	for k := range sol.terms {
-		sol.terms[k].gamma = gamma[k] / total
-	}
-	sol.boundary = make([][]float64, n)
-	var maxImag float64
-	for j, lv := range levelsC {
-		row := make([]float64, s)
-		for i, v := range lv {
-			vv := v / total
-			row[i] = real(vv)
-			if im := math.Abs(imag(vv)); im > maxImag {
-				maxImag = im
-			}
-		}
-		sol.boundary[j] = row
-	}
-	if maxImag > 1e-6 {
-		return nil, fmt.Errorf("qbd: boundary probabilities have imaginary residue %v", maxImag)
-	}
-	return sol, nil
 }
 
 // Threshold returns N, the first level at which the expansion applies.

@@ -42,7 +42,7 @@ func SolveTruncated(p Params, maxLevel int) (*TruncatedSolution, error) {
 		w.Add(i, i, da[i]+cj[i])
 	}
 	w = w.Minus(stages[maxLevel-1].Scaled(p.Lambda))
-	vTop, err := linalg.ForcedLeftNullVector(w, 0)
+	vTop, err := linalg.ForcedLeftNullVector(w)
 	if err != nil {
 		return nil, fmt.Errorf("qbd: truncated top-level system: %w", err)
 	}

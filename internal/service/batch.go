@@ -10,10 +10,12 @@ package service
 // admission refit — solves through its environment's shared solver,
 // building it on first touch.
 //
-// The hoisted path is result-equivalent to the scalar one (bit-identical
-// on amd64; see internal/qbd's metamorphic suite), so nothing else
-// changes: cache keys, in-flight sharing, NDJSON streaming order and
-// per-point errors are exactly as if every point had been solved scalar.
+// A point solved through a shared solver is bit-identical to a one-off
+// System.Solve of the same configuration (on amd64; internal/qbd's
+// metamorphic suite checks that a reused worker reproduces a fresh one),
+// so nothing else depends on it: cache keys, in-flight sharing, NDJSON
+// streaming order and per-point errors are exactly as if every point had
+// been solved on its own.
 
 import (
 	"sync"
@@ -41,12 +43,13 @@ type hoist struct {
 	err  error
 }
 
-// solve evaluates sys through the shared solver, falling back to the
-// scalar path when construction failed — the scalar solver then reports
-// the configuration's error with its usual precedence, keeping error text
+// solve evaluates sys through the shared solver. When construction failed,
+// it solves sys on its own with System.SolveWith, which reports the
+// configuration's error with its usual precedence, keeping error text
 // identical to an unhoisted solve. The engine's batch counters record both
 // outcomes: one BatchGroups tick per construction and one BatchFallbacks
-// tick per point solved scalar after a failed one.
+// tick per point solved without the hoisted solver after it failed to
+// build.
 func (h *hoist) solve(e *Engine, sys core.System) (*core.Performance, error) {
 	h.once.Do(func() {
 		h.bs, h.err = core.NewBatchSolver(sys)
@@ -61,7 +64,7 @@ func (h *hoist) solve(e *Engine, sys core.System) (*core.Performance, error) {
 
 // solve runs one cache miss: spectral configurations through their
 // environment's hoisted solver, the other methods — which have no hoisted
-// form — through the scalar solver.
+// form — through System.SolveWith.
 func (e *Engine) solve(sys core.System, m core.Method) (*core.Performance, error) {
 	if m != core.Spectral {
 		return sys.SolveWith(m)

@@ -13,8 +13,8 @@ import (
 	"repro/internal/qbd"
 )
 
-// identicalF64 is the batched path's equivalence contract: bit-identical
-// on amd64, 1e-12 relative elsewhere.
+// identicalF64 is the hoisted solver's equivalence contract with a fresh
+// one-shot solve: bit-identical on amd64, 1e-12 relative elsewhere.
 func identicalF64(a, b float64) bool {
 	if runtime.GOARCH == "amd64" {
 		return math.Float64bits(a) == math.Float64bits(b)
@@ -23,9 +23,9 @@ func identicalF64(a, b float64) bool {
 }
 
 // TestSweepLambdaBatchedMatchesScalar runs a λ-sweep through the engine
-// (which batches it) and compares every point to a direct scalar solve,
-// including queue tails and mode marginals. Caching is disabled so each
-// point genuinely exercises the batched solver.
+// (which batches it on pooled workers) and compares every point to a
+// direct one-shot solve, including queue tails and mode marginals. Caching
+// is disabled so each point genuinely exercises the batched solver.
 func TestSweepLambdaBatchedMatchesScalar(t *testing.T) {
 	eng := NewEngine(Config{CacheSize: -1})
 	base := testSystem(6, 1)
@@ -71,8 +71,8 @@ func TestSweepLambdaBatchedMatchesScalar(t *testing.T) {
 // TestSweepLambdaConcurrentRace is the pooled-workspace canary: many
 // goroutines sweep overlapping λ-grids through one engine with caching
 // off, so concurrent points continuously check workspaces in and out of
-// the shared pools. Every result is checked against a precomputed scalar
-// reference — an aliased or torn workspace surfaces as a wrong mean.
+// the shared pools. Every result is checked against a precomputed one-shot
+// solve — an aliased or torn workspace surfaces as a wrong mean.
 // CI runs this under -race.
 func TestSweepLambdaConcurrentRace(t *testing.T) {
 	eng := NewEngine(Config{Workers: 8, CacheSize: -1})
@@ -123,9 +123,9 @@ func TestSweepLambdaConcurrentRace(t *testing.T) {
 }
 
 // TestEvaluateBatchMidSweepError submits a sweep whose middle points are
-// unstable: the good points must still match the scalar path exactly and
-// the bad ones must carry the scalar path's errors — a mid-sweep failure
-// cannot poison the group's shared solver state.
+// unstable: the good points must still match one-shot solves exactly and
+// the bad ones must carry their errors — a mid-sweep failure cannot poison
+// the group's shared solver state.
 func TestEvaluateBatchMidSweepError(t *testing.T) {
 	eng := NewEngine(Config{CacheSize: -1})
 	base := testSystem(3, 1)
@@ -160,7 +160,7 @@ func TestEvaluateBatchMidSweepError(t *testing.T) {
 }
 
 // TestBatchedSweepSharesCache checks the cache interplay: a batched sweep
-// populates the same keys a scalar Evaluate reads, so re-evaluating any
+// populates the same keys a lone Evaluate reads, so re-evaluating any
 // point afterwards is a pure cache hit returning the identical pointer.
 func TestBatchedSweepSharesCache(t *testing.T) {
 	eng := NewEngine(Config{CacheSize: 64})
@@ -190,7 +190,7 @@ func TestBatchedSweepSharesCache(t *testing.T) {
 // TestMixedBatchGroupsOnlySweeps checks hoisting boundaries: jobs from
 // different environments and non-spectral methods coexist in one batch,
 // each solved correctly — spectral jobs through their own environment's
-// hoisted solver, non-spectral jobs on the scalar path.
+// hoisted solver, non-spectral jobs through System.SolveWith.
 func TestMixedBatchGroupsOnlySweeps(t *testing.T) {
 	eng := NewEngine(Config{CacheSize: -1})
 	mk := func(n int, l float64, m core.Method) Job {
@@ -247,7 +247,7 @@ func TestSweepGroupConstructionFallback(t *testing.T) {
 // TestHoistFromNaNRateStaysBatched checks that an environment's hoist
 // first touched by a NaN-rate system is still built: that point reports
 // the validation error, and later valid rates solve through the batched
-// path (no fallback) with the scalar path's results.
+// path (no fallback) with one-shot solves' results.
 func TestHoistFromNaNRateStaysBatched(t *testing.T) {
 	h := new(hoist)
 	e := NewEngine(Config{})
@@ -278,7 +278,7 @@ func TestHoistFromNaNRateStaysBatched(t *testing.T) {
 
 // TestEvaluateReusesEnvironmentHoist checks the engine-wide hoist cache:
 // separate single-point evaluations at distinct λ in one environment
-// build exactly one solver, and every result matches a scalar solve.
+// build exactly one solver, and every result matches a one-shot solve.
 func TestEvaluateReusesEnvironmentHoist(t *testing.T) {
 	eng := NewEngine(Config{})
 	base := testSystem(5, 1)

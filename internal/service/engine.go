@@ -76,7 +76,7 @@ type Engine struct {
 	simRuns        atomic.Uint64 // replicated simulations that actually ran
 	simErrs        atomic.Uint64 // replicated simulations that failed
 	batchGroups    atomic.Uint64 // hoisted spectral solvers constructed
-	batchFallbacks atomic.Uint64 // spectral solves run scalar after a failed construction
+	batchFallbacks atomic.Uint64 // spectral solves run without the hoisted solver after it failed to build
 	warmed         atomic.Uint64 // cache entries restored from a snapshot
 }
 
@@ -526,8 +526,8 @@ type Stats struct {
 	// environment the engine's hoist cache builds (again after evicting
 	// it), however many solves then reuse its λ-invariant work.
 	BatchGroups uint64
-	// BatchFallbacks counts spectral solves that fell back to the scalar
-	// solver because their environment's hoisted solver failed to build.
+	// BatchFallbacks counts spectral solves run without their
+	// environment's hoisted solver because it failed to build.
 	BatchFallbacks uint64
 	// WarmedEntries counts cache entries restored from a boot snapshot.
 	WarmedEntries uint64

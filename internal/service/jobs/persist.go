@@ -112,6 +112,7 @@ func (s *Scheduler) replay() {
 	// re-attaches to its original submission trace when it runs.
 	boot, ctx := s.tracer.StartRoot(context.Background(), "mus.jobs.replay", trace.SpanContext{})
 	defer boot.End()
+	misplaced := 0 // sweep points replayed out of grid order, dropped
 	err := s.jlog.ReplayCtx(ctx, func(e store.Entry) error {
 		switch e.Kind {
 		case store.EntrySubmit:
@@ -146,8 +147,19 @@ func (s *Scheduler) replay() {
 				j.err = e.Error
 			}
 		case store.EntryPoints:
+			// A sweep's prefix grows one grid index at a time. A log that
+			// went through an upgrade, a downgrade mid-sweep and a second
+			// upgrade holds points this binary wrote, then an older
+			// binary's re-run from index 0 (it could not decode them):
+			// only the point at the next index extends the prefix.
 			if j := s.jobs[e.Job]; j != nil && j.req.Kind == api.JobKindSweep {
-				j.partial = append(j.partial, e.Points...)
+				for _, pt := range e.Points {
+					if pt.Index != len(j.partial) {
+						misplaced++
+						continue
+					}
+					j.partial = append(j.partial, pt)
+				}
 			}
 		case store.EntryResult:
 			if j := s.jobs[e.Job]; j != nil {
@@ -163,6 +175,10 @@ func (s *Scheduler) replay() {
 	if n := s.jlog.ReplaySkipped(); n > 0 {
 		s.log.Warn("job log replay skipped undecodable records",
 			olog.F{K: "records", V: n})
+	}
+	if misplaced > 0 {
+		s.log.Warn("job log replay skipped sweep points out of grid order",
+			olog.F{K: "points", V: misplaced})
 	}
 	var requeue []*job
 	for _, j := range s.jobs {

@@ -280,6 +280,91 @@ func TestReplayResumesAcrossFormatUpgrade(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsDowngradeRerun forges the log an upgrade, a downgrade
+// mid-sweep and a second upgrade leave behind: this binary wrote a 7-point
+// sweep's submit and points 0–2 in the points layout; an older binary,
+// which cannot decode that layout, then re-ran the sweep from index 0 and
+// wrote points 0–4 as JSON records before a crash, with no terminal
+// state. Replay must rebuild the one prefix 0–4, not the concatenation
+// [0–2, 0–4], resume at index 5 and finish with exactly the result of an
+// uninterrupted run.
+func TestReplaySkipsDowngradeRerun(t *testing.T) {
+	req := sweepJob(0.5, 1, 5, 2, 4.2, 3, 3.5)
+	ref := New(Config{Engine: service.NewEngine(service.Config{})})
+	st, err := ref.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ref.Wait(context.Background(), st.ID); err != nil || got.State != api.JobStateDone {
+		t.Fatalf("uninterrupted run: %+v, %v", got, err)
+	}
+	want, err := ref.Result(st.ID)
+	ref.Close()
+	if err != nil {
+		t.Fatalf("uninterrupted Result: %v", err)
+	}
+	pts := want.Sweep.Points
+
+	dir := t.TempDir()
+	now := time.Unix(1_700_000_000, 0).UTC()
+	l := openTestLog(t, dir)
+	current := []store.Entry{
+		{Kind: store.EntrySubmit, Job: "j-downgraded", Time: now, Origin: "node-a", Request: &req},
+		{Kind: store.EntryState, Job: "j-downgraded", Time: now, State: api.JobStateRunning},
+	}
+	for _, pt := range pts[:3] {
+		current = append(current, store.Entry{Kind: store.EntryPoints, Job: "j-downgraded", Time: now, Points: []api.SweepPoint{pt}})
+	}
+	for _, e := range current {
+		if err := l.Append(e); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+	old, err := store.OpenWAL(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
+	}
+	legacy := []store.Entry{{Kind: store.EntryState, Job: "j-downgraded", Time: now, State: api.JobStateRunning}}
+	for _, pt := range pts[:5] {
+		legacy = append(legacy, store.Entry{Kind: store.EntryPoints, Job: "j-downgraded", Time: now, Points: []api.SweepPoint{pt}})
+	}
+	for _, e := range legacy {
+		payload, err := json.Marshal(e) // as the older binary's JobLog.Append wrote it
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Append(payload); err != nil {
+			t.Fatalf("legacy append: %v", err)
+		}
+	}
+	if err := old.Close(); err != nil {
+		t.Fatalf("close legacy log: %v", err)
+	}
+
+	l2 := openTestLog(t, dir)
+	defer l2.Close()
+	eng := &countingEngine{Engine: service.NewEngine(service.Config{})}
+	s := New(Config{Engine: eng, Log: l2, NodeID: "node-a"})
+	defer s.Close()
+	final, err := s.Wait(context.Background(), "j-downgraded")
+	if err != nil || final.State != api.JobStateDone {
+		t.Fatalf("resumed job: %+v, %v", final, err)
+	}
+	if n := eng.points.Load(); n != 2 {
+		t.Fatalf("engine solved %d points after the restart, want 2 (resume at index 5)", n)
+	}
+	got, err := s.Result("j-downgraded")
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if !reflect.DeepEqual(got.Sweep, want.Sweep) {
+		t.Fatalf("resumed result %+v, want the uninterrupted %+v", got.Sweep, want.Sweep)
+	}
+}
+
 // TestBeginDrainRejectsSubmitImmediately is the drain-race regression
 // test: once BeginDrain returns, every Submit must fail with
 // api.CodeNodeUnavailable — no raced accept into a scheduler that is

@@ -30,7 +30,7 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		"Hoisted spectral solvers constructed (λ-invariant work built once per environment).",
 		e.batchGroups.Load)
 	r.CounterFunc("mus_engine_batch_fallbacks_total",
-		"Spectral solves run on the scalar path after their environment's hoisted solver failed to build.",
+		"Spectral solves run without the hoisted solver after it failed to build.",
 		e.batchFallbacks.Load)
 	r.CounterFunc("mus_engine_warmed_entries_total",
 		"Cache entries restored from a boot snapshot.",
