@@ -126,13 +126,17 @@ func BenchmarkFitPipeline(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md) ---
 
+// benchParams builds the Sun environment's solver parameters as
+// core.System.Params does for every served solve, server description
+// included, so the solver benches time the path the service runs.
 func benchParams(b *testing.B, n int, lambda float64) qbd.Params {
 	b.Helper()
-	env, err := markov.NewEnv(n, benchOps, benchRepair)
+	sys := core.System{Servers: n, ArrivalRate: lambda, ServiceRate: 1, Operative: benchOps, Repair: benchRepair}
+	p, err := sys.Params()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return qbd.Params{Lambda: lambda, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(1)}
+	return p
 }
 
 // BenchmarkSolverComparison measures the three exact solution methods as
@@ -440,17 +444,20 @@ func BenchmarkSweepBatched(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkSpectralKernels attributes a batched point's cost to its arena
+// BenchmarkSpectralKernels attributes a batched point's cost to its
 // kernels, at the shapes one N = 10 point of the Sun environment (s = 66
-// modes, λ = 7) feeds them: the eigenvalues of the 132×132 companion, the
-// real null vector of the 66×66 Q(z)ᵀ at the dominant eigenvalue, the
-// complex null vector of the 66×66 level-N matching system (the complex
-// kernel's one call per point, since every root is real here), and the
-// inverse of the 66×66 boundary matrix K_{N−1}. Inputs are built before
-// the timer; every iteration copies its input into a warm arena matrix,
-// so ns/op is one kernel call and allocs/op must be exactly 0 (CI gates
-// both, so a slowdown is attributed to a kernel and not only to the
-// whole point).
+// modes, λ = 7) feeds them: the eigenvalues of the 132×132 companion and
+// the real null vector of the 66×66 Q(z)ᵀ at the dominant eigenvalue (the
+// companion path, which raw Params without a server description still
+// take), the complex null vector of the 66×66 level-N matching system
+// (the complex kernel's one call per point, since every root is real
+// here), the inverse of the 66×66 boundary matrix K_{N−1}, and the
+// factored eigen stage that replaces the first two on the served path: 66
+// roots and their closed-form left vectors. Inputs are built before the
+// timer; every iteration copies its input into a warm arena matrix (the
+// factored member reuses a warm worker), so ns/op is one kernel call and
+// allocs/op must be exactly 0 (CI gates both, so a slowdown is attributed
+// to a kernel and not only to the whole point).
 func BenchmarkSpectralKernels(b *testing.B) {
 	const lambda = 7.0
 	p := benchParams(b, 10, lambda)
@@ -565,6 +572,70 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		_, err := linalg.InverseScratch(w, ar)
 		return err
 	})
+	// The factored eigen stage that replaces the companion eigenvalues and
+	// the s null vectors on the served path: every multiset's root and its
+	// closed-form left vector, on a warm worker.
+	sv, err := qbd.NewSweepSolver(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fw := sv.NewWorker()
+	var roots qbd.SpectralSolution
+	run(fmt.Sprintf("factored/n=%d", s), func(*linalg.Arena) error {
+		return fw.EigenStage(lambda, &roots)
+	})
+}
+
+// BenchmarkSpectralFrontier records the reliability and cost frontier
+// tabled in EXPERIMENTS.md: one warm batched point of the Sun model
+// (η = 25, and η = 0.2 at N = 10 and 20) at each N and load, solved
+// through core.System.Params and a reused qbd.SweepWorker as the service
+// solves it. ns/op is one point; L and the balance residual over levels
+// 0..N+10 (in units of 1e-15) are reported as metrics, and logged in full
+// with -v. Run it with -benchtime 3x: a point takes seconds at N = 32.
+func BenchmarkSpectralFrontier(b *testing.B) {
+	type row struct {
+		eta  float64
+		n    int
+		load float64
+	}
+	var rows []row
+	for _, n := range []int{10, 16, 20, 22, 24, 28, 32} {
+		rows = append(rows, row{25, n, 0.7}, row{25, n, 0.99})
+	}
+	for _, n := range []int{10, 20} {
+		rows = append(rows, row{0.2, n, 0.7}, row{0.2, n, 0.99})
+	}
+	for _, r := range rows {
+		b.Run(fmt.Sprintf("eta=%g/N=%d/load=%g", r.eta, r.n, r.load), func(b *testing.B) {
+			sys := core.System{Servers: r.n, ServiceRate: 1, Operative: benchOps, Repair: dist.Exp(r.eta)}
+			sys.ArrivalRate = r.load * float64(r.n) * sys.Availability()
+			p, err := sys.Params()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sv, err := qbd.NewSweepSolver(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := sv.NewWorker()
+			var sol qbd.SpectralSolution
+			if err := w.SolveInto(p.Lambda, &sol); err != nil {
+				b.Fatal(err) // also warms the worker outside the timer
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.SolveInto(p.Lambda, &sol); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			res := qbd.BalanceResidual(p, &sol, r.n+10)
+			b.ReportMetric(sol.MeanQueue(), "L")
+			b.ReportMetric(res*1e15, "residual/1e-15")
+			b.Logf("L = %.10g, balance residual %.2g", sol.MeanQueue(), res)
+		})
+	}
 }
 
 // BenchmarkEngineColdSolve measures the engine's cache-miss path in the

@@ -69,7 +69,11 @@ func (s System) Env() (*markov.Env, error) {
 	return markov.NewEnv(s.Servers, s.Operative, s.Repair)
 }
 
-// Params assembles the queueing parameters for the qbd solvers.
+// Params assembles the queueing parameters for the qbd solvers. When
+// every phase weight is positive they carry the description of the
+// environment as N identical servers, so spectral solves take qbd's
+// factored stage; with a zero weight some phase is never entered and
+// they take the companion eigensolve instead.
 func (s System) Params() (qbd.Params, error) {
 	_, p, err := s.envParams()
 	return p, err
@@ -80,11 +84,19 @@ func (s System) envParams() (*markov.Env, qbd.Params, error) {
 	if err != nil {
 		return nil, qbd.Params{}, err
 	}
-	return env, qbd.Params{
+	p := qbd.Params{
 		Lambda:      s.ArrivalRate,
 		A:           env.AMatrix(),
 		ServiceDiag: env.ServiceDiag(s.ServiceRate),
-	}, nil
+	}
+	if env.PhasesReachable() {
+		p.Servers = &qbd.Servers{
+			G:      env.ServerRates(),
+			Rates:  env.PhaseServiceRates(s.ServiceRate),
+			Counts: env.PhaseCounts(),
+		}
+	}
+	return env, p, nil
 }
 
 // Modes returns s, the number of operational modes (paper eq. 12).

@@ -8,16 +8,14 @@ import (
 // ForcedNullVector returns a right null vector x (‖x‖∞ = 1) of a square
 // matrix a known to be singular by construction (e.g. Q(z_k) at a computed
 // eigenvalue, or a censored-chain generator), by Gaussian elimination with
-// full pivoting. Elimination stops once the largest remaining entry falls
-// to nullRankTol times the first pivot; when it reaches full numerical rank
-// instead, the smallest — final — pivot is treated as zero. Full pivoting
-// guarantees that pivot is the least significant one. a is left unchanged:
-// ForcedNullVectorScratch runs on a copy with a fresh arena.
-//
-// The spectral-expansion solver relies on this policy, through
-// ForcedNullVectorScratch, to recover the eigenvector for each root of
-// det Q(z): Q(z_k) is singular by construction, so elimination leaves
-// exactly one free column.
+// full pivoting. Elimination always runs to rank n−1 and the last —
+// smallest — pivot is treated as zero; it stops early only when the
+// remaining block is exactly zero. Full pivoting guarantees that pivot is
+// the least significant one. No relative cut-off ends it sooner: a system
+// whose pivots span dozens of orders of magnitude, such as the spectral
+// solver's level-N matching system at large N, keeps every one of them.
+// a is left unchanged: ForcedNullVectorScratch runs on a copy with a fresh
+// arena.
 func ForcedNullVector(a *Matrix) ([]float64, error) {
 	var ar Arena
 	return ForcedNullVectorScratch(a.Clone(), &ar)

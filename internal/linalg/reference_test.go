@@ -28,12 +28,12 @@ func refEigenvalues(a *Matrix) ([]complex128, error) {
 
 // refForcedNullVector is the reference forced right null vector.
 func refForcedNullVector(a *Matrix) ([]float64, error) {
-	return nullVector(a, nullRankTol)
+	return nullVector(a)
 }
 
 // refCForcedNullVector is the reference forced complex right null vector.
 func refCForcedNullVector(a *CMatrix) ([]complex128, error) {
-	return cNullVector(a, nullRankTol)
+	return cNullVector(a)
 }
 
 // refInverse is the reference inverse: an LU factorisation solved against
@@ -284,14 +284,10 @@ func hqr(hm *Matrix) ([]complex128, error) {
 }
 
 // nullVector returns a right null vector x (‖x‖∞ = 1) of a square matrix a
-// by Gaussian elimination with full pivoting on a copy of a. Entries below
-// rtol·maxpivot are treated as zero (rtol ≤ 0 means 1e-10); when
-// elimination reaches full rank, the smallest — final — pivot is treated
-// as zero.
-func nullVector(a *Matrix, rtol float64) ([]float64, error) {
-	if rtol <= 0 {
-		rtol = 1e-10
-	}
+// by Gaussian elimination with full pivoting on a copy of a. It always
+// eliminates to rank n−1, stopping early only when the remaining block is
+// exactly zero, so the last — smallest — pivot is the one treated as zero.
+func nullVector(a *Matrix) ([]float64, error) {
 	a.square()
 	n := a.Rows
 	w := a.Clone()
@@ -299,9 +295,8 @@ func nullVector(a *Matrix, rtol float64) ([]float64, error) {
 	for i := range colPerm {
 		colPerm[i] = i
 	}
-	var maxPivot float64
 	rank := 0
-	for k := 0; k < n; k++ {
+	for k := 0; k < n-1; k++ {
 		// Full pivot over the trailing submatrix.
 		pi, pj, mx := k, k, 0.0
 		for i := k; i < n; i++ {
@@ -311,17 +306,14 @@ func nullVector(a *Matrix, rtol float64) ([]float64, error) {
 				}
 			}
 		}
-		if k == 0 {
-			maxPivot = mx
-			if maxPivot == 0 {
+		if mx == 0 {
+			if k == 0 {
 				// Zero matrix: any unit vector is a null vector.
 				x := make([]float64, n)
 				x[0] = 1
 				return x, nil
 			}
-		}
-		if mx <= rtol*maxPivot {
-			break // numerical rank reached
+			break // the remaining block is exactly zero
 		}
 		rank++
 		swapRows(w, k, pi)
@@ -338,9 +330,6 @@ func nullVector(a *Matrix, rtol float64) ([]float64, error) {
 				w.Data[i*n+j] -= m * w.Data[k*n+j]
 			}
 		}
-	}
-	if rank == n {
-		rank = n - 1 // treat the smallest pivot as zero
 	}
 	// Back-substitute with the first free variable set to 1, the rest to 0.
 	y := make([]float64, n)
@@ -361,10 +350,7 @@ func nullVector(a *Matrix, rtol float64) ([]float64, error) {
 }
 
 // cNullVector is the complex analogue of nullVector.
-func cNullVector(a *CMatrix, rtol float64) ([]complex128, error) {
-	if rtol <= 0 {
-		rtol = 1e-10
-	}
+func cNullVector(a *CMatrix) ([]complex128, error) {
 	a.square()
 	n := a.Rows
 	w := a.Clone()
@@ -372,9 +358,8 @@ func cNullVector(a *CMatrix, rtol float64) ([]complex128, error) {
 	for i := range colPerm {
 		colPerm[i] = i
 	}
-	var maxPivot float64
 	rank := 0
-	for k := 0; k < n; k++ {
+	for k := 0; k < n-1; k++ {
 		pi, pj, mx := k, k, 0.0
 		for i := k; i < n; i++ {
 			for j := k; j < n; j++ {
@@ -383,15 +368,12 @@ func cNullVector(a *CMatrix, rtol float64) ([]complex128, error) {
 				}
 			}
 		}
-		if k == 0 {
-			maxPivot = mx
-			if maxPivot == 0 {
+		if mx == 0 {
+			if k == 0 {
 				x := make([]complex128, n)
 				x[0] = 1
 				return x, nil
 			}
-		}
-		if mx <= rtol*maxPivot {
 			break
 		}
 		rank++
@@ -409,9 +391,6 @@ func cNullVector(a *CMatrix, rtol float64) ([]complex128, error) {
 				w.Data[i*n+j] -= m * w.Data[k*n+j]
 			}
 		}
-	}
-	if rank == n {
-		rank = n - 1
 	}
 	y := make([]complex128, n)
 	y[rank] = 1

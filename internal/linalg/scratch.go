@@ -41,14 +41,6 @@ import (
 // scratch_test.go enforces both properties: exact agreement with the
 // reference kernels and zero allocations after warmup.
 
-// nullRankTol is the forced null-vector kernels' rank cut-off: elimination
-// stops once the largest remaining entry is at most nullRankTol times the
-// first pivot, and the columns left are treated as null. It is known to be
-// too coarse at large N, where the mode probabilities span dozens of
-// orders of magnitude and the level-N matching system meets the cut before
-// rank s−1 (see ROADMAP.md); this constant is the one place to revisit.
-const nullRankTol = 1e-10
-
 // Arena is a grow-only typed scratch allocator. Handouts are slices of a
 // few large backing arrays; Reset recycles everything at once, so a solver
 // that allocates all working state from one Arena reaches a steady state
@@ -551,9 +543,8 @@ func nullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
 		}
 		rmax[i], rarg[i] = nm, narg
 	}
-	var maxPivot float64
 	rank := 0
-	for k := 0; k < n; k++ {
+	for k := 0; k < n-1; k++ {
 		// Full pivot over the trailing submatrix, from the cached row maxima.
 		pi, pj, mx := k, k, 0.0
 		for i := k; i < n; i++ {
@@ -561,17 +552,14 @@ func nullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
 				mx, pi, pj = rmax[i], i, rarg[i]
 			}
 		}
-		if k == 0 {
-			maxPivot = mx
-			if maxPivot == 0 {
+		if mx == 0 {
+			if k == 0 {
 				// Zero matrix: any unit vector is a null vector.
 				x := ar.F64(n)
 				x[0] = 1
 				return x, nil
 			}
-		}
-		if mx <= nullRankTol*maxPivot {
-			break // numerical rank reached
+			break // the remaining block is exactly zero
 		}
 		rank++
 		swapTails(d, n, k, pi)
@@ -613,9 +601,6 @@ func nullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
 			}
 			rmax[i], rarg[i] = nm, narg
 		}
-	}
-	if rank == n {
-		rank = n - 1 // forced: treat the smallest pivot as zero
 	}
 	// Back-substitute with the first free variable set to 1, the rest to 0.
 	y := ar.F64(n)
@@ -661,24 +646,20 @@ func CForcedNullVectorScratch(a *CMatrix, ar *Arena) ([]complex128, error) {
 		}
 		rmax[i], rarg[i] = nm, narg
 	}
-	var maxPivot float64
 	rank := 0
-	for k := 0; k < n; k++ {
+	for k := 0; k < n-1; k++ {
 		pi, pj, mx := k, k, 0.0
 		for i := k; i < n; i++ {
 			if rmax[i] > mx {
 				mx, pi, pj = rmax[i], i, rarg[i]
 			}
 		}
-		if k == 0 {
-			maxPivot = mx
-			if maxPivot == 0 {
+		if mx == 0 {
+			if k == 0 {
 				x := ar.C128(n)
 				x[0] = 1
 				return x, nil
 			}
-		}
-		if mx <= nullRankTol*maxPivot {
 			break
 		}
 		rank++
@@ -716,9 +697,6 @@ func CForcedNullVectorScratch(a *CMatrix, ar *Arena) ([]complex128, error) {
 			}
 			rmax[i], rarg[i] = nm, narg
 		}
-	}
-	if rank == n {
-		rank = n - 1
 	}
 	y := ar.C128(n)
 	y[rank] = 1

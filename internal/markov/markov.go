@@ -169,6 +169,66 @@ func (e *Env) AMatrix() *linalg.Matrix {
 	return a
 }
 
+// phases returns k = n + m, the number of phases one server moves
+// through: its operative phases first, then its inoperative ones — the
+// order ServerRates, PhaseServiceRates and PhaseCounts share.
+func (e *Env) phases() int { return e.Op.Phases() + e.Rep.Phases() }
+
+// ServerRates returns one server's k×k phase-change rate matrix: from
+// operative phase j to inoperative phase l at ξ_j·β_l, and back at
+// η_l·α_j. Its diagonal is zero, as in AMatrix, which is the sum of N
+// copies of it lumped by phase counts.
+func (e *Env) ServerRates() *linalg.Matrix {
+	nOp, k := e.Op.Phases(), e.phases()
+	g := linalg.NewMatrix(k, k)
+	for j := 0; j < nOp; j++ {
+		for l := nOp; l < k; l++ {
+			g.Set(j, l, e.Op.Rates[j]*e.Rep.Weights[l-nOp])
+			g.Set(l, j, e.Rep.Rates[l-nOp]*e.Op.Weights[j])
+		}
+	}
+	return g
+}
+
+// PhaseServiceRates returns one server's service rate in each phase: mu
+// in an operative phase, 0 in an inoperative one.
+func (e *Env) PhaseServiceRates(mu float64) []float64 {
+	r := make([]float64, e.phases())
+	for j := 0; j < e.Op.Phases(); j++ {
+		r[j] = mu
+	}
+	return r
+}
+
+// PhaseCounts returns, for every mode in order, the number of servers in
+// each of the k phases: X followed by Y.
+func (e *Env) PhaseCounts() [][]int {
+	out := make([][]int, len(e.modes))
+	for i, m := range e.modes {
+		out[i] = append(append(make([]int, 0, len(m.X)+len(m.Y)), m.X...), m.Y...)
+	}
+	return out
+}
+
+// PhasesReachable reports whether every phase weight α_j and β_l is
+// positive, so that one server visits every phase. Its phase process is
+// then reversible with a positive stationary distribution (breakdowns at
+// ξ_j·β_l balance repairs at η_l·α_j), which is what qbd's factored
+// spectral stage needs; with a zero weight some phase is never entered.
+func (e *Env) PhasesReachable() bool {
+	for _, w := range e.Op.Weights {
+		if !(w > 0) {
+			return false
+		}
+	}
+	for _, w := range e.Rep.Weights {
+		if !(w > 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // neighbour returns the index of the mode reached from m by moving one
 // server between operative phase j and inoperative phase k; dir = −1 for a
 // breakdown (j → k), +1 for a repair (k → j).

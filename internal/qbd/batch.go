@@ -16,10 +16,12 @@ import (
 // Figures 4–9 — and SolveSpectral is its batch of one. Construction hoists
 // all λ-independent work (structural validation, the environment's
 // stationary distribution and service capacity, Dᴬ row sums, the top
-// service diagonal, and the −A / Aᵀ images the per-point matrix builds
-// copy from); each Solve then runs the per-point remainder of the
-// spectral expansion inside a reusable worker workspace, allocation-free
-// once warm.
+// service diagonal, the −A / Aᵀ images the per-point matrix builds copy
+// from, and — when p.Servers describes the environment — the checked
+// description's factored stage: one server's symmetrised generator, the
+// multisets and the composition tables of their closed-form vectors);
+// each Solve then runs the per-point remainder of the spectral expansion
+// inside a reusable worker workspace, allocation-free once warm.
 //
 // Equivalence contract: a point solved on a reused or pooled worker is the
 // *same computation* as SolveSpectral(p) with p.Lambda set to that point,
@@ -39,6 +41,7 @@ type SweepSolver struct {
 	negA     *linalg.Matrix // −A, the seed of every K_j / W build
 	aT       *linalg.Matrix // Aᵀ, read row-contiguously by the companion and Q(z)ᵀ builds
 	capacity float64        // Σ_i π_i·C_N[i]; ≤ 0 means every λ is unstable
+	fac      *factored      // the factored eigen stage, when p.Servers describes the environment
 
 	pool sync.Pool // *SweepWorker
 }
@@ -46,7 +49,9 @@ type SweepSolver struct {
 // NewSweepSolver validates the λ-independent part of p and hoists the
 // shared state. p.Lambda is ignored (each Solve supplies its own rate);
 // validation errors are those SolveSpectral would report for any point of
-// the batch, so a failed construction means every point would fail.
+// the batch, so a failed construction means every point would fail. A
+// server description that does not reproduce A and C_N, or whose server
+// is not irreducible and reversible, is such an error.
 func NewSweepSolver(p Params) (*SweepSolver, error) {
 	probe := p
 	if !(probe.Lambda > 0) || math.IsInf(probe.Lambda, 0) {
@@ -73,6 +78,11 @@ func NewSweepSolver(p Params) (*SweepSolver, error) {
 		negA:     probe.A.Scaled(-1),
 		aT:       probe.A.T(),
 		capacity: capacity,
+	}
+	if probe.Servers != nil {
+		if sv.fac, err = newFactored(probe); err != nil {
+			return nil, err
+		}
 	}
 	sv.pool.New = func() any { return sv.NewWorker() }
 	return sv, nil
@@ -108,10 +118,17 @@ type SweepWorker struct {
 	ar     linalg.Arena
 	stages []*linalg.Matrix // S_j headers, matrices live in the arena
 	levels [][]complex128   // boundary fold rows, backed by the arena
+	fac    factoredWork     // the factored stage's scratch, when sv.fac is set
 }
 
 // NewWorker returns a fresh workspace bound to the solver's hoisted state.
-func (sv *SweepSolver) NewWorker() *SweepWorker { return &SweepWorker{sv: sv} }
+func (sv *SweepSolver) NewWorker() *SweepWorker {
+	w := &SweepWorker{sv: sv}
+	if sv.fac != nil {
+		w.fac.init(sv.fac, sv.s)
+	}
+	return w
+}
 
 // SolveInto evaluates one grid point, writing the solution into sol and
 // reusing sol's existing backing storage when it is large enough — after a
@@ -122,6 +139,19 @@ func (sv *SweepSolver) NewWorker() *SweepWorker { return &SweepWorker{sv: sv} }
 // across later SolveInto calls on the same worker (only its own backing
 // arrays are recycled by the next SolveInto on the same sol).
 func (w *SweepWorker) SolveInto(lambda float64, sol *SpectralSolution) error {
+	if err := w.EigenStage(lambda, sol); err != nil {
+		return err
+	}
+	return w.assemble(lambda, sol)
+}
+
+// EigenStage is SolveInto without the boundary assembly: it validates
+// lambda as SolveInto does and writes only the s roots inside the unit
+// disk, dominant first, with their left vectors into sol, allocation-free
+// once warm. Until a SolveInto completes on it, sol answers Eigenvalues
+// and nothing else. It lets a benchmark time the eigen stage of a point
+// on its own.
+func (w *SweepWorker) EigenStage(lambda float64, sol *SpectralSolution) error {
 	sv := w.sv
 	// Per-point validation and stability, with Params.Validate's and
 	// Params.CheckStable's errors.
@@ -137,14 +167,17 @@ func (w *SweepWorker) SolveInto(lambda float64, sol *SpectralSolution) error {
 	}
 	w.ar.Reset()
 	sol.reshape(sv.n, sv.s)
+	// The s roots inside the unit disk with their left vectors: by the
+	// factored stage when the solver has a server description, by the
+	// companion eigensolve and null-vector eliminations otherwise.
+	if sv.fac != nil {
+		return w.factoredTerms(lambda, sol)
+	}
 	zs, err := w.unitDiskEigenvalues(lambda)
 	if err != nil {
 		return err
 	}
-	if err := w.eigenvectorTerms(lambda, zs, sol); err != nil {
-		return err
-	}
-	return w.assemble(lambda, sol)
+	return w.eigenvectorTerms(lambda, zs, sol)
 }
 
 // reshape resizes sol to n boundary levels over s modes, reusing backing

@@ -1,0 +1,694 @@
+package qbd
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// This file is the spectral solver's factored eigen stage, which replaces
+// the companion eigensolve and the s null-vector eliminations whenever
+// Params.Servers describes the environment as N identical, independent
+// servers (Palmer & Mitrani §3).
+//
+// For levels ≥ N, Q(z)/z = λ(1/z − 1)·I + K(z), where K(z) = A − Dᴬ −
+// (1−z)·C is the sum of N copies of one server's k×k matrix
+// M(z) = G₁ − (1−z)·diag(r), lumped by phase counts. K(z)'s eigenvalues
+// are the sums Σ_i m_i·θ_i(z) over the multisets m of size N of M(z)'s
+// eigen-branches θ₁(z) ≥ … ≥ θ_k(z) — exactly s = C(N+k−1, k−1) of them —
+// so det Q(z) factors into s scalar equations
+//
+//	g_m(z) = λ(1−z) + z·Σ_i m_i·θ_i(z) = 0.
+//
+// One server's phase process is reversible (a breakdown from operative
+// phase j to repair phase l at ξ_j·β_l balances the repair back at
+// η_l·α_j), so M(z) is similar to a symmetric matrix and every θ_i(z) is
+// real. g_m(0) = λ > 0, and g_m(1) = Σ_i m_i·θ_i(1) < 0 for every m but
+// the all-Perron one, whose trivial root z = 1 is stepped past using
+// g′(1) = N·µa − λ > 0, the stability margin. Each g_m therefore changes
+// sign on (0, 1); since det Q(z) has exactly s roots inside the unit disk
+// under stability, each has exactly one root there, found by Newton's
+// method inside a bisection-safeguarded bracket. The left null vector of
+// Q(z_m) is closed-form by strong lumpability,
+//
+//	u_m[n] = [tⁿ] Π_i (y_i·t)^{m_i},
+//
+// with y_i M(z_m)'s left eigenvectors and tⁿ the monomial of mode n's
+// phase counts, built by multiplying one linear factor at a time through
+// composition tables hoisted once per environment.
+
+// describeTol bounds the relative difference NewSweepSolver accepts
+// between an entry of A or C_N and the one Params.Servers implies: a few
+// roundings of the products and sums that form them, nothing more.
+const describeTol = 1e-14
+
+// maxRootIter bounds the safeguarded Newton iteration for one multiset's
+// root; bisection alone reaches rounding level in about 60 steps.
+const maxRootIter = 200
+
+// rootTol is the relative step at which a root counts as converged.
+const rootTol = 4 * 0x1p-52
+
+// factored is the λ-independent part of the factored eigen stage, hoisted
+// once per environment.
+type factored struct {
+	k, servers int
+	sym        []float64 // k×k symmetrised G₁ (diagonal −Σ_q G₁[p][q]); M(z) adds −(1−z)·rates
+	rates      []float64 // one server's service rate per phase
+	sqrtPi     []float64 // √π_p: takes a symmetric eigenvector to M(z)'s left eigenvector
+	multisets  []int     // s×k branch counts; multiset 0 is the all-Perron (N, 0, …, 0)
+	t0, t1     []float64 // Σ_i m_i·θ_i(z) at z = 0 and z = 1, per multiset
+	monos      []int     // number of monomials of each degree 0..N
+	parent     [][]int32 // parent[d][j·k+p]: monomial j of degree d less t_p, in degree d−1; −1 if absent
+}
+
+// multiset returns multiset mi's branch counts.
+func (f *factored) multiset(mi int) []int { return f.multisets[mi*f.k : (mi+1)*f.k] }
+
+// newFactored checks p.Servers against A and C_N and hoists the factored
+// stage. A description that does not reproduce them, or whose server is
+// not irreducible and reversible, is an error.
+func newFactored(p Params) (*factored, error) {
+	d := p.Servers
+	s := p.Size()
+	if d.G == nil || d.G.Rows != d.G.Cols || d.G.Rows == 0 {
+		return nil, errors.New("qbd: server description: G must be square and non-empty")
+	}
+	k := d.G.Rows
+	if len(d.Rates) != k {
+		return nil, fmt.Errorf("qbd: server description: %d service rates for %d phases", len(d.Rates), k)
+	}
+	for p2 := 0; p2 < k; p2++ {
+		if r := d.Rates[p2]; !(r >= 0) || math.IsInf(r, 0) {
+			return nil, fmt.Errorf("qbd: server description: service rate %v of phase %d must be finite and non-negative", r, p2)
+		}
+		for q := 0; q < k; q++ {
+			g := d.G.At(p2, q)
+			if !(g >= 0) || math.IsInf(g, 0) || (p2 == q && g != 0) {
+				return nil, fmt.Errorf("qbd: server description: G[%d][%d] = %v must be finite, non-negative and off the diagonal", p2, q, g)
+			}
+		}
+	}
+	if len(d.Counts) != s {
+		return nil, fmt.Errorf("qbd: server description has %d modes, A has %d", len(d.Counts), s)
+	}
+	servers := 0
+	if s > 0 && len(d.Counts[0]) == k {
+		for _, c := range d.Counts[0] {
+			servers += c
+		}
+	}
+	if servers < 1 {
+		return nil, errors.New("qbd: server description: mode 0 must count at least one server in k phases")
+	}
+	if want := binomial(servers+k-1, k-1); want != s {
+		return nil, fmt.Errorf("qbd: server description: %d servers in %d phases make %d modes, A has %d", servers, k, want, s)
+	}
+	keys, err := newMonoKeys(servers, k)
+	if err != nil {
+		return nil, err
+	}
+	index := make(map[uint64]int32, s)
+	for i, n := range d.Counts {
+		if len(n) != k {
+			return nil, fmt.Errorf("qbd: server description: mode %d has %d phase counts, want %d", i, len(n), k)
+		}
+		total := 0
+		for _, c := range n {
+			if c < 0 {
+				return nil, fmt.Errorf("qbd: server description: mode %d has a negative phase count", i)
+			}
+			total += c
+		}
+		if total != servers {
+			return nil, fmt.Errorf("qbd: server description: mode %d counts %d servers, want %d", i, total, servers)
+		}
+		key := keys.of(n)
+		if _, dup := index[key]; dup {
+			return nil, fmt.Errorf("qbd: server description: mode %d repeats phase counts %v", i, n)
+		}
+		index[key] = int32(i)
+	}
+	if err := checkDescription(p, keys, index); err != nil {
+		return nil, err
+	}
+	sqrtPi, err := sqrtStationary(d)
+	if err != nil {
+		return nil, err
+	}
+	f := &factored{
+		k:       k,
+		servers: servers,
+		sym:     make([]float64, k*k),
+		rates:   append([]float64(nil), d.Rates...),
+		sqrtPi:  sqrtPi,
+	}
+	for p2 := 0; p2 < k; p2++ {
+		var out float64
+		for q := 0; q < k; q++ {
+			if q != p2 {
+				g := d.G.At(p2, q)
+				out += g
+				f.sym[p2*k+q] = math.Sqrt(g * d.G.At(q, p2))
+			}
+		}
+		f.sym[p2*k+p2] = -out
+	}
+	f.multisets = compositions(servers, k)
+	var ws factoredWork
+	ws.init(f, s)
+	ws.branches(f, 0)
+	f.t0 = f.branchSums(ws.theta)
+	ws.branches(f, 1)
+	f.t1 = f.branchSums(ws.theta)
+	f.buildTables(d.Counts, keys)
+	return f, nil
+}
+
+// branchSums returns Σ_i m_i·θ_i for every multiset m.
+func (f *factored) branchSums(theta []float64) []float64 {
+	out := make([]float64, len(f.multisets)/f.k)
+	for mi := range out {
+		for i, m := range f.multiset(mi) {
+			out[mi] += float64(m) * theta[i]
+		}
+	}
+	return out
+}
+
+// monoKeys encodes a vector of k phase counts, each at most N, as one
+// mixed-radix integer.
+type monoKeys struct{ pow []uint64 }
+
+func newMonoKeys(servers, k int) (monoKeys, error) {
+	base := uint64(servers) + 1
+	pow := make([]uint64, k)
+	w := uint64(1)
+	for p := 0; p < k; p++ {
+		pow[p] = w
+		if w > math.MaxUint64/base {
+			return monoKeys{}, fmt.Errorf("qbd: server description: %d servers in %d phases is too large to index", servers, k)
+		}
+		w *= base
+	}
+	return monoKeys{pow}, nil
+}
+
+func (mk monoKeys) of(n []int) uint64 {
+	var key uint64
+	for p, c := range n {
+		key += uint64(c) * mk.pow[p]
+	}
+	return key
+}
+
+// checkDescription verifies that p.Servers reproduces A entry by entry —
+// every transition moving one server from phase p to phase q at
+// n_p·G[p][q], and no other — and C_N as Σ_p n_p·Rates[p].
+func checkDescription(p Params, keys monoKeys, index map[uint64]int32) error {
+	d := p.Servers
+	s, k := p.Size(), d.G.Rows
+	c := p.cTop()
+	near := func(got, want float64) bool { return math.Abs(got-want) <= describeTol*math.Abs(want) }
+	for i, n := range d.Counts {
+		key := keys.of(n)
+		row := p.A.Data[i*s : (i+1)*s]
+		moves := 0
+		var service float64
+		for from, cnt := range n {
+			service += float64(cnt) * d.Rates[from]
+			if cnt == 0 {
+				continue
+			}
+			for to := 0; to < k; to++ {
+				g := d.G.At(from, to)
+				if to == from || g == 0 {
+					continue
+				}
+				j, ok := index[key-keys.pow[from]+keys.pow[to]]
+				want := float64(cnt) * g
+				if !ok || !near(row[j], want) {
+					return fmt.Errorf("qbd: server description does not reproduce A: mode %d moving a server from phase %d to %d", i, from, to)
+				}
+				moves++
+			}
+		}
+		nonzero := 0
+		for _, v := range row {
+			if v != 0 {
+				nonzero++
+			}
+		}
+		if nonzero != moves {
+			return fmt.Errorf("qbd: server description does not reproduce A: mode %d has %d transitions, the description %d", i, nonzero, moves)
+		}
+		if !near(c[i], service) {
+			return fmt.Errorf("qbd: server description does not reproduce C_N: mode %d serves at %v, the description at %v", i, c[i], service)
+		}
+	}
+	return nil
+}
+
+// sqrtStationary returns √π for one server's stationary distribution π,
+// found along a spanning tree by detailed balance. It fails unless the
+// phase process is irreducible and every cycle balances (Kolmogorov's
+// criterion), the reversibility that makes M(z)'s eigen-branches real.
+func sqrtStationary(d *Servers) ([]float64, error) {
+	k := d.G.Rows
+	g := func(p, q int) float64 { return d.G.At(p, q) }
+	pi := make([]float64, k)
+	pi[0] = 1
+	seen := make([]bool, k)
+	seen[0] = true
+	queue := []int{0}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for q := 0; q < k; q++ {
+			if q == p || g(p, q) == 0 {
+				continue
+			}
+			if g(q, p) == 0 {
+				return nil, fmt.Errorf("qbd: server description is not reversible: phase %d reaches %d but not back", p, q)
+			}
+			if !seen[q] {
+				seen[q] = true
+				pi[q] = pi[p] * g(p, q) / g(q, p)
+				queue = append(queue, q)
+			}
+		}
+	}
+	var sum float64
+	for p, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("qbd: server description: phase %d is never reached", p)
+		}
+		sum += pi[p]
+	}
+	for p := 0; p < k; p++ {
+		for q := p + 1; q < k; q++ {
+			a, b := pi[p]*g(p, q), pi[q]*g(q, p)
+			if math.Abs(a-b) > 1e-10*math.Max(a, b) {
+				return nil, fmt.Errorf("qbd: server description is not reversible: phases %d and %d do not balance", p, q)
+			}
+		}
+	}
+	for p := range pi {
+		pi[p] = math.Sqrt(pi[p] / sum)
+	}
+	return pi, nil
+}
+
+// buildTables hoists the composition tables of the closed-form vectors:
+// the monomials of each degree below N in compositions order, those of
+// degree N in mode order, and for each monomial the index of every
+// monomial one degree lower that a factor y·t multiplies into it.
+func (f *factored) buildTables(counts [][]int, keys monoKeys) {
+	k, n := f.k, f.servers
+	f.monos = make([]int, n+1)
+	f.parent = make([][]int32, n+1)
+	prev := map[uint64]int32{0: 0}
+	f.monos[0] = 1
+	for d := 1; d <= n; d++ {
+		var list []int
+		if d < n {
+			list = compositions(d, k)
+		} else {
+			list = make([]int, 0, len(counts)*k)
+			for _, c := range counts {
+				list = append(list, c...)
+			}
+		}
+		m := len(list) / k
+		f.monos[d] = m
+		par := make([]int32, m*k)
+		cur := make(map[uint64]int32, m)
+		for j := 0; j < m; j++ {
+			mono := list[j*k : (j+1)*k]
+			key := keys.of(mono)
+			cur[key] = int32(j)
+			for p, c := range mono {
+				par[j*k+p] = -1
+				if c > 0 {
+					par[j*k+p] = prev[key-keys.pow[p]]
+				}
+			}
+		}
+		f.parent[d] = par
+		prev = cur
+	}
+}
+
+// compositions lists every way to write total as an ordered sum of k
+// non-negative parts, flattened, in descending lexicographic order — so
+// the first is (total, 0, …, 0).
+func compositions(total, k int) []int {
+	var out []int
+	cur := make([]int, k)
+	var rec func(rem, idx int)
+	rec = func(rem, idx int) {
+		if idx == k-1 {
+			cur[idx] = rem
+			out = append(out, cur...)
+			return
+		}
+		for v := rem; v >= 0; v-- {
+			cur[idx] = v
+			rec(rem-v, idx+1)
+		}
+	}
+	rec(total, 0)
+	return out
+}
+
+func binomial(n, k int) int {
+	if k < 0 || k > n {
+		return 0
+	}
+	if k > n-k {
+		k = n - k
+	}
+	r := 1
+	for i := 1; i <= k; i++ {
+		r = r * (n - k + i) / i
+	}
+	return r
+}
+
+// factoredWork is a worker's scratch for the factored stage, sized once.
+type factoredWork struct {
+	a, v         []float64 // k×k: M(z) symmetrised, then its eigenvectors by column
+	theta, b, zz []float64 // k: eigenvalues (descending) and Jacobi accumulators
+	y            []float64 // k: one left eigenvector, scaled to ‖y‖∞ = 1
+	polyA, polyB []float64 // s: the polynomial product's two last degrees
+	roots        []factoredRoot
+}
+
+// factoredRoot is one multiset's root.
+type factoredRoot struct {
+	z float64
+	m int
+}
+
+func (fw *factoredWork) init(f *factored, s int) {
+	k := f.k
+	buf := make([]float64, 2*k*k+4*k+2*s)
+	fw.a, buf = buf[:k*k], buf[k*k:]
+	fw.v, buf = buf[:k*k], buf[k*k:]
+	fw.theta, buf = buf[:k], buf[k:]
+	fw.b, buf = buf[:k], buf[k:]
+	fw.zz, buf = buf[:k], buf[k:]
+	fw.y, buf = buf[:k], buf[k:]
+	fw.polyA, fw.polyB = buf[:s], buf[s:]
+	fw.roots = make([]factoredRoot, s)
+}
+
+// branches evaluates M(z)'s eigen-branches: theta[i] = θ_i(z), descending,
+// and column i of v the matching unit eigenvector of the symmetrised
+// M(z).
+func (fw *factoredWork) branches(f *factored, z float64) {
+	k := f.k
+	copy(fw.a, f.sym)
+	om := 1 - z
+	for p := 0; p < k; p++ {
+		fw.a[p*k+p] -= om * f.rates[p]
+	}
+	symEigen(fw.a, k, fw.v, fw.theta, fw.b, fw.zz)
+}
+
+// g returns g_m(z) and g_m′(z) for multiset mi. With unit eigenvectors v_i
+// of the symmetrised M(z), θ_i′(z) = Σ_p v_i[p]²·rates[p].
+func (fw *factoredWork) g(f *factored, lambda, z float64, mi int) (float64, float64) {
+	fw.branches(f, z)
+	k := f.k
+	var t, dt float64
+	for i, m := range f.multiset(mi) {
+		if m == 0 {
+			continue
+		}
+		var d float64
+		for p := 0; p < k; p++ {
+			v := fw.v[p*k+i]
+			d += v * v * f.rates[p]
+		}
+		t += float64(m) * fw.theta[i]
+		dt += float64(m) * d
+	}
+	return lambda*(1-z) + z*t, -lambda + t + z*dt
+}
+
+// multisetRoot returns the root in (0, 1) of g_m for multiset mi, by
+// Newton's method safeguarded by bisection inside a bracket on which g_m
+// changes sign. The start depends only on λ and the multiset: the root of
+// g_m with θ frozen at z = 0, λ/(λ − Σ_i m_i·θ_i(0)). A bracket without a
+// sign change, or an iteration that does not converge, is an error
+// wrapping ErrEigenCount that names the multiset.
+func (w *SweepWorker) multisetRoot(lambda float64, mi int) (float64, error) {
+	f, fw := w.sv.fac, &w.fac
+	lo, hi := 0.0, 1.0
+	if !(lambda > 0) {
+		return 0, f.rootErr(mi, "no sign change", lo, hi)
+	}
+	if mi == 0 {
+		// The all-Perron multiset: g(1) = 0 and g′(1) = N·µa − λ > 0, so g < 0
+		// just below 1. Step back from 1 until g turns negative; every step
+		// that finds g > 0 lies below the root.
+		found := false
+		eps := (1 - lambda/w.sv.capacity) / 2
+		for j := 0; j < 64 && eps > 0 && !found; j++ {
+			b := 1 - eps
+			g, _ := fw.g(f, lambda, b, mi)
+			switch {
+			case g < 0:
+				hi, found = b, true
+			case g > 0:
+				lo = b
+			case g == 0:
+				return b, nil
+			default:
+				return 0, f.rootErr(mi, "g is not a number", lo, b)
+			}
+			eps /= 2
+		}
+		if !found {
+			return 0, f.rootErr(mi, "no sign change", lo, hi)
+		}
+	} else if !(f.t1[mi] < 0) {
+		return 0, f.rootErr(mi, "no sign change", lo, hi)
+	}
+	z := lambda / (lambda - f.t0[mi])
+	if !(z > lo && z < hi) {
+		z = lo + (hi-lo)/2
+	}
+	dxOld, dx := hi-lo, hi-lo
+	for it := 0; it < maxRootIter; it++ {
+		g, dg := fw.g(f, lambda, z, mi)
+		switch {
+		case g > 0:
+			lo = z
+		case g < 0:
+			hi = z
+		case g == 0:
+			return z, nil
+		default:
+			return 0, f.rootErr(mi, "g is not a number", lo, hi)
+		}
+		next := z - g/dg
+		if !(next > lo && next < hi) || math.Abs(2*g) > math.Abs(dxOld*dg) {
+			next = lo + (hi-lo)/2 // Newton leaves the bracket or stalls: bisect
+		}
+		dxOld, dx = dx, next-z
+		if math.Abs(dx) <= rootTol*next || hi-lo <= rootTol*hi {
+			return next, nil
+		}
+		z = next
+	}
+	return 0, f.rootErr(mi, "no convergence", lo, hi)
+}
+
+func (f *factored) rootErr(mi int, why string, lo, hi float64) error {
+	return fmt.Errorf("%w: multiset %v of M(z)'s eigen-branches: %s on (%v, %v)", ErrEigenCount, f.multiset(mi), why, lo, hi)
+}
+
+// factoredTerms is the factored eigen stage of one point: it finds every
+// multiset's root, orders the roots by descending value (ties by
+// multiset), and writes each root with its closed-form left vector into
+// sol.terms.
+func (w *SweepWorker) factoredTerms(lambda float64, sol *SpectralSolution) error {
+	f, fw := w.sv.fac, &w.fac
+	roots := fw.roots
+	for mi := range roots {
+		z, err := w.multisetRoot(lambda, mi)
+		if err != nil {
+			return err
+		}
+		roots[mi] = factoredRoot{z: z, m: mi}
+	}
+	slices.SortFunc(roots, func(a, b factoredRoot) int {
+		switch {
+		case a.z > b.z:
+			return -1
+		case a.z < b.z:
+			return 1
+		}
+		return a.m - b.m
+	})
+	for t, r := range roots {
+		fw.branches(f, r.z)
+		fw.vector(f, r.m, sol.terms[t].u)
+		sol.terms[t].z = complex(r.z, 0)
+	}
+	return nil
+}
+
+// vector writes multiset mi's closed-form left vector
+// u[n] = [tⁿ] Π_i (y_i·t)^{m_i}, scaled to ‖u‖∞ = 1, for the branches last
+// evaluated: y_i[p] = v_i[p]·√π_p is M(z)'s left eigenvector for θ_i. The
+// product gains one linear factor per step, so step d holds the
+// coefficients of every monomial of degree d.
+func (fw *factoredWork) vector(f *factored, mi int, u []complex128) {
+	k := f.k
+	cur, next := fw.polyA, fw.polyB
+	cur[0] = 1
+	deg := 0
+	for i, m := range f.multiset(mi) {
+		if m == 0 {
+			continue
+		}
+		var mx float64
+		for p := 0; p < k; p++ {
+			fw.y[p] = fw.v[p*k+i] * f.sqrtPi[p]
+			mx = math.Max(mx, math.Abs(fw.y[p]))
+		}
+		for p := range fw.y {
+			fw.y[p] /= mx
+		}
+		for c := 0; c < m; c++ {
+			deg++
+			par := f.parent[deg]
+			out := next[:f.monos[deg]]
+			for j := range out {
+				var acc float64
+				for p, q := range par[j*k : (j+1)*k] {
+					if q >= 0 {
+						acc += fw.y[p] * cur[q]
+					}
+				}
+				out[j] = acc
+			}
+			cur, next = next, cur
+		}
+	}
+	var mx float64
+	for _, v := range cur[:len(u)] {
+		mx = math.Max(mx, math.Abs(v))
+	}
+	for j := range u {
+		u[j] = complex(cur[j]/mx, 0)
+	}
+}
+
+// symEigen diagonalises the symmetric k×k matrix a (upper triangle read,
+// destroyed) by cyclic Jacobi rotations: theta receives the eigenvalues in
+// descending order and column i of v the unit eigenvector of theta[i]. b
+// and zz are k-long scratch. Rotations continue until the off-diagonal
+// part underflows to zero, so the eigenvalues are accurate to rounding of
+// ‖a‖ and the eigenvectors orthonormal to rounding.
+func symEigen(a []float64, k int, v, theta, b, zz []float64) {
+	clear(v)
+	for p := 0; p < k; p++ {
+		v[p*k+p] = 1
+		theta[p] = a[p*k+p]
+		b[p] = theta[p]
+		zz[p] = 0
+	}
+	for sweep := 0; sweep < 50; sweep++ {
+		var sm float64
+		for p := 0; p < k-1; p++ {
+			for q := p + 1; q < k; q++ {
+				sm += math.Abs(a[p*k+q])
+			}
+		}
+		if sm == 0 {
+			break
+		}
+		var tresh float64
+		if sweep < 3 {
+			tresh = 0.2 * sm / float64(k*k)
+		}
+		for p := 0; p < k-1; p++ {
+			for q := p + 1; q < k; q++ {
+				apq := a[p*k+q]
+				g := 100 * math.Abs(apq)
+				if sweep > 3 && math.Abs(theta[p])+g == math.Abs(theta[p]) && math.Abs(theta[q])+g == math.Abs(theta[q]) {
+					a[p*k+q] = 0
+					continue
+				}
+				if math.Abs(apq) <= tresh {
+					continue
+				}
+				h := theta[q] - theta[p]
+				var t float64
+				if math.Abs(h)+g == math.Abs(h) {
+					t = apq / h
+				} else {
+					th := 0.5 * h / apq
+					t = 1 / (math.Abs(th) + math.Sqrt(1+th*th))
+					if th < 0 {
+						t = -t
+					}
+				}
+				c := 1 / math.Sqrt(1+t*t)
+				s := t * c
+				tau := s / (1 + c)
+				h = t * apq
+				zz[p] -= h
+				zz[q] += h
+				theta[p] -= h
+				theta[q] += h
+				a[p*k+q] = 0
+				for j := 0; j < p; j++ {
+					rotate(a, j*k+p, j*k+q, s, tau)
+				}
+				for j := p + 1; j < q; j++ {
+					rotate(a, p*k+j, j*k+q, s, tau)
+				}
+				for j := q + 1; j < k; j++ {
+					rotate(a, p*k+j, q*k+j, s, tau)
+				}
+				for j := 0; j < k; j++ {
+					rotate(v, j*k+p, j*k+q, s, tau)
+				}
+			}
+		}
+		for p := 0; p < k; p++ {
+			b[p] += zz[p]
+			theta[p] = b[p]
+			zz[p] = 0
+		}
+	}
+	// Selection sort into descending order, carrying the eigenvectors.
+	for i := 0; i < k-1; i++ {
+		best := i
+		for j := i + 1; j < k; j++ {
+			if theta[j] > theta[best] {
+				best = j
+			}
+		}
+		if best != i {
+			theta[i], theta[best] = theta[best], theta[i]
+			for p := 0; p < k; p++ {
+				v[p*k+i], v[p*k+best] = v[p*k+best], v[p*k+i]
+			}
+		}
+	}
+}
+
+// rotate applies one Jacobi rotation (sine s, τ = s/(1+cos)) to the pair
+// of entries m[i], m[j].
+func rotate(m []float64, i, j int, s, tau float64) {
+	g, h := m[i], m[j]
+	m[i] = g - s*(h+g*tau)
+	m[j] = h + s*(g-h*tau)
+}

@@ -1,0 +1,443 @@
+package qbd
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/linalg"
+	"repro/internal/markov"
+)
+
+// factoredEnvs are the server models the factored stage is checked on:
+// the paper's Sun fit (H2 operative, Exp(25) repairs), the classical
+// Exp/Exp model, Sun with slow repairs (η = 0.2), H2 repairs (k = 4), H3
+// operative with H2 repairs (k = 5), and an H2 whose two rates are equal,
+// so two eigen-branches are identical up to their labels. maxN keeps the
+// companion oracle's 2s×2s eigensolve affordable.
+var factoredEnvs = []struct {
+	name    string
+	op, rep *dist.HyperExp
+	maxN    int
+}{
+	{"sun", paperOps, paperRepair, 20},
+	{"exp/exp", dist.Exp(0.05), dist.Exp(2), 20},
+	{"sun η=0.2", paperOps, dist.Exp(0.2), 20},
+	{"h2+h2", paperOps, dist.MustHyperExp([]float64{0.6, 0.4}, []float64{40, 5}), 10},
+	{"h3+h2", dist.MustHyperExp([]float64{0.5, 0.3, 0.2}, []float64{0.3, 0.05, 0.01}),
+		dist.MustHyperExp([]float64{0.6, 0.4}, []float64{40, 5}), 8},
+	{"equal-rate h2", dist.MustHyperExp([]float64{0.4, 0.6}, []float64{0.05, 0.05}), dist.Exp(2), 20},
+}
+
+// atLoad returns p with λ set for the given offered load.
+func atLoad(t testing.TB, p Params, load float64) Params {
+	t.Helper()
+	p.Lambda = 1
+	l1, err := p.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Lambda = load / l1
+	return p
+}
+
+// sortedRoots returns the real parts of a solution's roots in ascending
+// order, failing on any complex root.
+func sortedRoots(t testing.TB, sol *SpectralSolution) []float64 {
+	t.Helper()
+	out := make([]float64, len(sol.terms))
+	for i, term := range sol.terms {
+		if imag(term.z) != 0 {
+			t.Fatalf("complex root %v", term.z)
+		}
+		out[i] = real(term.z)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// maxVectorResidual returns the largest relative residual
+// ‖u·Q(z)‖∞ / (‖u‖∞·‖Q(z)‖₁) over a solution's terms, ‖·‖₁ being the
+// largest column sum, the norm ‖u·Q‖∞ ≤ ‖u‖∞·‖Q‖₁ is bounded by.
+func maxVectorResidual(p Params, sol *SpectralSolution) float64 {
+	var worst float64
+	for _, term := range sol.terms {
+		q := p.QofZ(real(term.z))
+		u := make([]float64, len(term.u))
+		var un float64
+		for i, v := range term.u {
+			u[i] = real(v)
+			un = math.Max(un, math.Abs(u[i]))
+		}
+		var qn float64
+		for j := 0; j < q.Cols; j++ {
+			var col float64
+			for i := 0; i < q.Rows; i++ {
+				col += math.Abs(q.At(i, j))
+			}
+			qn = math.Max(qn, col)
+		}
+		var rn float64
+		for _, v := range q.VecTimes(u) {
+			rn = math.Max(rn, math.Abs(v))
+		}
+		worst = math.Max(worst, rn/(un*qn))
+	}
+	return worst
+}
+
+// lTol is the relative tolerance two exact methods must meet on L at a
+// given load: 1e-9, widened as 5e-11/(1−load) above load 0.95 because a
+// root error δz moves L by δz/(1−z_s) there. At load 0.999 the companion
+// path sits 1.5e-9 to 6.3e-9 from a deep truncated-chain oracle, which the
+// factored path meets to 5e-11.
+func lTol(load float64) float64 { return math.Max(1e-9, 5e-11/(1-load)) }
+
+// TestFactoredMatchesCompanion solves every model across N and load with
+// and without the server description — the factored stage against the
+// companion eigensolve it replaces — and requires the same root set, the
+// same L, and every closed-form vector to be a left null vector of Q(z) to
+// 1e-12 relative. At N = 20 the companion's own roots drift in their
+// tight clusters by up to 6e-8 (log|det Q| at them exceeds its value at
+// the factored roots by about 17 to 20 nats), so there the residual
+// certifies each factored root and the root sets are held to 1e-7. Load
+// 0.9999 is solved by the factored stage alone and must still balance to
+// 1e-12 with total probability 1 ± 1e-12. Rows with s > 100 run only in
+// the plain, unshortened suite.
+func TestFactoredMatchesCompanion(t *testing.T) {
+	for _, e := range factoredEnvs {
+		for _, n := range []int{1, 2, 3, 6, 10, 16, 20} {
+			if n > e.maxN {
+				continue
+			}
+			base := paramsFor(t, n, 1, 1, e.op, e.rep)
+			if base.Servers == nil {
+				t.Fatalf("%s N=%d: no server description", e.name, n)
+			}
+			if (testing.Short() || raceEnabled) && base.Size() > 100 {
+				continue // the companion oracle's eigensolve costs seconds here
+			}
+			for _, load := range []float64{0.05, 0.5, 0.9, 0.99} {
+				p := atLoad(t, base, load)
+				fac, err := SolveSpectral(p)
+				if err != nil {
+					t.Fatalf("%s N=%d load %v: factored: %v", e.name, n, load, err)
+				}
+				raw := p
+				raw.Servers = nil
+				comp, err := SolveSpectral(raw)
+				if err != nil {
+					t.Fatalf("%s N=%d load %v: companion: %v", e.name, n, load, err)
+				}
+				rootTol := 1e-9
+				if n >= 20 {
+					rootTol = 1e-7
+				}
+				a, b := sortedRoots(t, fac), sortedRoots(t, comp)
+				for i := range a {
+					if d := math.Abs(a[i] - b[i]); d > rootTol {
+						t.Errorf("%s N=%d load %v: root %d: factored %v, companion %v (Δ %.1e)", e.name, n, load, i, a[i], b[i], d)
+						break
+					}
+				}
+				lf, lc := fac.MeanQueue(), comp.MeanQueue()
+				if d := math.Abs(lf-lc) / lc; d > lTol(load) {
+					t.Errorf("%s N=%d load %v: L factored %v, companion %v (rel %.1e)", e.name, n, load, lf, lc, d)
+				}
+				if r := maxVectorResidual(p, fac); r > 1e-12 {
+					t.Errorf("%s N=%d load %v: closed-form vector residual %.1e", e.name, n, load, r)
+				}
+			}
+			p := atLoad(t, base, 0.9999)
+			sol, err := SolveSpectral(p)
+			if err != nil {
+				t.Fatalf("%s N=%d load 0.9999: %v", e.name, n, err)
+			}
+			if r := BalanceResidual(p, sol, n+10); r > 1e-12 {
+				t.Errorf("%s N=%d load 0.9999: balance residual %.1e", e.name, n, r)
+			}
+			if d := math.Abs(sol.TotalProbability() - 1); d > 1e-12 {
+				t.Errorf("%s N=%d load 0.9999: total probability off by %.1e", e.name, n, d)
+			}
+		}
+	}
+}
+
+// TestFactoredEqualRateH2MatchesExp: an H2 whose two phases share one rate
+// is an exponential, so the factored stage — whose two operative branches
+// then coincide in everything but their labels — must reproduce the
+// exponential model's L.
+func TestFactoredEqualRateH2MatchesExp(t *testing.T) {
+	eq := dist.MustHyperExp([]float64{0.3, 0.7}, []float64{0.05, 0.05})
+	for _, n := range []int{1, 3, 8} {
+		for _, load := range []float64{0.3, 0.8, 0.95} {
+			ph := atLoad(t, paramsFor(t, n, 1, 1, eq, dist.Exp(2)), load)
+			pe := atLoad(t, paramsFor(t, n, 1, 1, dist.Exp(0.05), dist.Exp(2)), load)
+			if ph.Servers == nil || pe.Servers == nil {
+				t.Fatal("missing server description")
+			}
+			sh, err := SolveSpectral(ph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			se, err := SolveSpectral(pe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(sh.MeanQueue()-se.MeanQueue()) / se.MeanQueue(); d > 1e-10 {
+				t.Errorf("N=%d load %v: equal-rate H2 L %v, Exp L %v (rel %.1e)", n, load, sh.MeanQueue(), se.MeanQueue(), d)
+			}
+		}
+	}
+}
+
+// TestZeroWeightPhaseTakesCompanion: with operative weights (1, 0) the
+// second phase is never entered, so no server description is attached and
+// the solve takes the companion path — which must still reproduce the
+// exponential model.
+func TestZeroWeightPhaseTakesCompanion(t *testing.T) {
+	op := dist.MustHyperExp([]float64{1, 0}, []float64{0.05, 0.3})
+	for _, n := range []int{2, 5} {
+		pz := atLoad(t, paramsFor(t, n, 1, 1, op, dist.Exp(2)), 0.8)
+		if pz.Servers != nil {
+			t.Fatalf("N=%d: a zero-weight phase must not get a server description", n)
+		}
+		pe := atLoad(t, paramsFor(t, n, 1, 1, dist.Exp(0.05), dist.Exp(2)), 0.8)
+		sz, err := SolveSpectral(pz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, err := SolveSpectral(pe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(sz.MeanQueue()-se.MeanQueue()) / se.MeanQueue(); d > 1e-10 {
+			t.Errorf("N=%d: zero-weight H2 L %v, Exp L %v (rel %.1e)", n, sz.MeanQueue(), se.MeanQueue(), d)
+		}
+	}
+}
+
+// TestMultisetRootErrors drives the root finder where its bracket has no
+// sign change: the all-Perron multiset past the stability limit, and the
+// other multisets at a rate that is not positive. Each must be an error
+// wrapping ErrEigenCount that names the multiset, never a root.
+func TestMultisetRootErrors(t *testing.T) {
+	p := paramsFor(t, 3, 1, 1, paperOps, paperRepair)
+	sv, err := NewSweepSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sv.NewWorker()
+	if z, err := w.multisetRoot(0.5*sv.capacity, 0); err != nil || !(z > 0 && z < 1) {
+		t.Fatalf("stable Perron root: %v, %v", z, err)
+	}
+	cases := []struct {
+		lambda float64
+		mi     int
+		name   string
+	}{
+		{1.2 * sv.capacity, 0, "[3 0 0]"},
+		{sv.capacity, 0, "[3 0 0]"},
+		{-1, 4, "[1 1 1]"},
+		{math.NaN(), 9, "[0 0 3]"},
+	}
+	for _, c := range cases {
+		z, err := w.multisetRoot(c.lambda, c.mi)
+		if !errors.Is(err, ErrEigenCount) {
+			t.Fatalf("λ=%v multiset %d: got %v, %v; want ErrEigenCount", c.lambda, c.mi, z, err)
+		}
+		if !strings.Contains(err.Error(), "multiset "+c.name) {
+			t.Errorf("λ=%v: error %q does not name multiset %s", c.lambda, err, c.name)
+		}
+	}
+}
+
+// TestNewSweepSolverRejectsWrongDescription: a server description that
+// does not reproduce A and C_N, or whose server is not reversible, fails
+// construction instead of solving a different queue.
+func TestNewSweepSolverRejectsWrongDescription(t *testing.T) {
+	good := paramsFor(t, 3, 1, 1, paperOps, paperRepair)
+	if _, err := NewSweepSolver(good); err != nil {
+		t.Fatalf("valid description rejected: %v", err)
+	}
+	mutate := map[string]func(d *Servers){
+		"modes out of order": func(d *Servers) { d.Counts[0], d.Counts[1] = d.Counts[1], d.Counts[0] },
+		"wrong repair rate":  func(d *Servers) { d.G.Set(2, 0, d.G.At(2, 0)*1.001) },
+		"wrong service rate": func(d *Servers) { d.Rates[0] *= 2 },
+		"missing phase":      func(d *Servers) { d.G = linalg.NewMatrix(2, 2); d.Rates = d.Rates[:2] },
+		"not reversible":     func(d *Servers) { d.G.Set(0, 1, 0.01) },
+		"too few modes":      func(d *Servers) { d.Counts = d.Counts[:len(d.Counts)-1] },
+		"negative count":     func(d *Servers) { d.Counts[0] = []int{4, -1, 0} },
+	}
+	// A cyclic server (0 → 1 → 2 → 0) is described exactly, but is not
+	// reversible: its eigen-branches are complex.
+	cyc := linalg.FromRows([][]float64{{0, 1, 0}, {0, 0, 2}, {3, 0, 0}})
+	if _, err := NewSweepSolver(lumpedParams(cyc, []float64{1, 1, 0}, 3)); err == nil ||
+		!strings.Contains(err.Error(), "not reversible") {
+		t.Errorf("cyclic server: got %v, want a not-reversible error", err)
+	}
+	for name, m := range mutate {
+		p := good
+		d := &Servers{G: good.Servers.G.Clone(), Rates: slices.Clone(good.Servers.Rates)}
+		for _, c := range good.Servers.Counts {
+			d.Counts = append(d.Counts, slices.Clone(c))
+		}
+		m(d)
+		p.Servers = d
+		if _, err := NewSweepSolver(p); err == nil {
+			t.Errorf("%s: NewSweepSolver accepted the description", name)
+		}
+	}
+}
+
+// TestLargeNRegression pins L at N = 22 and 24, where the forced null
+// vector's old relative rank cut-off (1e-10 of the first pivot) ended the
+// level-N matching system's elimination early and returned 15.5730,
+// 16.8849 and 39.8 without an error. Oracle constants, recorded once:
+// N = 22 and 24 at load 0.7 are the values on which SolveMatrixGeometric
+// (balance residual 6.0e-13 and 5.6e-13) and SolveTruncated(p, 400) agree
+// to 1.5e-12 and 2.5e-12 relative. N = 24 at load 0.99 is
+// SolveMatrixGeometric's with MGOptions{Tol: 1e-15} (balance residual
+// 9.9e-14, ten minutes; at the default 1e-13 it stops 3.7e-9 short), which
+// the companion path meets to 8.9e-11; the truncated chain would need
+// ~3000 levels, 2.5 GB of stages. No oracle runs at test time.
+func TestLargeNRegression(t *testing.T) {
+	for _, c := range []struct {
+		n          int
+		load, want float64
+	}{
+		{22, 0.7, 15.56965470517},
+		{24, 0.7, 16.94138376242},
+		{24, 0.99, 117.08014722829},
+	} {
+		p := atLoad(t, paramsFor(t, c.n, 1, 1, paperOps, paperRepair), c.load)
+		sol, err := SolveSpectral(p)
+		if err != nil {
+			t.Fatalf("N=%d load %v: %v", c.n, c.load, err)
+		}
+		if d := math.Abs(sol.MeanQueue()-c.want) / c.want; d > 1e-9 {
+			t.Errorf("N=%d load %v: L = %.12g, oracle %.12g (rel %.1e)", c.n, c.load, sol.MeanQueue(), c.want, d)
+		}
+		if r := BalanceResidual(p, sol, c.n+10); r > 1e-12 {
+			t.Errorf("N=%d load %v: balance residual %.1e", c.n, c.load, r)
+		}
+		if d := math.Abs(sol.TotalProbability() - 1); d > 1e-12 {
+			t.Errorf("N=%d load %v: total probability off by %.1e", c.n, c.load, d)
+		}
+	}
+}
+
+// productFormParams draws a product-form environment — N in 1..12, one to
+// three operative and one or two repair phases with positive weights —
+// with λ at a load in (0.01, 0.999). N is lowered until s ≤ 120 so the
+// companion oracle stays cheap.
+func productFormParams(seed int64) (Params, float64) {
+	rng := rand.New(rand.NewSource(seed))
+	draw := func(phases int, scale float64) *dist.HyperExp {
+		w := make([]float64, phases)
+		r := make([]float64, phases)
+		var sum float64
+		for i := range w {
+			w[i] = 0.05 + rng.Float64()
+			sum += w[i]
+			r[i] = scale * math.Exp(1.5*rng.NormFloat64())
+		}
+		for i := range w {
+			w[i] /= sum
+		}
+		return dist.MustHyperExp(w, r)
+	}
+	op, rep := draw(1+rng.Intn(3), 0.05), draw(1+rng.Intn(2), 2)
+	n := 1 + rng.Intn(12)
+	for markov.NumModes(n, op.Phases(), rep.Phases()) > 120 {
+		n--
+	}
+	mu := 0.5 + rng.Float64()
+	env, err := markov.NewEnv(n, op, rep)
+	if err != nil {
+		panic(err)
+	}
+	p := Params{Lambda: 1, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu),
+		Servers: &Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()}}
+	load := 0.01 + 0.989*rng.Float64()
+	l1, err := p.Load()
+	if err != nil {
+		panic(err)
+	}
+	p.Lambda = load / l1
+	return p, load
+}
+
+// FuzzFactoredStage solves random product-form environments with and
+// without the server description and requires the same root set to 1e-9,
+// the same L to lTol(load) relative, and every closed-form vector to be a
+// left null vector of Q(z) to 1e-12 relative.
+func FuzzFactoredStage(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		p, load := productFormParams(seed)
+		fac, err := SolveSpectral(p)
+		if err != nil {
+			t.Fatalf("load %v s=%d: factored: %v", load, p.Size(), err)
+		}
+		raw := p
+		raw.Servers = nil
+		comp, err := SolveSpectral(raw)
+		if err != nil {
+			t.Fatalf("load %v s=%d: companion: %v", load, p.Size(), err)
+		}
+		a, b := sortedRoots(t, fac), sortedRoots(t, comp)
+		for i := range a {
+			if d := math.Abs(a[i] - b[i]); d > 1e-9 {
+				t.Fatalf("load %v s=%d: root %d: factored %v, companion %v", load, p.Size(), i, a[i], b[i])
+			}
+		}
+		lf, lc := fac.MeanQueue(), comp.MeanQueue()
+		if d := math.Abs(lf-lc) / lc; d > lTol(load) {
+			t.Fatalf("load %v s=%d: L factored %v, companion %v (rel %.1e)", load, p.Size(), lf, lc, d)
+		}
+		if r := maxVectorResidual(p, fac); r > 1e-12 {
+			t.Fatalf("load %v s=%d: closed-form vector residual %.1e", load, p.Size(), r)
+		}
+	})
+}
+
+// lumpedParams builds the queue of n servers, each with phase-change rates
+// g and service rates r, lumped by phase counts, with its server
+// description: every mode's transitions at n_p·g[p][q] and service at
+// Σ_p n_p·r_p from level 1 on.
+func lumpedParams(g *linalg.Matrix, r []float64, n int) Params {
+	k := g.Rows
+	counts := make([][]int, 0)
+	flat := compositions(n, k)
+	for i := 0; i < len(flat); i += k {
+		counts = append(counts, flat[i:i+k])
+	}
+	s := len(counts)
+	index := func(c []int) int {
+		return slices.IndexFunc(counts, func(o []int) bool { return slices.Equal(o, c) })
+	}
+	a := linalg.NewMatrix(s, s)
+	top := make([]float64, s)
+	for i, c := range counts {
+		for p, cnt := range c {
+			top[i] += float64(cnt) * r[p]
+			for q := 0; q < k; q++ {
+				if cnt == 0 || q == p || g.At(p, q) == 0 {
+					continue
+				}
+				to := slices.Clone(c)
+				to[p]--
+				to[q]++
+				a.Set(i, index(to), float64(cnt)*g.At(p, q))
+			}
+		}
+	}
+	return Params{Lambda: 1, A: a, ServiceDiag: [][]float64{top, top}, Servers: &Servers{G: g, Rates: r, Counts: counts}}
+}

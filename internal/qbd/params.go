@@ -2,12 +2,16 @@
 // Mitrani §3 — a quasi-birth-death process whose environment modulates the
 // service capacity — by four methods:
 //
-//   - SolveSpectral: the paper's exact spectral-expansion solution (§3.1),
-//     with the characteristic matrix polynomial linearised in w = 1/z so
-//     that a standard QR eigensolve applies, and the boundary handled by an
-//     O(N·s³) block elimination rather than a dense (N+1)s system. It is
-//     one point of a SweepSolver, which hoists the λ-independent work once
-//     per environment and solves a λ-sweep allocation-free; a one-off
+//   - SolveSpectral: the paper's exact spectral-expansion solution (§3.1).
+//     When Params.Servers describes the environment as N identical
+//     servers, det Q(z) factors into one scalar equation per multiset of
+//     one server's eigen-branches, each with one real root in (0, 1) and a
+//     closed-form left vector; otherwise the characteristic matrix
+//     polynomial is linearised in w = 1/z so that a standard QR eigensolve
+//     applies, and each left vector is a null vector of Q(z). The boundary
+//     is an O(N·s³) block elimination rather than a dense (N+1)s system.
+//     It is one point of a SweepSolver, which hoists the λ-independent work
+//     once per environment and solves a λ-sweep allocation-free; a one-off
 //     solve and every sweep point run the same code.
 //   - SolveApprox: the geometric approximation (§3.2, eq. 21) that keeps
 //     only the dominant eigenvalue; asymptotically exact in heavy traffic.
@@ -33,11 +37,32 @@ var ErrUnstable = errors.New("qbd: queue is not ergodic (offered load ≥ capaci
 // Lambda, an s×s environment transition matrix A (zero diagonal), and
 // level-dependent service captured by the diagonals of C_j: ServiceDiag[j]
 // for levels j = 0..N, with C_j = C_N for all j ≥ N (the homogeneous
-// threshold).
+// threshold). Servers optionally describes the environment as identical
+// independent servers; the spectral solver then takes its factored stage.
 type Params struct {
 	Lambda      float64
 	A           *linalg.Matrix
 	ServiceDiag [][]float64
+	Servers     *Servers
+}
+
+// Servers describes an environment made of identical, independent
+// servers, each moving through k phases (Palmer & Mitrani §3): a mode is
+// a vector of phase counts, and A and C_N are the sums of one server's
+// rates lumped by those counts. NewSweepSolver checks that the
+// description reproduces A and C_N, and that one server's phase process
+// is irreducible and reversible, which makes every eigen-branch real.
+type Servers struct {
+	// G holds one server's k×k phase-change rates, with a zero diagonal
+	// as in A.
+	G *linalg.Matrix
+	// Rates[p] is one server's service rate in phase p: µ in an operative
+	// phase, 0 in an inoperative one.
+	Rates []float64
+	// Counts[i][p] is the number of servers in phase p in mode i. Every
+	// row sums to the same number of servers, and every such count vector
+	// is a mode.
+	Counts [][]int
 }
 
 // Size returns the number of environment modes s.

@@ -15,14 +15,21 @@ var (
 	paperRepair = dist.Exp(25)
 )
 
-// paramsFor builds queue parameters for N unreliable servers.
+// paramsFor builds queue parameters for N unreliable servers, with the
+// server description core.System.Params attaches when every phase weight
+// is positive, so the spectral solver takes the factored stage the
+// service runs.
 func paramsFor(t testing.TB, n int, lambda, mu float64, op, rep *dist.HyperExp) Params {
 	t.Helper()
 	env, err := markov.NewEnv(n, op, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Params{Lambda: lambda, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu)}
+	p := Params{Lambda: lambda, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu)}
+	if env.PhasesReachable() {
+		p.Servers = &Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()}
+	}
+	return p
 }
 
 func TestValidate(t *testing.T) {

@@ -32,13 +32,18 @@ type SpectralSolution struct {
 // SolveSpectral computes the exact stationary distribution by the method of
 // spectral expansion (paper §3.1):
 //
-//  1. The eigenvalues z_k of Q(z) = Q0 + Q1·z + Q2·z² inside the unit disk
-//     are found by substituting w = 1/z, which linearises the problem into
-//     a standard 2s×2s eigenproblem because Q0 = λI is always invertible
-//     (Q2 = C is singular whenever a mode has no operative server, so the
-//     usual companion form in z would fail).
-//  2. Each left eigenvector u_k is recovered as a null vector of Q(z_k) by
-//     full-pivot elimination.
+//  1. The s eigenvalues z_k of Q(z) = Q0 + Q1·z + Q2·z² inside the unit
+//     disk. With a server description (Params.Servers) each is the one root
+//     in (0, 1) of a scalar equation λ(1−z) + z·Σ_i m_i·θ_i(z) = 0, one per
+//     multiset m of one server's real eigen-branches θ_i (factored.go).
+//     Without one they come from substituting w = 1/z, which linearises
+//     the problem into a standard 2s×2s eigenproblem because Q0 = λI is
+//     always invertible (Q2 = C is singular whenever a mode has no
+//     operative server, so the usual companion form in z would fail).
+//  2. Each left eigenvector u_k: with a server description, the
+//     closed-form product of one server's left eigenvectors
+//     u[n] = [tⁿ] Π_i (y_i·t)^{m_i}; without one, a null vector of Q(z_k)
+//     by full-pivot elimination.
 //  3. The boundary probabilities are eliminated by the S_j recursion and
 //     the level-N balance equation becomes an s×s singular system for γ̃,
 //     closed by the normalisation condition (eq. 20).
