@@ -449,15 +449,15 @@ func BenchmarkSweepBatched(b *testing.B) {
 // modes, λ = 7) feeds them: the eigenvalues of the 132×132 companion and
 // the real null vector of the 66×66 Q(z)ᵀ at the dominant eigenvalue (the
 // companion path, which raw Params without a server description still
-// take), the complex null vector of the 66×66 level-N matching system
-// (the complex kernel's one call per point, since every root is real
-// here), the inverse of the 66×66 boundary matrix K_{N−1}, and the
-// factored eigen stage that replaces the first two on the served path: 66
-// roots and their closed-form left vectors. Inputs are built before the
-// timer; every iteration copies its input into a warm arena matrix (the
-// factored member reuses a warm worker), so ns/op is one kernel call and
-// allocs/op must be exactly 0 (CI gates both, so a slowdown is attributed
-// to a kernel and not only to the whole point).
+// take), the real null vector of the 66×66 level-(N−1) matching system
+// that closes every served point, the inverse of the 66×66 boundary
+// matrix K_{N−2} (the last matrix a point inverts), and the factored eigen
+// stage that replaces the first two on the served path: 66 roots and their
+// closed-form left vectors. Inputs are built before the timer; every
+// iteration copies its input into a warm arena matrix (the factored
+// member reuses a warm worker), so ns/op is one kernel call and allocs/op
+// must be exactly 0 (CI gates both, so a slowdown is attributed to a
+// kernel and not only to the whole point).
 func BenchmarkSpectralKernels(b *testing.B) {
 	const lambda = 7.0
 	p := benchParams(b, 10, lambda)
@@ -482,8 +482,10 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		}
 	}
 	realQ := p.QofZ(sol.TailDecay()).T()
-	// K_j = Dᴬ + λI + C_j − A − λ·S_{j−1}, S_j = C_{j+1}·K_j⁻¹, up to j = N−1.
-	var k, stage *linalg.Matrix
+	// K_j = Dᴬ + λI + C_j − A − λ·S_{j−1}, S_j = C_{j+1}·K_j⁻¹: a point
+	// inverts K_0..K_{N−2} and matches against K_{N−1}. kLast ends as
+	// K_{N−2}, the last matrix inverted, and k as K_{N−1}.
+	var kLast, k, stage *linalg.Matrix
 	for j := 0; j+1 < len(p.ServiceDiag); j++ {
 		k = p.A.Scaled(-1)
 		for i := 0; i < s; i++ {
@@ -492,21 +494,20 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		if stage != nil {
 			k = k.Minus(stage.Scaled(lambda))
 		}
+		if j+2 == len(p.ServiceDiag) {
+			break // k is K_{N−1}
+		}
 		inv, err := linalg.Inverse(k)
 		if err != nil {
 			b.Fatal(err)
 		}
+		kLast = k
 		stage = linalg.Diag(p.ServiceDiag[j+1]).Times(inv)
 	}
-	// Level-N matching system, transposed: Mᵀ with M[k][·] = u_k·(W − z_k·C)
-	// and W = Dᴬ + λI + C − A − λ·S_{N−1}.
-	w := p.A.Scaled(-1)
-	for i := 0; i < s; i++ {
-		w.Add(i, i, da[i]+lambda+c[i])
-	}
-	w = w.Minus(stage.Scaled(lambda))
-	matching := linalg.NewCMatrix(s, s)
-	for k, z := range sol.Eigenvalues() {
+	// Level-(N−1) matching system, transposed: Mᵀ with
+	// M[t][·] = u_t·(K_{N−1} − z_t·C_N).
+	matching := linalg.NewMatrix(s, s)
+	for t, z := range sol.Eigenvalues() {
 		if imag(z) != 0 {
 			b.Fatalf("complex root %v: the inputs assume real roots at N = 10", z)
 		}
@@ -514,16 +515,8 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for col := 0; col < s; col++ {
-			var acc complex128
-			for row := 0; row < s; row++ {
-				e := complex(w.At(row, col), 0)
-				if row == col {
-					e -= z * complex(c[row], 0)
-				}
-				acc += complex(u[row], 0) * e
-			}
-			matching.Set(col, k, acc)
+		for col, v := range k.VecTimes(u) {
+			matching.Set(col, t, v-real(z)*c[col]*u[col])
 		}
 	}
 
@@ -558,17 +551,17 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		_, err := linalg.ForcedNullVectorScratch(w, ar)
 		return err
 	})
-	run(fmt.Sprintf("nullvector/complex/n=%d", s), func(ar *linalg.Arena) error {
+	run(fmt.Sprintf("matching/n=%d", s), func(ar *linalg.Arena) error {
 		ar.Reset()
-		w := ar.CMatUninit(s, s)
+		w := ar.MatUninit(s, s)
 		copy(w.Data, matching.Data)
-		_, err := linalg.CForcedNullVectorScratch(w, ar)
+		_, err := linalg.ForcedNullVectorScratch(w, ar)
 		return err
 	})
 	run(fmt.Sprintf("inverse/n=%d", s), func(ar *linalg.Arena) error {
 		ar.Reset()
 		w := ar.MatUninit(s, s)
-		copy(w.Data, k.Data)
+		copy(w.Data, kLast.Data)
 		_, err := linalg.InverseScratch(w, ar)
 		return err
 	})

@@ -13,7 +13,7 @@ import (
 // remaining block is exactly zero. Full pivoting guarantees that pivot is
 // the least significant one. No relative cut-off ends it sooner: a system
 // whose pivots span dozens of orders of magnitude, such as the spectral
-// solver's level-N matching system at large N, keeps every one of them.
+// solver's boundary matching system at large N, keeps every one of them.
 // a is left unchanged: ForcedNullVectorScratch runs on a copy with a fresh
 // arena.
 func ForcedNullVector(a *Matrix) ([]float64, error) {

@@ -624,7 +624,9 @@ func nullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
 // CForcedNullVectorScratch is the complex analogue of
 // ForcedNullVectorScratch: CForcedNullVector semantics, matrix destroyed
 // in place, result in the arena, bit-identical output, row swaps
-// confined to the live tail.
+// confined to the live tail. Its one solver caller is the companion
+// path's left vector of a complex root; the spectral boundary is solved
+// in real arithmetic.
 func CForcedNullVectorScratch(a *CMatrix, ar *Arena) ([]complex128, error) {
 	a.square()
 	n := a.Rows

@@ -21,7 +21,9 @@ import (
 // description's factored stage: one server's symmetrised generator, the
 // multisets and the composition tables of their closed-form vectors);
 // each Solve then runs the per-point remainder of the spectral expansion
-// inside a reusable worker workspace, allocation-free once warm.
+// — the roots and left vectors, N−1 boundary inverses and one real s×s
+// matching system at level N−1 — inside a reusable worker workspace,
+// allocation-free once warm.
 //
 // Equivalence contract: a point solved on a reused or pooled worker is the
 // *same computation* as SolveSpectral(p) with p.Lambda set to that point,
@@ -38,7 +40,7 @@ type SweepSolver struct {
 	p        Params // base parameters; p.Lambda is ignored
 	s, n     int
 	da, c    []float64
-	negA     *linalg.Matrix // −A, the seed of every K_j / W build
+	negA     *linalg.Matrix // −A, the seed of every K_j build
 	aT       *linalg.Matrix // Aᵀ, read row-contiguously by the companion and Q(z)ᵀ builds
 	capacity float64        // Σ_i π_i·C_N[i]; ≤ 0 means every λ is unstable
 	fac      *factored      // the factored eigen stage, when p.Servers describes the environment
@@ -116,8 +118,7 @@ func (sv *SweepSolver) Solve(lambda float64) (*SpectralSolution, error) {
 type SweepWorker struct {
 	sv     *SweepSolver
 	ar     linalg.Arena
-	stages []*linalg.Matrix // S_j headers, matrices live in the arena
-	levels [][]complex128   // boundary fold rows, backed by the arena
+	stages []*linalg.Matrix // S_0..S_{N−2} headers, matrices live in the arena
 	fac    factoredWork     // the factored stage's scratch, when sv.fac is set
 }
 
@@ -340,34 +341,46 @@ func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *Spe
 	return nil
 }
 
-// assemble solves the boundary and normalisation for the γ̃ coefficients:
-// the S_j recursion of boundaryStages with in-place inverses, the level-N
-// matching system γ̃·M = 0 built directly in transposed form, and the
-// normalisation (eq. 20) — all in arena memory, writing the result into
-// sol. Every level's K_j, and then W, is built in one reused s×s buffer,
-// and each S_j overwrites its K_j⁻¹, so the boundary takes O(N·s²) arena
-// memory.
+// assemble solves the boundary and the normalisation for the γ̃
+// coefficients in real arithmetic, writing the result into sol.
+//
+// The level-N balance equation already has the repeating coefficients, and
+// λI is invertible, so the expansion holds from level N−1:
+// v_{N−1} = Σ_k γ'_k·u_k with γ'_k = γ̃_k/z_k (no root is 0, since
+// det Q(0) = λ^s). The level-(N−1) equation v_{N−1}·K_{N−1} = v_N·C_N is
+// then the matching system Σ_k γ'_k·u_k·(K_{N−1} − z_k·C_N) = 0, with
+// K_{N−1} the matrix the S_j recursion builds before its last inversion;
+// only S_0..S_{N−2} are inverted. A real root contributes the real row
+// u_k·(K_{N−1} − z_k·C_N); a conjugate pair contributes the real and
+// imaginary parts of its first member's row, and null-vector entries
+// (x_k, x_{k+1}) map back to γ'_k = (x_k − i·x_{k+1})/2 and its
+// conjugate. Every level's K_j is built in one reused s×s buffer and each
+// S_j overwrites its K_j⁻¹, so the boundary takes O(N·s²) arena memory;
+// the levels are folded straight into sol's boundary rows.
 func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	sv := w.sv
 	s, n := sv.s, sv.n
-	// S_j recursion: K_j = Dᴬ + B + C_j − A − λ·S_{j−1}, S_j = C_{j+1}·K_j⁻¹.
-	if cap(w.stages) < n {
-		w.stages = make([]*linalg.Matrix, n)
+	// S_j recursion: K_j = Dᴬ + B + C_j − A − λ·S_{j−1}, S_j = C_{j+1}·K_j⁻¹,
+	// for j < N−1; the last pass leaves K_{N−1} in kj.
+	if cap(w.stages) < n-1 {
+		w.stages = make([]*linalg.Matrix, n-1)
 	} else {
-		w.stages = w.stages[:n]
+		w.stages = w.stages[:n-1]
 	}
 	kj := w.ar.MatUninit(s, s)
-	var prev *linalg.Matrix
 	for j := 0; j < n; j++ {
 		copy(kj.Data, sv.negA.Data)
 		cj := sv.p.serviceAt(j)
 		for i := 0; i < s; i++ {
 			kj.Data[i*s+i] += sv.da[i] + lambda + cj[i]
 		}
-		if prev != nil {
-			for i, pv := range prev.Data {
+		if j > 0 {
+			for i, pv := range w.stages[j-1].Data {
 				kj.Data[i] -= lambda * pv
 			}
+		}
+		if j == n-1 {
+			break
 		}
 		st, err := linalg.InverseScratch(kj, &w.ar)
 		if err != nil {
@@ -389,125 +402,103 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 			}
 		}
 		w.stages[j] = st
-		prev = st
 	}
-	// W = Dᴬ + B + C − A − λS_{N−1} from the level-N balance equation, in
-	// the K buffer, which the last inverse has finished with.
-	wm := kj
-	copy(wm.Data, sv.negA.Data)
-	for i := 0; i < s; i++ {
-		wm.Data[i*s+i] += sv.da[i] + lambda + sv.c[i]
-	}
-	if n > 0 {
-		for i, pv := range w.stages[n-1].Data {
-			wm.Data[i] -= lambda * pv
-		}
-	}
-	// M[k][·] = u_k·(W − z_k·C); solve γ̃·M = 0. Built directly as Mᵀ so the
-	// null-vector kernel needs no transpose pass, four columns of M at a
-	// time; each entry still sums its rows in order.
-	mt := w.ar.CMatUninit(s, s)
+	// Real rows r_k = Re u_k and w_k = Re(z_k·u_k); the second member of a
+	// conjugate pair takes the first member's imaginary parts instead. The
+	// matching system is built transposed, Mᵀ[i][k] = (r_k·K_{N−1})[i] −
+	// c_i·w_k[i], so the null-vector kernel needs no transpose pass.
+	rt := w.ar.MatUninit(s, s) // rt[i][k] = r_k[i]
+	mt := w.ar.MatUninit(s, s)
 	for k := range sol.terms {
 		t := &sol.terms[k]
-		col := 0
-		for ; col+4 <= s; col += 4 {
-			var a0, a1, a2, a3 complex128
-			for row := 0; row < s; row++ {
-				wr := wm.Data[row*s+col : row*s+col+4]
-				e0, e1, e2, e3 := complex(wr[0], 0), complex(wr[1], 0), complex(wr[2], 0), complex(wr[3], 0)
-				switch row - col {
-				case 0:
-					e0 -= t.z * complex(sv.c[row], 0)
-				case 1:
-					e1 -= t.z * complex(sv.c[row], 0)
-				case 2:
-					e2 -= t.z * complex(sv.c[row], 0)
-				case 3:
-					e3 -= t.z * complex(sv.c[row], 0)
-				}
-				u := t.u[row]
-				a0 += u * e0
-				a1 += u * e1
-				a2 += u * e2
-				a3 += u * e3
+		for i, u := range t.u {
+			zu := t.z * u
+			r, wu := real(u), real(zu)
+			if imag(t.z) < 0 {
+				r, wu = -imag(u), -imag(zu)
 			}
-			mt.Data[col*s+k] = a0
-			mt.Data[(col+1)*s+k] = a1
-			mt.Data[(col+2)*s+k] = a2
-			mt.Data[(col+3)*s+k] = a3
-		}
-		for ; col < s; col++ {
-			var acc complex128
-			for row := 0; row < s; row++ {
-				entry := complex(wm.Data[row*s+col], 0)
-				if row == col {
-					entry -= t.z * complex(sv.c[row], 0)
-				}
-				acc += t.u[row] * entry
-			}
-			mt.Data[col*s+k] = acc
+			rt.Data[i*s+k] = r
+			mt.Data[i*s+k] = -sv.c[i] * wu
 		}
 	}
-	gamma, err := linalg.CForcedNullVectorScratch(mt, &w.ar)
+	// Four rows of rt per pass, so out is read and written once per four.
+	for i := 0; i < s; i++ {
+		out := mt.Data[i*s : (i+1)*s]
+		r := 0
+		for ; r+4 <= s; r += 4 {
+			k0, k1, k2, k3 := kj.Data[r*s+i], kj.Data[(r+1)*s+i], kj.Data[(r+2)*s+i], kj.Data[(r+3)*s+i]
+			r0 := rt.Data[r*s : r*s+len(out)]
+			r1 := rt.Data[(r+1)*s : (r+1)*s+len(out)]
+			r2 := rt.Data[(r+2)*s : (r+2)*s+len(out)]
+			r3 := rt.Data[(r+3)*s : (r+3)*s+len(out)]
+			for k := range out {
+				out[k] += k0*r0[k] + k1*r1[k] + k2*r2[k] + k3*r3[k]
+			}
+		}
+		for ; r < s; r++ {
+			kv := kj.Data[r*s+i]
+			for k, rv := range rt.Data[r*s : r*s+len(out)] {
+				out[k] += kv * rv
+			}
+		}
+	}
+	x, err := linalg.ForcedNullVectorScratch(mt, &w.ar)
 	if err != nil {
-		return fmt.Errorf("qbd: level-N matching system: %w", err)
+		return fmt.Errorf("qbd: level-(N−1) matching system: %w", err)
 	}
-	// Normalise: Σ_{j<N} v_j·1 + Σ_k γ̃_k(u_k·1)/(1−z_k) = 1.
-	vn := w.ar.C128(s)
-	for k := range sol.terms {
-		g := gamma[k]
-		for i, uv := range sol.terms[k].u {
-			vn[i] += g * uv
+	// v_{N−1} = Σ_k x_k·r_k, then v_j = v_{j+1}·S_j down to level 0.
+	top := sol.boundary[n-1]
+	for i := range top {
+		var acc float64
+		for k, rv := range rt.Data[i*s : (i+1)*s] {
+			acc += rv * x[k]
 		}
+		top[i] = acc
 	}
-	if cap(w.levels) < n {
-		w.levels = make([][]complex128, n)
-	} else {
-		w.levels = w.levels[:n]
-	}
-	cur := vn
-	for j := n - 1; j >= 0; j-- {
-		next := w.ar.C128(s)
+	for j := n - 2; j >= 0; j-- {
+		next := sol.boundary[j]
+		clear(next)
 		st := w.stages[j]
-		for r, vr := range cur {
+		for r, vr := range sol.boundary[j+1] {
 			if vr == 0 {
 				continue
 			}
 			row := st.Data[r*s : (r+1)*s]
 			for c2, mv := range row {
-				next[c2] += vr * complex(mv, 0)
+				next[c2] += vr * mv
 			}
 		}
-		cur = next
-		w.levels[j] = cur
 	}
-	var total complex128
-	for _, lv := range w.levels {
-		total += cvecSum(lv)
+	// γ̃_k = γ'_k·z_k, and normalise (eq. 20):
+	// Σ_{j<N} v_j·1 + Σ_k γ̃_k(u_k·1)/(1−z_k) = 1.
+	var total float64
+	for _, lv := range sol.boundary {
+		total += vecSum(lv)
 	}
 	for k := range sol.terms {
 		t := &sol.terms[k]
-		total += gamma[k] * cvecSum(t.u) / (1 - t.z)
+		var g complex128 // γ'_k
+		switch {
+		case imag(t.z) == 0:
+			g = complex(x[k], 0)
+		case imag(t.z) > 0:
+			g = complex(x[k], -x[k+1]) / 2
+		default:
+			g = complex(x[k-1], x[k]) / 2
+		}
+		t.gamma = g * t.z
+		total += real(t.gamma * cvecSum(t.u) / (1 - t.z))
 	}
 	if total == 0 {
 		return errors.New("qbd: zero total probability mass in spectral assembly")
 	}
 	for k := range sol.terms {
-		sol.terms[k].gamma = gamma[k] / total
+		sol.terms[k].gamma /= complex(total, 0)
 	}
-	var maxImag float64
-	for j := 0; j < n; j++ {
-		row := sol.boundary[j]
-		for i, v := range w.levels[j] {
-			vv := v / total
-			row[i] = real(vv)
-			if im := math.Abs(imag(vv)); im > maxImag {
-				maxImag = im
-			}
+	for _, lv := range sol.boundary {
+		for i := range lv {
+			lv[i] /= total
 		}
-	}
-	if maxImag > 1e-6 {
-		return fmt.Errorf("qbd: boundary probabilities have imaginary residue %v", maxImag)
 	}
 	return nil
 }

@@ -429,3 +429,74 @@ func TestSweepSolverEigenvaluesMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestServedNumbersPinned holds the served spectral path to L values
+// recorded from the complex level-N assembly it replaced (the Sun model,
+// N × load): the real level-(N−1) assembly must meet each to 1e-13
+// relative, balance to 1e-13 over levels 0..N+10, and sum to 1 within
+// 1e-12. Measured when it was introduced: L within 6.6e-16 relative and
+// residuals ≤ 1.6e-15.
+func TestServedNumbersPinned(t *testing.T) {
+	for _, c := range []struct {
+		n          int
+		load, want float64
+	}{
+		{1, 0.05, 0.052634244737867694},
+		{1, 0.5, 1.0000596328384557},
+		{1, 0.7, 2.3335019291576926},
+		{1, 0.9, 9.0009194263714623},
+		{1, 0.99, 99.012455196076644},
+		{1, 0.999, 999.12849432886048},
+		{2, 0.05, 0.10014650747627921},
+		{2, 0.5, 1.3328673446231902},
+		{2, 0.7, 2.7446794573997177},
+		{2, 0.9, 9.4739403712859218},
+		{2, 0.99, 99.509219350999743},
+		{2, 0.999, 999.62751371072579},
+		{3, 0.05, 0.1498555260157925},
+		{3, 0.5, 1.7357678715884093},
+		{3, 0.7, 3.2476887753350998},
+		{3, 0.9, 10.053041762490349},
+		{3, 0.99, 100.11656255820419},
+		{3, 0.999, 1000.2375070863596},
+		{8, 0.05, 0.39953838576034861},
+		{8, 0.5, 4.0547794313440573},
+		{8, 0.7, 6.2263062941733089},
+		{8, 0.9, 13.508926687094855},
+		{8, 0.99, 103.73888028294709},
+		{8, 0.999, 1003.8750721665896},
+		{10, 0.05, 0.49942298131681084},
+		{10, 0.5, 5.0305940080907368},
+		{10, 0.7, 7.5105973601449136},
+		{10, 0.9, 15.011849184949767},
+		{10, 0.99, 105.31448218601554},
+		{10, 0.999, 1005.4571984214718},
+		{16, 0.05, 0.79907677008900946},
+		{16, 0.5, 7.9998835721580575},
+		{16, 0.7, 11.490721652292722},
+		{16, 0.9, 19.709574860866283},
+		{16, 0.99, 110.2419184849236},
+		{16, 0.999, 1010.4048862108381},
+		{20, 0.05, 0.99884596261126135},
+		{20, 0.5, 9.9922397945640267},
+		{20, 0.7, 14.203066749228336},
+		{20, 0.9, 22.940453063208611},
+		{20, 0.99, 113.63308553203201},
+		{20, 0.999, 1013.8099194462736},
+	} {
+		p := atLoad(t, paramsFor(t, c.n, 1, 1, paperOps, paperRepair), c.load)
+		sol, err := SolveSpectral(p)
+		if err != nil {
+			t.Fatalf("N=%d load %v: %v", c.n, c.load, err)
+		}
+		if d := math.Abs(sol.MeanQueue()-c.want) / c.want; d > 1e-13 {
+			t.Errorf("N=%d load %v: L = %.17g, pinned %.17g (rel %.1e)", c.n, c.load, sol.MeanQueue(), c.want, d)
+		}
+		if r := BalanceResidual(p, sol, c.n+10); r > 1e-13 {
+			t.Errorf("N=%d load %v: balance residual %.1e", c.n, c.load, r)
+		}
+		if d := math.Abs(sol.TotalProbability() - 1); d > 1e-12 {
+			t.Errorf("N=%d load %v: total probability off by %.1e", c.n, c.load, d)
+		}
+	}
+}

@@ -23,7 +23,11 @@ type MGSolution struct {
 // MGOptions tunes the R-matrix fixed-point iteration. The zero value picks
 // sensible defaults.
 type MGOptions struct {
-	// Tol is the entrywise convergence threshold (default 1e-13).
+	// Tol bounds the estimated entrywise distance from R to its limit
+	// (default 1e-13). The fixed point contracts at a rate ρ ≈ z_s, so a
+	// step of size δ leaves about δ·ρ/(1−ρ) to go; ρ is estimated as the
+	// ratio of the last two steps. Near load 1 this needs many more steps
+	// than a bound on δ alone.
 	Tol float64
 	// MaxIter bounds the iteration count (default 200000).
 	MaxIter int
@@ -63,6 +67,7 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 	cdiag := linalg.Diag(c)
 	r := linalg.NewMatrix(s, s)
 	iters := 0
+	var prev float64 // the previous step; 0 until there is one
 	for ; iters < opts.MaxIter; iters++ {
 		// R' = (B + R²C)·(−Q1)⁻¹ with B = λI.
 		rr := r.Times(r).Times(cdiag)
@@ -70,11 +75,14 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 			rr.Add(i, i, p.Lambda)
 		}
 		next := rr.Times(negQ1Inv)
-		if next.Minus(r).MaxAbs() < opts.Tol {
-			r = next
+		step := next.Minus(r).MaxAbs()
+		r = next
+		// Stop once the error left, about step·ρ/(1−ρ) with ρ estimated by
+		// step/prev, is below Tol; the first step has no estimate.
+		if rho := step / prev; step == 0 || (rho < 1 && step*rho/(1-rho) < opts.Tol) {
 			break
 		}
-		r = next
+		prev = step
 	}
 	if iters == opts.MaxIter {
 		return nil, errors.New("qbd: R-matrix iteration did not converge")

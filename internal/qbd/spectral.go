@@ -13,7 +13,9 @@ var ErrEigenCount = errors.New("qbd: wrong number of eigenvalues inside the unit
 
 // spectralTerm is one term γ_k·u_k·z_k^j of the expansion (eq. 19), stored
 // with the rescaled coefficient γ̃_k = γ_k·z_k^N so that levels are computed
-// as v_j = Σ_k γ̃_k·z_k^{j−N}·u_k without underflowing z^N.
+// as v_j = Σ_k γ̃_k·z_k^{j−N}·u_k without underflowing z^N. The assembly
+// solves for γ'_k = γ̃_k/z_k, the level-(N−1) scaling, and stores
+// γ̃_k = γ'_k·z_k; a conjugate pair of roots has conjugate z, u and γ̃.
 type spectralTerm struct {
 	z     complex128
 	u     []complex128
@@ -44,9 +46,13 @@ type SpectralSolution struct {
 //     closed-form product of one server's left eigenvectors
 //     u[n] = [tⁿ] Π_i (y_i·t)^{m_i}; without one, a null vector of Q(z_k)
 //     by full-pivot elimination.
-//  3. The boundary probabilities are eliminated by the S_j recursion and
-//     the level-N balance equation becomes an s×s singular system for γ̃,
-//     closed by the normalisation condition (eq. 20).
+//  3. The expansion already holds at level N−1, since the level-N balance
+//     equation has the repeating coefficients and λI is invertible. The
+//     boundary levels below it are eliminated by the S_j recursion
+//     (v_j = v_{j+1}·S_j, S_0..S_{N−2}), and the level-(N−1) balance
+//     equation becomes an s×s real singular system for the coefficients,
+//     a conjugate pair of roots giving the real and imaginary parts of one
+//     row, closed by the normalisation condition (eq. 20).
 //
 // It is a sweep of one point: p is validated, its environment hoisted by
 // NewSweepSolver, and p.Lambda solved on a fresh SweepWorker, so a one-off

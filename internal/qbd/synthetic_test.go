@@ -3,6 +3,7 @@ package qbd
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"repro/internal/linalg"
@@ -106,6 +107,99 @@ func TestCyclicDenseAgreement(t *testing.T) {
 	if d := math.Abs(fast.MeanQueue() - dense.MeanQueue()); d > 1e-8 {
 		t.Errorf("L staged %v vs dense %v", fast.MeanQueue(), dense.MeanQueue())
 	}
+}
+
+// randomCyclicParams draws a non-reversible raw environment: s in 3..12
+// modes on a random cycle through every mode plus random extra edges, N in
+// 1..4 with C_j = (j/N)·C_N, about one mode in ten with no service, and λ
+// at a load in [0.1, 0.95].
+func randomCyclicParams(rng *rand.Rand) (Params, float64) {
+	s := 3 + rng.Intn(10)
+	n := 1 + rng.Intn(4)
+	a := linalg.NewMatrix(s, s)
+	perm := rng.Perm(s)
+	for i, from := range perm {
+		a.Set(from, perm[(i+1)%s], 0.2+3*rng.Float64())
+	}
+	for i := 0; i < s; i++ {
+		for j := 0; j < s; j++ {
+			if i != j && a.At(i, j) == 0 && rng.Float64() < 0.15 {
+				a.Set(i, j, 0.05+0.5*rng.Float64())
+			}
+		}
+	}
+	top := make([]float64, s)
+	for i := range top {
+		if rng.Float64() >= 0.1 {
+			top[i] = 0.2 + 3*rng.Float64()
+		}
+	}
+	diag := make([][]float64, n+1)
+	for j := range diag {
+		diag[j] = make([]float64, s)
+		for i, c := range top {
+			diag[j][i] = c * float64(j) / float64(n)
+		}
+	}
+	p := Params{Lambda: 1, A: a, ServiceDiag: diag}
+	load := 0.1 + 0.85*rng.Float64()
+	l1, err := p.Load()
+	if err != nil {
+		panic(err)
+	}
+	p.Lambda = load / l1
+	return p, load
+}
+
+// TestConjugatePairsMatchDenseProperty checks the real assembly's
+// conjugate-pair rows on random non-reversible environments, which reach
+// the companion path with complex roots: L and every level entry up to
+// N+5 must agree with the dense (N+1)s complex solve to 1e-12 relative
+// (an entry relative to its level's largest), the balance residual must be
+// ≤ 1e-12, and at least 80% of the draws must have complex roots.
+func TestConjugatePairsMatchDenseProperty(t *testing.T) {
+	const draws = 60
+	withPairs := 0
+	for seed := int64(1); seed <= draws; seed++ {
+		p, load := randomCyclicParams(rand.New(rand.NewSource(seed)))
+		fast, err := SolveSpectral(p)
+		if err != nil {
+			t.Fatalf("seed %d (s=%d N=%d load %.3f): %v", seed, p.Size(), p.Threshold(), load, err)
+		}
+		dense, err := SolveSpectralDense(p)
+		if err != nil {
+			t.Fatalf("seed %d: dense: %v", seed, err)
+		}
+		for _, z := range fast.Eigenvalues() {
+			if imag(z) != 0 {
+				withPairs++
+				break
+			}
+		}
+		lf, ld := fast.MeanQueue(), dense.MeanQueue()
+		if d := math.Abs(lf-ld) / ld; d > 1e-12 {
+			t.Errorf("seed %d (s=%d N=%d load %.3f): L %v vs dense %v (rel %.1e)", seed, p.Size(), p.Threshold(), load, lf, ld, d)
+		}
+		for j := 0; j <= p.Threshold()+5; j++ {
+			a, b := fast.Level(j), dense.Level(j)
+			var scale float64
+			for _, v := range b {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			for i := range a {
+				if d := math.Abs(a[i] - b[i]); d > 1e-12*scale {
+					t.Fatalf("seed %d level %d mode %d: %v vs dense %v", seed, j, i, a[i], b[i])
+				}
+			}
+		}
+		if r := BalanceResidual(p, fast, p.Threshold()+5); r > 1e-12 {
+			t.Errorf("seed %d: balance residual %.1e", seed, r)
+		}
+	}
+	if withPairs < draws*8/10 {
+		t.Errorf("only %d of %d draws had complex roots", withPairs, draws)
+	}
+	t.Logf("%d of %d draws had complex roots", withPairs, draws)
 }
 
 func TestCyclicApproximation(t *testing.T) {

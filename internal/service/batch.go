@@ -30,9 +30,9 @@ import (
 // eigen stage's composition tables, O(s·(N+k)) integers for k phases per
 // server: about 9 KB at N = 10. Each pooled per-point worker adds an
 // O(N·s²) workspace while it solves and until the next GC drops it —
-// chiefly the boundary stages, since the factored stage needs no 2s×2s
-// companion: 0.35, 0.8 and 7.3 MB at N = 8, 10 and 16, about 20 MB at
-// N = 20 (qbd's TestSweepWorkerMemoryBounded). 32 entries cover the
+// chiefly the N−1 boundary stages, since the factored stage needs no
+// 2s×2s companion: 0.28, 0.67 and 6.5 MB at N = 8, 10 and 16, about 15 MB
+// at N = 20 (qbd's TestSweepWorkerMemoryBounded). 32 entries cover the
 // environments of a figure run or a planner's working set at a bounded
 // cost.
 const hoistCacheSize = 32
