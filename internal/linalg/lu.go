@@ -162,7 +162,7 @@ func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
 }
 
 // Inverse returns A⁻¹ for a square matrix a, or ErrSingular. a is left
-// unchanged: InverseScratch runs on a copy with a fresh arena.
+// unchanged: InverseScratch inverts a copy in place.
 func Inverse(a *Matrix) (*Matrix, error) {
 	var ar Arena
 	return InverseScratch(a.Clone(), &ar)

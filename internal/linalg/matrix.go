@@ -121,7 +121,8 @@ func (m *Matrix) Scaled(s float64) *Matrix {
 	return out
 }
 
-// Times returns the matrix product m·b.
+// Times returns the matrix product m·b, accumulating each output row as
+// one Axpy per nonzero entry of m's row (zero entries are skipped).
 func (m *Matrix) Times(b *Matrix) *Matrix {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: product shape mismatch %d×%d · %d×%d", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -131,31 +132,24 @@ func (m *Matrix) Times(b *Matrix) *Matrix {
 		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
 		for k, mik := range mrow {
-			if mik == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range brow {
-				orow[j] += mik * bkj
+			if mik != 0 {
+				Axpy(mik, b.Data[k*b.Cols:(k+1)*b.Cols], orow)
 			}
 		}
 	}
 	return out
 }
 
-// VecTimes returns the row-vector product v·m.
+// VecTimes returns the row-vector product v·m, one Axpy of m's row i per
+// nonzero v[i].
 func (m *Matrix) VecTimes(v []float64) []float64 {
 	if len(v) != m.Rows {
 		panic(fmt.Sprintf("linalg: vec·mat shape mismatch len %d vs %d rows", len(v), m.Rows))
 	}
 	out := make([]float64, m.Cols)
 	for i, vi := range v {
-		if vi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, mij := range row {
-			out[j] += vi * mij
+		if vi != 0 {
+			Axpy(vi, m.Data[i*m.Cols:(i+1)*m.Cols], out)
 		}
 	}
 	return out

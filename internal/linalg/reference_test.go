@@ -9,7 +9,8 @@ import (
 // vector and inverse that the arena kernels in scratch.go were derived
 // from. Production code runs only the arena kernels; these bodies stay
 // here so the *MatchesReference tests can keep proving every rewrite in
-// scratch.go bit-identical to them.
+// scratch.go bit-identical to them. refInverse, the LU route, is not what
+// InverseScratch computes; it stays as an independent oracle.
 
 // refEigenvalues is the reference eigensolver: balancing, Householder
 // reduction to upper Hessenberg form and the Francis implicit double-shift
@@ -36,10 +37,60 @@ func refCForcedNullVector(a *CMatrix) ([]complex128, error) {
 	return cNullVector(a)
 }
 
-// refInverse is the reference inverse: an LU factorisation solved against
+// refInverse is the oracle inverse: an LU factorisation solved against
 // the identity one column at a time.
 func refInverse(a *Matrix) (*Matrix, error) {
 	return FactorLU(a).SolveMatrix(Identity(a.Rows))
+}
+
+// refGaussJordan is the reference inverse: Gauss–Jordan elimination with
+// partial pivoting on a copy of a, one element at a time. Its update is
+// math.FMA(−f, p, y) when fused and y − f·p, the product rounded first,
+// otherwise, which is what Axpy computes on each of its paths.
+func refGaussJordan(a *Matrix, fused bool) (*Matrix, error) {
+	a.square()
+	n := a.Rows
+	w := a.Clone()
+	piv := make([]int, n)
+	for k := 0; k < n; k++ {
+		p := k
+		mx := math.Abs(w.At(k, k))
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(w.At(i, k)); v > mx {
+				mx, p = v, i
+			}
+		}
+		piv[k] = p
+		swapRows(w, k, p)
+		pivot := w.At(k, k)
+		if pivot == 0 {
+			return nil, ErrSingular
+		}
+		inv := 1 / pivot
+		w.Set(k, k, 1)
+		for j := 0; j < n; j++ {
+			w.Set(k, j, w.At(k, j)*inv)
+		}
+		for i := 0; i < n; i++ {
+			f := w.At(i, k)
+			if i == k || f == 0 {
+				continue
+			}
+			w.Set(i, k, 0)
+			for j := 0; j < n; j++ {
+				y, p := w.At(i, j), w.At(k, j)
+				if fused {
+					w.Set(i, j, math.FMA(-f, p, y))
+				} else {
+					w.Set(i, j, y-float64(f*p))
+				}
+			}
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		swapCols(w, k, piv[k])
+	}
+	return w, nil
 }
 
 // hessenberg reduces a to upper Hessenberg form in place using Householder

@@ -16,26 +16,29 @@ import (
 // as a straightforward reference implementation kept in reference_test.go
 // — same pivot choices, same association order, same special-case
 // branches — so results are bit-identical to it on platforms without
-// automatic FMA contraction (amd64). What makes the kernels faster than
-// the reference, without touching any output value's operation sequence:
+// automatic FMA contraction (amd64). The inverse's reference is a
+// Gauss–Jordan elimination whose multiply-adds follow Axpy's path: fused
+// where the CPU has AVX2 and FMA, rounded twice elsewhere, and the tests
+// prove it on both. What makes the kernels faster than the reference,
+// without touching any output value's operation sequence:
 //
 //   - Memory reuse and direct Data indexing: no At/Set, no defensive
 //     clones or transposes the caller does not need, bounds-check-free
-//     inner loops.
+//     inner loops, and an inverse computed in place.
 //   - Independent accumulator chains. A reference loop that finishes one
 //     dot product before starting the next makes every add wait on the
 //     previous one. Here several independent sums advance together —
-//     Hessenberg's left update walks rows once for all column sums, its
-//     right update and the inverse's substitutions carry four sums at a
-//     time — while each sum still adds its terms in the reference order.
-//   - Skipping provably neutral work: the inverse's forward sweep starts
-//     at the first structurally nonzero row of its right-hand sides (each
-//     skipped term is l·(+0) added to a +0 sum); the QR iteration's row
-//     updates stop at the active block's last column, as in the
-//     eigenvalue-only EISPACK hqr (columns right of it never feed an
-//     eigenvalue again); the null-vector eliminations swap only the live
-//     tail of two pivot rows, and the real one skips the division of a
-//     zero pivot-column entry, whose multiplier is zero either way.
+//     Hessenberg's left update walks rows once for all column sums, and
+//     its right update carries four sums at a time — while each sum still
+//     adds its terms in the reference order.
+//   - Vector multiply-adds: every O(n³) step of the inverse is one
+//     full-row Axpy, four elements per fused multiply-add on AVX2.
+//   - Skipping provably neutral work: the QR iteration's row updates stop
+//     at the active block's last column, as in the eigenvalue-only EISPACK
+//     hqr (columns right of it never feed an eigenvalue again); the
+//     null-vector eliminations swap only the live tail of two pivot rows,
+//     and the real one skips the division of a zero pivot-column entry,
+//     whose multiplier is zero either way.
 //   - Cheaper pivot searches that are proven to select the same pivots.
 //
 // scratch_test.go enforces both properties: exact agreement with the
@@ -748,124 +751,57 @@ func cAbsIfAbove(v complex128, t float64) float64 {
 	return cmplx.Abs(v)
 }
 
-// InverseScratch is Inverse with caller-owned memory: a is factored in
-// place (destroyed) and the result lives in the arena. Factorisation,
-// permuted identity columns and the two substitution sweeps replay the
-// reference FactorLU + SolveMatrix(Identity) route operation for
-// operation, so the inverse is bit-identical and the same ErrSingular is reported. The sweeps solve
-// four right-hand sides at a time, each column's sums still adding their
-// terms in the reference order, and the forward sweep of a block starts at
-// its first structurally nonzero row r: every row above r holds +0 in all
-// four columns, and partial pivoting keeps every multiplier l in [−1, 1],
-// so each skipped term is l·(+0) = ±0 added to a +0 sum, which leaves it
-// +0. (A NaN multiplier, from an infinite or NaN input, turns every entry
-// of the inverse into NaN on both paths.)
+// InverseScratch inverts a in place by Gauss–Jordan elimination with
+// partial pivoting and returns it; the arena holds only the pivot record.
+// Step k takes the first row at or below k whose column-k entry has the
+// largest modulus, swaps it into row k, sets the pivot entry to 1 and
+// scales the row by 1/pivot, so column k of the row becomes the inverse's.
+// Every other row with a nonzero column-k entry f then has that entry
+// zeroed and takes Axpy(−f, pivot row, row) over the full width, which
+// also writes its part of the inverse's column k. The row swaps leave the
+// inverse's columns permuted; swapping columns k and the pivot row of step
+// k back, for k descending, undoes it. A zero pivot returns ErrSingular
+// with a partly eliminated. The multiply-adds are Axpy's: fused on CPUs
+// with AVX2 and FMA, rounded twice elsewhere.
 func InverseScratch(a *Matrix, ar *Arena) (*Matrix, error) {
 	a.square()
 	n := a.Rows
-	lu := a.Data
+	d := a.Data
 	piv := ar.Ints(n)
-	for i := range piv {
-		piv[i] = i
-	}
 	for k := 0; k < n; k++ {
-		// Find the pivot row.
-		p := k
-		mx := math.Abs(lu[k*n+k])
+		p, mx := k, math.Abs(d[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu[i*n+k]); a > mx {
-				mx, p = a, i
+			if v := math.Abs(d[i*n+k]); v > mx {
+				mx, p = v, i
 			}
 		}
+		piv[k] = p
+		prow := d[k*n : k*n+n]
 		if p != k {
-			for j := 0; j < n; j++ {
-				lu[p*n+j], lu[k*n+j] = lu[k*n+j], lu[p*n+j]
+			other := d[p*n : p*n+n]
+			for j := range prow {
+				prow[j], other[j] = other[j], prow[j]
 			}
-			piv[p], piv[k] = piv[k], piv[p]
 		}
-		pivot := lu[k*n+k]
+		pivot := prow[k]
 		if pivot == 0 {
-			continue // singular; detected below
-		}
-		prow := lu[k*n : k*n+n]
-		for i := k + 1; i < n; i++ {
-			irow := lu[i*n : i*n+n]
-			m := irow[k] / pivot
-			irow[k] = m
-			if m == 0 {
-				continue
-			}
-			tail, ptail := irow[k+1:], prow[k+1:]
-			ptail = ptail[:len(tail)]
-			for j, pv := range ptail {
-				tail[j] -= m * pv
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if lu[i*n+i] == 0 {
 			return nil, ErrSingular
 		}
-	}
-	// rowOf[c] is the row where P·e_c holds its 1.
-	rowOf := ar.Ints(n)
-	for i, p := range piv {
-		rowOf[p] = i
-	}
-	out := ar.MatUninit(n, n)
-	// x holds four right-hand sides interleaved: x[4i+c] is row i of column
-	// col+c. A short final block pads with zero columns that are computed
-	// and discarded.
-	x := ar.f64Raw(4 * n)
-	for col := 0; col < n; col += 4 {
-		w := min(4, n-col)
-		clear(x)
-		first := n
-		for c := 0; c < w; c++ {
-			r := rowOf[col+c]
-			x[4*r+c] = 1
-			first = min(first, r)
-		}
-		// Forward substitution with unit-diagonal L.
-		for i := first + 1; i < n; i++ {
-			row := lu[i*n+first : i*n+i]
-			xs := x[4*first : 4*i]
-			var s0, s1, s2, s3 float64
-			for j, l := range row {
-				xj := xs[4*j : 4*j+4]
-				s0 += l * xj[0]
-				s1 += l * xj[1]
-				s2 += l * xj[2]
-				s3 += l * xj[3]
-			}
-			xi := x[4*i : 4*i+4]
-			xi[0] -= s0
-			xi[1] -= s1
-			xi[2] -= s2
-			xi[3] -= s3
-		}
-		// Back substitution with U.
-		for i := n - 1; i >= 0; i-- {
-			row := lu[i*n+i+1 : i*n+n]
-			xs := x[4*(i+1) : 4*n]
-			var s0, s1, s2, s3 float64
-			for j, u := range row {
-				xj := xs[4*j : 4*j+4]
-				s0 += u * xj[0]
-				s1 += u * xj[1]
-				s2 += u * xj[2]
-				s3 += u * xj[3]
-			}
-			xi := x[4*i : 4*i+4]
-			d := lu[i*n+i]
-			xi[0] = (xi[0] - s0) / d
-			xi[1] = (xi[1] - s1) / d
-			xi[2] = (xi[2] - s2) / d
-			xi[3] = (xi[3] - s3) / d
+		inv := 1 / pivot
+		prow[k] = 1
+		for j := range prow {
+			prow[j] *= inv
 		}
 		for i := 0; i < n; i++ {
-			copy(out.Data[i*n+col:i*n+col+w], x[4*i:4*i+w])
+			irow := d[i*n : i*n+n]
+			if f := irow[k]; f != 0 && i != k {
+				irow[k] = 0
+				Axpy(-f, prow, irow)
+			}
 		}
 	}
-	return out, nil
+	for k := n - 1; k >= 0; k-- {
+		swapCols(a, k, piv[k])
+	}
+	return a, nil
 }

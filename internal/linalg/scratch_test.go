@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -147,33 +148,115 @@ func TestCForcedNullVectorScratchMatchesReference(t *testing.T) {
 	}
 }
 
+// axpyPaths lists the Axpy paths this machine can run: the portable one,
+// and the fused one where the CPU has AVX2 and FMA.
+func axpyPaths() []bool {
+	if hasAVX2FMA() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// onAxpyPath runs f with Axpy on the given path and restores the path
+// chosen at initialisation before returning.
+func onAxpyPath(fused bool, f func()) {
+	saved := useFMA
+	useFMA = fused
+	defer func() { useFMA = saved }()
+	f()
+}
+
+func pathName(fused bool) string {
+	if fused {
+		return "fused"
+	}
+	return "portable"
+}
+
+// luOracleTol bounds InverseScratch's distance from the LU inverse, in
+// units of each row's largest entry.
+const luOracleTol = 1e-12
+
+// checkInverse runs InverseScratch on a copy of m on every Axpy path. Each
+// result must be bit-identical to the Gauss–Jordan reference on its path,
+// with the same error; a NaN entry is compared as NaN, because a NaN's
+// payload follows the operand order the compiler picks. Where the LU
+// oracle inverts m too and every input is finite, each entry must also lie
+// within luOracleTol of its row's largest entry of the oracle's inverse.
+func checkInverse(t *testing.T, what string, m *Matrix, ar *Arena) {
+	t.Helper()
+	finite := true
+	for _, v := range m.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			finite = false
+		}
+	}
+	oracle, oracleErr := refInverse(m)
+	for _, fused := range axpyPaths() {
+		want, wantErr := refGaussJordan(m, fused)
+		var got *Matrix
+		var gotErr error
+		onAxpyPath(fused, func() {
+			ar.Reset()
+			got, gotErr = InverseScratch(m.Clone(), ar)
+		})
+		name := what + "/" + pathName(fused)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s: error mismatch: reference %v, kernel %v", name, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			if !errors.Is(gotErr, ErrSingular) {
+				t.Fatalf("%s: want ErrSingular, got %v", name, gotErr)
+			}
+			continue
+		}
+		if !finite {
+			for i, w := range want.Data {
+				g := got.Data[i]
+				if math.IsNaN(w) != math.IsNaN(g) || (!math.IsNaN(w) && math.Float64bits(w) != math.Float64bits(g)) {
+					t.Fatalf("%s: inverse[%d] %v vs %v", name, i, w, g)
+				}
+			}
+			continue
+		}
+		requireSameF64(t, name+": inverse", want.Data, got.Data)
+		if oracleErr != nil {
+			continue
+		}
+		n := m.Rows
+		for i := 0; i < n; i++ {
+			orow := oracle.Data[i*n : (i+1)*n]
+			var scale float64
+			for _, v := range orow {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			for j, v := range orow {
+				if d := math.Abs(got.Data[i*n+j] - v); d > luOracleTol*scale {
+					t.Fatalf("%s: inverse[%d][%d] = %v, LU oracle %v (row scale %v)", name, i, j, got.Data[i*n+j], v, scale)
+				}
+			}
+		}
+	}
+}
+
 func TestInverseScratchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var ar Arena
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(12)
-		m := randomTestMatrix(rng, n)
-		want, wantErr := refInverse(m)
-		ar.Reset()
-		got, gotErr := InverseScratch(m.Clone(), &ar)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			if !errors.Is(gotErr, ErrSingular) {
-				t.Fatalf("trial %d: want ErrSingular, got %v", trial, gotErr)
-			}
-			continue
-		}
-		requireSameF64(t, "inverse", want.Data, got.Data)
+		checkInverse(t, fmt.Sprintf("trial %d n=%d", trial, n), randomTestMatrix(rng, n), &ar)
 	}
 }
 
 func TestInverseScratchSingular(t *testing.T) {
 	var ar Arena
-	m := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := InverseScratch(m, &ar); !errors.Is(err, ErrSingular) {
-		t.Fatalf("want ErrSingular, got %v", err)
+	for _, fused := range axpyPaths() {
+		m := FromRows([][]float64{{1, 2}, {2, 4}})
+		var err error
+		onAxpyPath(fused, func() { _, err = InverseScratch(m, &ar) })
+		if !errors.Is(err, ErrSingular) {
+			t.Fatalf("%s: want ErrSingular, got %v", pathName(fused), err)
+		}
 	}
 }
 
@@ -196,15 +279,7 @@ func TestScratchKernelsMatchReferenceLarge(t *testing.T) {
 			requireSameC128(t, "eigenvalues", want, got)
 		}
 
-		wantInv, wantErr := refInverse(m)
-		ar.Reset()
-		gotInv, gotErr := InverseScratch(m.Clone(), &ar)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d n=%d: inverse error mismatch: %v vs %v", trial, n, wantErr, gotErr)
-		}
-		if wantErr == nil {
-			requireSameF64(t, "inverse", wantInv.Data, gotInv.Data)
-		}
+		checkInverse(t, fmt.Sprintf("trial %d n=%d", trial, n), m, &ar)
 
 		if n > 1 && rng.Intn(2) == 0 {
 			src, dst := rng.Intn(n), rng.Intn(n)
@@ -280,11 +355,11 @@ func TestEigenvaluesScratchBlockTriangularMatchesReference(t *testing.T) {
 }
 
 // TestInverseScratchLatePivotMatchesReference permutes the rows of
-// well-conditioned and tie-heavy matrices so that partial pivoting places
-// the 1 of several consecutive identity columns late — the forward sweep
-// then starts deep inside the matrix — and includes inputs with a NaN
-// multiplier, where the skipped terms are NaN·0 rather than ±0 and the
-// inverse must still be NaN wherever the reference's is.
+// well-conditioned and tie-heavy matrices so that partial pivoting must
+// undo the permutation — the pivot row of step k sits far below k and the
+// inverse's columns come out scrambled until the final column swaps — and
+// includes inputs with a NaN multiplier, where the inverse must be NaN
+// wherever the reference's is.
 func TestInverseScratchLatePivotMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	var ar Arena
@@ -308,35 +383,14 @@ func TestInverseScratchLatePivotMatchesReference(t *testing.T) {
 		for i, src := range perm {
 			copy(m.Data[i*n:(i+1)*n], base.Data[src*n:(src+1)*n])
 		}
-		nonFinite := trial%10 == 9 && n > 1
-		if nonFinite {
+		if trial%10 == 9 && n > 1 {
 			// Two infinite entries in one column give a NaN multiplier,
 			// and a NaN input elsewhere may reach the factors too.
 			m.Data[0] = math.Inf(1)
 			m.Data[n] = math.Inf(-1)
 			m.Data[n+rng.Intn(n*n-n)] = math.NaN()
 		}
-		want, wantErr := refInverse(m)
-		ar.Reset()
-		got, gotErr := InverseScratch(m.Clone(), &ar)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d n=%d: error mismatch: %v vs %v", trial, n, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if !nonFinite {
-			requireSameF64(t, "inverse", want.Data, got.Data)
-			continue
-		}
-		// A NaN's payload follows the operand order the compiler picks
-		// for a commutative add, so NaN entries are compared as NaN.
-		for i, w := range want.Data {
-			g := got.Data[i]
-			if math.IsNaN(w) != math.IsNaN(g) || (!math.IsNaN(w) && math.Float64bits(w) != math.Float64bits(g)) {
-				t.Fatalf("trial %d n=%d: inverse[%d] %v vs %v", trial, n, i, w, g)
-			}
-		}
+		checkInverse(t, fmt.Sprintf("trial %d n=%d", trial, n), m, &ar)
 	}
 }
 
@@ -369,5 +423,38 @@ func TestScratchKernelsAllocationFree(t *testing.T) {
 	run() // warm the arena to its high-water mark
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("scratch kernels allocated %v times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkInverse times InverseScratch on a 66×66 matrix — the size of a
+// served N = 10 point's boundary matrices — on each Axpy path this machine
+// can run, into a warm arena. It is informational: CI gates the inverse of
+// the real K_{N−2} through BenchmarkSpectralKernels in the root package.
+func BenchmarkInverse(b *testing.B) {
+	const n = 66
+	rng := rand.New(rand.NewSource(43))
+	src := NewMatrix(n, n)
+	for i := range src.Data {
+		src.Data[i] = rng.NormFloat64()
+	}
+	for _, fused := range axpyPaths() {
+		b.Run(fmt.Sprintf("%s/n=%d", pathName(fused), n), func(b *testing.B) {
+			onAxpyPath(fused, func() {
+				var ar Arena
+				invert := func() {
+					ar.Reset()
+					w := ar.MatUninit(n, n)
+					copy(w.Data, src.Data)
+					if _, err := InverseScratch(w, &ar); err != nil {
+						b.Fatal(err)
+					}
+				}
+				invert() // the arena reaches its high-water mark
+				b.ReportAllocs()
+				for b.Loop() {
+					invert()
+				}
+			})
+		})
 	}
 }

@@ -9,7 +9,9 @@
 //     closed-form left vector; otherwise the characteristic matrix
 //     polynomial is linearised in w = 1/z so that a standard QR eigensolve
 //     applies, and each left vector is a null vector of Q(z). The boundary
-//     is an O(N·s³) block elimination rather than a dense (N+1)s system.
+//     is an O(N·s³) block elimination rather than a dense (N+1)s system:
+//     N−1 in-place Gauss–Jordan inverses whose row updates are
+//     linalg.Axpy, fused multiply-adds on CPUs with AVX2 and FMA.
 //     It is one point of a SweepSolver, which hoists the λ-independent work
 //     once per environment and solves a λ-sweep allocation-free; a one-off
 //     solve and every sweep point run the same code.
