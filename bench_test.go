@@ -192,14 +192,14 @@ func BenchmarkBoundaryElimination(b *testing.B) {
 	}
 }
 
-// BenchmarkDominantEigenvalue contrasts the determinant-scan path used by
-// the geometric approximation with extracting z_s from the full companion
-// eigensolve.
+// BenchmarkDominantEigenvalue contrasts the geometric approximation, which
+// finds z_s as the all-Perron multiset's one scalar root, with extracting
+// z_s from a full spectral solve.
 func BenchmarkDominantEigenvalue(b *testing.B) {
 	p := benchParams(b, 10, 8)
-	b.Run("detscan", func(b *testing.B) {
+	b.Run("approx", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := qbd.DominantEigenvalue(p); err != nil {
+			if _, err := qbd.SolveApprox(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -448,11 +448,11 @@ func BenchmarkSweepBatched(b *testing.B) {
 // kernels, at the shapes one N = 10 point of the Sun environment (s = 66
 // modes, λ = 7) feeds them: the eigenvalues of the 132×132 companion and
 // the real null vector of the 66×66 Q(z)ᵀ at the dominant eigenvalue (the
-// companion path, which raw Params without a server description still
-// take), the real null vector of the 66×66 level-(N−1) matching system
-// that closes every served point, the inverse of the 66×66 boundary
-// matrix K_{N−2} (the last matrix a point inverts), and the factored eigen
-// stage that replaces the first two on the served path: 66 roots and their
+// eigen stage of the dense oracle, SolveSpectralDense, which no served
+// point runs), the real null vector of the 66×66 level-(N−1) matching
+// system that closes every served point, the inverse of the 66×66
+// boundary matrix K_{N−2} (the last matrix a point inverts), and the
+// factored eigen stage every served point runs: 66 roots and their
 // closed-form left vectors. Inputs are built before the timer; every
 // iteration copies its input into a warm arena matrix (the factored
 // member reuses a warm worker), so ns/op is one kernel call and allocs/op
@@ -565,9 +565,8 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		_, err := linalg.InverseScratch(w, ar)
 		return err
 	})
-	// The factored eigen stage that replaces the companion eigenvalues and
-	// the s null vectors on the served path: every multiset's root and its
-	// closed-form left vector, on a warm worker.
+	// The factored eigen stage every served point runs: every multiset's
+	// root and its closed-form left vector, on a warm worker.
 	sv, err := qbd.NewSweepSolver(p)
 	if err != nil {
 		b.Fatal(err)

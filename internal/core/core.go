@@ -69,11 +69,11 @@ func (s System) Env() (*markov.Env, error) {
 	return markov.NewEnv(s.Servers, s.Operative, s.Repair)
 }
 
-// Params assembles the queueing parameters for the qbd solvers. When
-// every phase weight is positive they carry the description of the
-// environment as N identical servers, so spectral solves take qbd's
-// factored stage; with a zero weight some phase is never entered and
-// they take the companion eigensolve instead.
+// Params assembles the queueing parameters for the qbd solvers, with the
+// description of the environment as N identical servers that the
+// spectral and approximate solvers require (qbd.Params.Servers). A phase
+// of zero weight is never entered; the description carries it all the
+// same, and qbd's factored stage solves it as a transient phase.
 func (s System) Params() (qbd.Params, error) {
 	_, p, err := s.envParams()
 	return p, err
@@ -88,13 +88,11 @@ func (s System) envParams() (*markov.Env, qbd.Params, error) {
 		Lambda:      s.ArrivalRate,
 		A:           env.AMatrix(),
 		ServiceDiag: env.ServiceDiag(s.ServiceRate),
-	}
-	if env.PhasesReachable() {
-		p.Servers = &qbd.Servers{
+		Servers: &qbd.Servers{
 			G:      env.ServerRates(),
 			Rates:  env.PhaseServiceRates(s.ServiceRate),
 			Counts: env.PhaseCounts(),
-		}
+		},
 	}
 	return env, p, nil
 }

@@ -7,12 +7,12 @@ import (
 	"repro/internal/qbd"
 )
 
-// TestParamsCarryServerDescription: every Params core builds with all
-// phase weights positive carries the server description, and the sweep
-// solver accepts it, so every served spectral solve — /v1/solve,
-// /v1/sweep, sweep jobs, admission refits, all of which build their
-// parameters here — takes the factored stage. A zero weight leaves it off
-// and the solve takes the companion eigensolve.
+// TestParamsCarryServerDescription: every Params core builds carries the
+// server description, and the sweep solver accepts it, so every served
+// spectral solve — /v1/solve, /v1/sweep, sweep jobs, admission refits, all
+// of which build their parameters here — takes the factored stage. A zero
+// phase weight is no exception: its phase is never entered, and the
+// factored stage takes it as a transient phase.
 func TestParamsCarryServerDescription(t *testing.T) {
 	h2 := dist.MustHyperExp([]float64{0.6, 0.4}, []float64{40, 5})
 	h3 := dist.MustHyperExp([]float64{0.5, 0.3, 0.2}, []float64{0.3, 0.05, 0.01})
@@ -26,8 +26,8 @@ func TestParamsCarryServerDescription(t *testing.T) {
 		{"exp/exp", dist.Exp(0.05), dist.Exp(2), true},
 		{"h2 repairs", paperOps, h2, true},
 		{"h3+h2", h3, h2, true},
-		{"zero operative weight", zero, paperRepair, false},
-		{"zero repair weight", paperOps, dist.MustHyperExp([]float64{0, 1}, []float64{40, 5}), false},
+		{"zero operative weight", zero, paperRepair, true},
+		{"zero repair weight", paperOps, dist.MustHyperExp([]float64{0, 1}, []float64{40, 5}), true},
 	} {
 		for _, n := range []int{1, 4, 9} {
 			sys := System{Servers: n, ArrivalRate: 0.5, ServiceRate: 1.3, Operative: c.op, Repair: c.rep}

@@ -84,27 +84,6 @@ func (f *LU) Det() float64 {
 	return d
 }
 
-// LogDet returns the determinant in sign/log-magnitude form:
-// det = sign · exp(logAbs). A zero determinant yields sign 0 and logAbs −Inf.
-// This form never overflows, which matters when scanning det Q(z) for the
-// dominant eigenvalue of large characteristic polynomials.
-func (f *LU) LogDet() (logAbs float64, sign int) {
-	sign = f.sign
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d := f.lu.At(i, i)
-		if d == 0 {
-			return math.Inf(-1), 0
-		}
-		if d < 0 {
-			sign = -sign
-			d = -d
-		}
-		logAbs += math.Log(d)
-	}
-	return logAbs, sign
-}
-
 // Solve solves A·x = b for x.
 func (f *LU) Solve(b []float64) ([]float64, error) {
 	n := f.lu.Rows

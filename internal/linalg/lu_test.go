@@ -72,32 +72,6 @@ func TestDetKnown(t *testing.T) {
 	}
 }
 
-func TestLogDetMatchesDet(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		a := randomMatrix(rng, n, n)
-		f := FactorLU(a)
-		det := f.Det()
-		logAbs, sign := f.LogDet()
-		if det == 0 {
-			return sign == 0
-		}
-		rec := float64(sign) * math.Exp(logAbs)
-		return math.Abs(rec-det) <= 1e-9*math.Abs(det)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLogDetSingular(t *testing.T) {
-	logAbs, sign := FactorLU(NewMatrix(3, 3)).LogDet()
-	if sign != 0 || !math.IsInf(logAbs, -1) {
-		t.Fatalf("singular LogDet = (%v, %d), want (-Inf, 0)", logAbs, sign)
-	}
-}
-
 func TestSolveSingular(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {

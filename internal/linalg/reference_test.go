@@ -52,6 +52,7 @@ func refGaussJordan(a *Matrix, fused bool) (*Matrix, error) {
 	n := a.Rows
 	w := a.Clone()
 	piv := make([]int, n)
+	var maxPiv float64
 	for k := 0; k < n; k++ {
 		p := k
 		mx := math.Abs(w.At(k, k))
@@ -60,12 +61,16 @@ func refGaussJordan(a *Matrix, fused bool) (*Matrix, error) {
 				mx, p = v, i
 			}
 		}
+		// A pivot at most n·ε times the largest earlier one is a zero.
+		if mx <= float64(n)*0x1p-52*maxPiv {
+			return nil, ErrSingular
+		}
+		if mx > maxPiv {
+			maxPiv = mx
+		}
 		piv[k] = p
 		swapRows(w, k, p)
 		pivot := w.At(k, k)
-		if pivot == 0 {
-			return nil, ErrSingular
-		}
 		inv := 1 / pivot
 		w.Set(k, k, 1)
 		for j := 0; j < n; j++ {

@@ -760,20 +760,31 @@ func cAbsIfAbove(v complex128, t float64) float64 {
 // zeroed and takes Axpy(−f, pivot row, row) over the full width, which
 // also writes its part of the inverse's column k. The row swaps leave the
 // inverse's columns permuted; swapping columns k and the pivot row of step
-// k back, for k descending, undoes it. A zero pivot returns ErrSingular
-// with a partly eliminated. The multiply-adds are Axpy's: fused on CPUs
+// k back, for k descending, undoes it. A pivot whose modulus is at most
+// n·ε times the largest earlier pivot modulus — a zero one included —
+// returns ErrSingular with a partly eliminated: an exactly singular matrix
+// whose elimination leaves a rounding-sized pivot must not come back as an
+// "inverse" of order 1/ε. The multiply-adds are Axpy's: fused on CPUs
 // with AVX2 and FMA, rounded twice elsewhere.
 func InverseScratch(a *Matrix, ar *Arena) (*Matrix, error) {
 	a.square()
 	n := a.Rows
 	d := a.Data
 	piv := ar.Ints(n)
+	tol := float64(n) * 0x1p-52
+	var maxPiv float64
 	for k := 0; k < n; k++ {
 		p, mx := k, math.Abs(d[k*n+k])
 		for i := k + 1; i < n; i++ {
 			if v := math.Abs(d[i*n+k]); v > mx {
 				mx, p = v, i
 			}
+		}
+		if mx <= tol*maxPiv {
+			return nil, ErrSingular
+		}
+		if mx > maxPiv {
+			maxPiv = mx // a NaN pivot never becomes the scale
 		}
 		piv[k] = p
 		prow := d[k*n : k*n+n]
@@ -783,11 +794,7 @@ func InverseScratch(a *Matrix, ar *Arena) (*Matrix, error) {
 				prow[j], other[j] = other[j], prow[j]
 			}
 		}
-		pivot := prow[k]
-		if pivot == 0 {
-			return nil, ErrSingular
-		}
-		inv := 1 / pivot
+		inv := 1 / prow[k]
 		prow[k] = 1
 		for j := range prow {
 			prow[j] *= inv

@@ -248,14 +248,43 @@ func TestInverseScratchMatchesReference(t *testing.T) {
 	}
 }
 
+// TestInverseScratchSingular feeds exactly singular matrices (det 0 by
+// LU): one whose elimination meets an exact zero pivot, and five
+// tie-heavy ones (randomTestMatrix draws; seeds 1 and 2 give the 5×5 and
+// 6×6 ones) whose elimination leaves a rounding-sized pivot instead, which
+// a test for an exact zero alone accepts. Every path must return
+// ErrSingular.
 func TestInverseScratchSingular(t *testing.T) {
 	var ar Arena
-	for _, fused := range axpyPaths() {
-		m := FromRows([][]float64{{1, 2}, {2, 4}})
-		var err error
-		onAxpyPath(fused, func() { _, err = InverseScratch(m, &ar) })
-		if !errors.Is(err, ErrSingular) {
-			t.Fatalf("%s: want ErrSingular, got %v", pathName(fused), err)
+	cases := []*Matrix{
+		FromRows([][]float64{{1, 2}, {2, 4}}),
+		FromRows([][]float64{{0, 1, -2, 1}, {-1, -2, 2, 0}, {2, -1, -2, 0}, {-2, -2, 0, 2}}),
+		FromRows([][]float64{
+			{1, 2, -1, -2, 0}, {-1, -2, 0, -1, 2}, {0, -1, -2, 1, -2},
+			{1, 0, 0, 1, 0}, {-2, 0, 2, -1, 1}}),
+		FromRows([][]float64{
+			{-1, -1, 2, 0, -2}, {-2, 0, 0, 1, 0}, {1, 0, 2, 1, -2},
+			{-1, 1, -2, 1, 2}, {1, 2, 1, -2, 1}}),
+		FromRows([][]float64{
+			{-1, -1, 0, 2, 1, -2}, {0, 0, 0, 2, 0, -1}, {-1, -2, 0, 0, 2, 2},
+			{0, 1, -2, 2, 2, 0}, {-2, -1, -2, 1, 1, -2}, {0, 2, -2, -1, -2, -2}}),
+		FromRows([][]float64{
+			{-2, 0, -1, 2, -2, 1}, {-1, -2, 0, -2, 2, 0}, {2, 2, 0, -2, -2, 2},
+			{0, -1, 0, -1, -2, 1}, {-2, -2, 1, 0, 1, 1}, {-2, -2, -2, 0, -2, 0}}),
+	}
+	for i, m := range cases {
+		if !FactorLU(m).IsSingular() {
+			t.Fatalf("case %d: LU finds the matrix nonsingular", i)
+		}
+		for _, fused := range axpyPaths() {
+			var err error
+			onAxpyPath(fused, func() { _, err = InverseScratch(m.Clone(), &ar) })
+			if !errors.Is(err, ErrSingular) {
+				t.Fatalf("case %d %s: want ErrSingular, got %v", i, pathName(fused), err)
+			}
+			if _, err := refGaussJordan(m, fused); !errors.Is(err, ErrSingular) {
+				t.Fatalf("case %d %s: reference: want ErrSingular, got %v", i, pathName(fused), err)
+			}
 		}
 	}
 }

@@ -210,25 +210,6 @@ func (e *Env) PhaseCounts() [][]int {
 	return out
 }
 
-// PhasesReachable reports whether every phase weight α_j and β_l is
-// positive, so that one server visits every phase. Its phase process is
-// then reversible with a positive stationary distribution (breakdowns at
-// ξ_j·β_l balance repairs at η_l·α_j), which is what qbd's factored
-// spectral stage needs; with a zero weight some phase is never entered.
-func (e *Env) PhasesReachable() bool {
-	for _, w := range e.Op.Weights {
-		if !(w > 0) {
-			return false
-		}
-	}
-	for _, w := range e.Rep.Weights {
-		if !(w > 0) {
-			return false
-		}
-	}
-	return true
-}
-
 // neighbour returns the index of the mode reached from m by moving one
 // server between operative phase j and inoperative phase k; dir = −1 for a
 // breakdown (j → k), +1 for a repair (k → j).
@@ -258,35 +239,6 @@ func (e *Env) ServiceDiag(mu float64) [][]float64 {
 		out[j] = row
 	}
 	return out
-}
-
-// StationaryModeProbs returns the stationary distribution π of the
-// environment alone (π·(A − Dᴬ) = 0, π·1 = 1). Because servers break and
-// recover independently of the queue, π also equals the marginal mode
-// distribution of the full system — an invariant the solver tests exploit.
-func (e *Env) StationaryModeProbs() ([]float64, error) {
-	a := e.AMatrix()
-	s := a.Rows
-	gen := a.Clone()
-	rows := a.RowSums()
-	for i := 0; i < s; i++ {
-		gen.Add(i, i, -rows[i])
-	}
-	pi, err := linalg.ForcedLeftNullVector(gen)
-	if err != nil {
-		return nil, fmt.Errorf("markov: environment generator has no stationary vector: %w", err)
-	}
-	var sum float64
-	for _, p := range pi {
-		sum += p
-	}
-	if sum == 0 {
-		return nil, fmt.Errorf("markov: degenerate stationary vector")
-	}
-	for i := range pi {
-		pi[i] /= sum
-	}
-	return pi, nil
 }
 
 // ExpectedOperative returns the steady-state mean number of operative

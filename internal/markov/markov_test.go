@@ -2,9 +2,7 @@ package markov
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dist"
 	"repro/internal/linalg"
@@ -153,80 +151,6 @@ func TestAMatrixDiagonalZero(t *testing.T) {
 		if a.At(i, i) != 0 {
 			t.Errorf("A[%d][%d] = %v, want 0", i, i, a.At(i, i))
 		}
-	}
-}
-
-func TestStationaryModeProbsBinomial(t *testing.T) {
-	// With exponential operative and repair periods, servers are independent
-	// two-state chains: the number of operative servers is Binomial(N, p)
-	// with p = η/(ξ+η).
-	xi, eta := 0.5, 2.0
-	env, err := NewEnv(3, dist.Exp(xi), dist.Exp(eta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := env.StationaryModeProbs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := eta / (xi + eta)
-	for i, m := range env.Modes() {
-		x := m.Operative()
-		want := float64(binomial(3, x)) * math.Pow(p, float64(x)) * math.Pow(1-p, float64(3-x))
-		if math.Abs(pi[i]-want) > 1e-10 {
-			t.Errorf("mode %d (x=%d): π = %v, want %v", i, x, pi[i], want)
-		}
-	}
-}
-
-func TestStationaryModeProbsSumToOne(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		w := 0.3 + 0.4*rng.Float64()
-		op := dist.MustHyperExp(
-			[]float64{w, 1 - w},
-			[]float64{math.Exp(rng.NormFloat64()), math.Exp(rng.NormFloat64())},
-		)
-		env, err := NewEnv(n, op, dist.Exp(1+rng.Float64()*10))
-		if err != nil {
-			return false
-		}
-		pi, err := env.StationaryModeProbs()
-		if err != nil {
-			return false
-		}
-		var sum float64
-		for _, p := range pi {
-			if p < -1e-12 {
-				return false
-			}
-			sum += p
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestExpectedOperativeMatchesStationary(t *testing.T) {
-	// E[operative] from the closed form must match Σ_i x_i·π_i even for
-	// hyperexponential periods (it depends only on the means — paper §3).
-	env, err := NewEnv(6, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := env.StationaryModeProbs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mean float64
-	for i, m := range env.Modes() {
-		mean += float64(m.Operative()) * pi[i]
-	}
-	if want := env.ExpectedOperative(); math.Abs(mean-want) > 1e-8 {
-		t.Errorf("Σxπ = %v, closed form %v", mean, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"sync"
 
 	"repro/internal/linalg"
@@ -16,14 +15,13 @@ import (
 // Figures 4–9 — and SolveSpectral is its batch of one. Construction hoists
 // all λ-independent work (structural validation, the environment's
 // stationary distribution and service capacity, Dᴬ row sums, the top
-// service diagonal, the −A / Aᵀ images the per-point matrix builds copy
-// from, and — when p.Servers describes the environment — the checked
-// description's factored stage: one server's symmetrised generator, the
-// multisets and the composition tables of their closed-form vectors);
-// each Solve then runs the per-point remainder of the spectral expansion
-// — the roots and left vectors, N−1 boundary inverses and one real s×s
-// matching system at level N−1 — inside a reusable worker workspace,
-// allocation-free once warm.
+// service diagonal, the −A image every K_j build copies from, and the
+// checked server description's factored stage: one server's symmetrised
+// generator, the multisets and the composition tables of their
+// closed-form vectors); each Solve then runs the per-point remainder of
+// the spectral expansion — the roots and left vectors, N−1 boundary
+// inverses and one real s×s matching system at level N−1 — inside a
+// reusable worker workspace, allocation-free once warm.
 //
 // Equivalence contract: a point solved on a reused or pooled worker is the
 // *same computation* as SolveSpectral(p) with p.Lambda set to that point,
@@ -43,9 +41,8 @@ type SweepSolver struct {
 	s, n     int
 	da, c    []float64
 	negA     *linalg.Matrix // −A, the seed of every K_j build
-	aT       *linalg.Matrix // Aᵀ, read row-contiguously by the companion and Q(z)ᵀ builds
 	capacity float64        // Σ_i π_i·C_N[i]; ≤ 0 means every λ is unstable
-	fac      *factored      // the factored eigen stage, when p.Servers describes the environment
+	fac      *factored      // the eigen stage, hoisted from p.Servers
 
 	pool sync.Pool // *SweepWorker
 }
@@ -54,8 +51,9 @@ type SweepSolver struct {
 // shared state. p.Lambda is ignored (each Solve supplies its own rate);
 // validation errors are those SolveSpectral would report for any point of
 // the batch, so a failed construction means every point would fail. A
-// server description that does not reproduce A and C_N, or whose server
-// is not irreducible and reversible, is such an error.
+// missing server description is such an error, as is one that does not
+// reproduce A and C_N or whose server's entered phases are not
+// irreducible and reversible.
 func NewSweepSolver(p Params) (*SweepSolver, error) {
 	probe := p
 	if !(probe.Lambda > 0) || math.IsInf(probe.Lambda, 0) {
@@ -63,6 +61,9 @@ func NewSweepSolver(p Params) (*SweepSolver, error) {
 	}
 	if err := probe.Validate(); err != nil {
 		return nil, err
+	}
+	if probe.Servers == nil {
+		return nil, ErrNoServers
 	}
 	pi, err := probe.EnvStationary()
 	if err != nil {
@@ -80,13 +81,10 @@ func NewSweepSolver(p Params) (*SweepSolver, error) {
 		da:       probe.dA(),
 		c:        c,
 		negA:     probe.A.Scaled(-1),
-		aT:       probe.A.T(),
 		capacity: capacity,
 	}
-	if probe.Servers != nil {
-		if sv.fac, err = newFactored(probe); err != nil {
-			return nil, err
-		}
+	if sv.fac, err = newFactored(probe); err != nil {
+		return nil, err
 	}
 	sv.pool.New = func() any { return sv.NewWorker() }
 	return sv, nil
@@ -121,15 +119,13 @@ type SweepWorker struct {
 	sv     *SweepSolver
 	ar     linalg.Arena
 	stages []*linalg.Matrix // S_0..S_{N−2} headers, matrices live in the arena
-	fac    factoredWork     // the factored stage's scratch, when sv.fac is set
+	fac    factoredWork     // the eigen stage's scratch
 }
 
 // NewWorker returns a fresh workspace bound to the solver's hoisted state.
 func (sv *SweepSolver) NewWorker() *SweepWorker {
 	w := &SweepWorker{sv: sv}
-	if sv.fac != nil {
-		w.fac.init(sv.fac, sv.s)
-	}
+	w.fac.init(sv.fac, sv.s)
 	return w
 }
 
@@ -155,9 +151,17 @@ func (w *SweepWorker) SolveInto(lambda float64, sol *SpectralSolution) error {
 // and nothing else. It lets a benchmark time the eigen stage of a point
 // on its own.
 func (w *SweepWorker) EigenStage(lambda float64, sol *SpectralSolution) error {
-	sv := w.sv
-	// Per-point validation and stability, with Params.Validate's and
-	// Params.CheckStable's errors.
+	if err := w.sv.checkPoint(lambda); err != nil {
+		return err
+	}
+	w.ar.Reset()
+	sol.reshape(w.sv.n, w.sv.s)
+	return w.factoredTerms(lambda, sol)
+}
+
+// checkPoint is the per-point validation and stability check, with
+// Params.Validate's and Params.CheckStable's errors.
+func (sv *SweepSolver) checkPoint(lambda float64) error {
 	if !(lambda > 0) || math.IsInf(lambda, 0) {
 		return fmt.Errorf("qbd: arrival rate %v must be positive and finite", lambda)
 	}
@@ -168,19 +172,7 @@ func (w *SweepWorker) EigenStage(lambda float64, sol *SpectralSolution) error {
 	if load >= 1 {
 		return fmt.Errorf("%w: load = %v", ErrUnstable, load)
 	}
-	w.ar.Reset()
-	sol.reshape(sv.n, sv.s)
-	// The s roots inside the unit disk with their left vectors: by the
-	// factored stage when the solver has a server description, by the
-	// companion eigensolve and null-vector eliminations otherwise.
-	if sv.fac != nil {
-		return w.factoredTerms(lambda, sol)
-	}
-	zs, err := w.unitDiskEigenvalues(lambda)
-	if err != nil {
-		return err
-	}
-	return w.eigenvectorTerms(lambda, zs, sol)
+	return nil
 }
 
 // reshape resizes sol to n boundary levels over s modes, reusing backing
@@ -215,134 +207,6 @@ func (sol *SpectralSolution) reshape(n, s int) {
 	}
 }
 
-// unitDiskEigenvalues returns the s eigenvalues of det Q(z) = 0 with
-// |z| < 1, sorted by descending modulus (so the dominant z_s comes first).
-// It solves the companion of the reversed polynomial in w = 1/z,
-// Q(z)ᵀx = 0 ⇔ (Q0ᵀw² + Q1ᵀw + Q2ᵀ)x = 0, which with Q0 = λI has the block
-// form [[0, I], [−Q2ᵀ/λ, −Q1ᵀ/λ]], built in the arena (reading A through
-// the hoisted transpose, row-contiguously).
-func (w *SweepWorker) unitDiskEigenvalues(lambda float64) ([]complex128, error) {
-	sv := w.sv
-	s := sv.s
-	n2 := 2 * s
-	cm := w.ar.Mat(n2, n2)
-	for i := 0; i < s; i++ {
-		cm.Data[i*n2+s+i] = 1
-	}
-	for i := 0; i < s; i++ {
-		// −Q2ᵀ/λ block: Q2 = diag(c).
-		cm.Data[(s+i)*n2+i] = -sv.c[i] / lambda
-		// −Q1ᵀ/λ block: Q1 = A − Dᴬ − λI − C.
-		at := sv.aT.Data[i*s : (i+1)*s] // aT[i][j] = A[j][i]
-		row := cm.Data[(s+i)*n2+s : (s+i)*n2+n2]
-		for j := 0; j < s; j++ {
-			v := at[j]
-			if i == j {
-				v -= sv.da[i] + lambda + sv.c[i]
-			}
-			row[j] = -v / lambda
-		}
-	}
-	ws, err := linalg.EigenvaluesScratch(cm, &w.ar)
-	if err != nil {
-		return nil, fmt.Errorf("qbd: companion eigenvalues: %w", err)
-	}
-	// The s eigenvalues z inside the unit disk correspond to the s largest
-	// |w| (all > 1); the next one down is the unit root w = 1.
-	sortModulusDesc(ws)
-	if len(ws) < s+1 {
-		return nil, fmt.Errorf("%w: companion produced %d eigenvalues", ErrEigenCount, len(ws))
-	}
-	if in := cmplx.Abs(ws[s-1]); in <= 1 {
-		return nil, fmt.Errorf("%w: only %d strictly outside the unit circle (|w_s| = %v)", ErrEigenCount, countAbove(ws, 1), in)
-	}
-	if out := cmplx.Abs(ws[s]); out > 1+1e-6 {
-		return nil, fmt.Errorf("%w: at least %d outside the unit circle (|w_{s+1}| = %v)", ErrEigenCount, countAbove(ws, 1), out)
-	}
-	zs := w.ar.C128(s)
-	for k := 0; k < s; k++ {
-		zs[k] = 1 / ws[k]
-	}
-	// Clean tiny imaginary parts so real roots are treated as real; the
-	// rest must then come in adjacent conjugate pairs.
-	for k := range zs {
-		if math.Abs(imag(zs[k])) < 1e-9*(1+math.Abs(real(zs[k]))) {
-			zs[k] = complex(real(zs[k]), 0)
-		}
-	}
-	sortModulusDesc(zs)
-	return zs, nil
-}
-
-// eigenvectorTerms recovers the left eigenvector u_k of every eigenvalue
-// as the right null vector of Q(z_k)ᵀ, computing each conjugate pair only
-// once, and writes each term into sol.terms in place. Q(z_k)ᵀ is built
-// directly, with no transpose copy, and every eigenvalue's is rebuilt in
-// the same real or complex s×s buffer, which the null-vector kernel
-// destroys anyway, so the s eigenvalues take O(s²) arena memory in total
-// rather than O(s³), and the buffer stays in cache.
-func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *SpectralSolution) error {
-	sv := w.sv
-	s := sv.s
-	qt := w.ar.MatUninit(s, s)
-	cqt := w.ar.CMatUninit(s, s)
-	for k := 0; k < len(zs); k++ {
-		z := zs[k]
-		switch {
-		case imag(z) == 0:
-			zr := real(z)
-			for i := 0; i < s; i++ {
-				at := sv.aT.Data[i*s : (i+1)*s]
-				row := qt.Data[i*s : (i+1)*s]
-				for j, v := range at {
-					row[j] = zr * v
-				}
-				row[i] += lambda - zr*(sv.da[i]+lambda+sv.c[i]) + zr*zr*sv.c[i]
-			}
-			u, err := linalg.ForcedNullVectorScratch(qt, &w.ar)
-			if err != nil {
-				return fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
-			}
-			sol.terms[k].z = z
-			cu := sol.terms[k].u
-			for i, v := range u {
-				cu[i] = complex(v, 0)
-			}
-		case imag(z) > 0:
-			lam := complex(lambda, 0)
-			for i := 0; i < s; i++ {
-				at := sv.aT.Data[i*s : (i+1)*s]
-				row := cqt.Data[i*s : (i+1)*s]
-				for j, v := range at {
-					row[j] = z * complex(v, 0)
-				}
-				ci := complex(sv.c[i], 0)
-				di := complex(sv.da[i], 0)
-				row[i] += lam - z*(di+lam+ci) + z*z*ci
-			}
-			u, err := linalg.CForcedNullVectorScratch(cqt, &w.ar)
-			if err != nil {
-				return fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
-			}
-			sol.terms[k].z = z
-			copy(sol.terms[k].u, u)
-			// The conjugate must sit adjacent after the modulus sort.
-			if k+1 >= len(zs) || zs[k+1] != cmplx.Conj(z) {
-				return fmt.Errorf("qbd: unpaired complex eigenvalue %v", z)
-			}
-			sol.terms[k+1].z = cmplx.Conj(z)
-			cu := sol.terms[k+1].u
-			for i, v := range u {
-				cu[i] = cmplx.Conj(v)
-			}
-			k++
-		default:
-			return fmt.Errorf("qbd: unpaired complex eigenvalue %v", z)
-		}
-	}
-	return nil
-}
-
 // assemble solves the boundary and the normalisation for the γ̃
 // coefficients in real arithmetic, writing the result into sol.
 //
@@ -352,13 +216,11 @@ func (w *SweepWorker) eigenvectorTerms(lambda float64, zs []complex128, sol *Spe
 // det Q(0) = λ^s). The level-(N−1) equation v_{N−1}·K_{N−1} = v_N·C_N is
 // then the matching system Σ_k γ'_k·u_k·(K_{N−1} − z_k·C_N) = 0, with
 // K_{N−1} the matrix the S_j recursion builds before its last inversion;
-// only S_0..S_{N−2} are inverted. A real root contributes the real row
-// u_k·(K_{N−1} − z_k·C_N); a conjugate pair contributes the real and
-// imaginary parts of its first member's row, and null-vector entries
-// (x_k, x_{k+1}) map back to γ'_k = (x_k − i·x_{k+1})/2 and its
-// conjugate. Every level's K_j is built in its own stage matrix and
-// inverted there in place, so the boundary takes O(N·s²) arena memory; the
-// levels are folded straight into sol's boundary rows. The λ·S_{j−1}
+// only S_0..S_{N−2} are inverted. Every root is real, and contributes the
+// real row u_k·(K_{N−1} − z_k·C_N). Every level's K_j is built in its own
+// stage matrix and inverted there in place, so the boundary takes
+// O(N·s²) arena memory; the levels are folded straight into sol's
+// boundary rows. The λ·S_{j−1}
 // subtraction, the matching-system build and the fold are linalg.Axpy
 // row updates, as are the inversions' eliminations.
 func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
@@ -406,22 +268,17 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 		}
 		w.stages[j] = st
 	}
-	// Real rows r_k = Re u_k and w_k = Re(z_k·u_k); the second member of a
-	// conjugate pair takes the first member's imaginary parts instead. The
-	// matching system is built transposed, Mᵀ[i][k] = (r_k·K_{N−1})[i] −
-	// c_i·w_k[i], so the null-vector kernel needs no transpose pass.
-	rt := w.ar.MatUninit(s, s) // rt[i][k] = r_k[i]
+	// The matching system is built transposed,
+	// Mᵀ[i][k] = (u_k·K_{N−1})[i] − c_i·(z_k·u_k[i]), so the null-vector
+	// kernel needs no transpose pass.
+	rt := w.ar.MatUninit(s, s) // rt[i][k] = u_k[i]
 	mt := w.ar.MatUninit(s, s)
 	for k := range sol.terms {
 		t := &sol.terms[k]
+		z := real(t.z)
 		for i, u := range t.u {
-			zu := t.z * u
-			r, wu := real(u), real(zu)
-			if imag(t.z) < 0 {
-				r, wu = -imag(u), -imag(zu)
-			}
-			rt.Data[i*s+k] = r
-			mt.Data[i*s+k] = -sv.c[i] * wu
+			rt.Data[i*s+k] = real(u)
+			mt.Data[i*s+k] = -sv.c[i] * (z * real(u))
 		}
 	}
 	// Row i of Mᵀ adds K_{N−1}[r][i]·(row r of rt) for every r.
@@ -435,7 +292,7 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	if err != nil {
 		return fmt.Errorf("qbd: level-(N−1) matching system: %w", err)
 	}
-	// v_{N−1} = Σ_k x_k·r_k, then v_j = v_{j+1}·S_j down to level 0.
+	// v_{N−1} = Σ_k x_k·u_k, then v_j = v_{j+1}·S_j down to level 0.
 	top := sol.boundary[n-1]
 	for i := range top {
 		var acc float64
@@ -463,16 +320,7 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	}
 	for k := range sol.terms {
 		t := &sol.terms[k]
-		var g complex128 // γ'_k
-		switch {
-		case imag(t.z) == 0:
-			g = complex(x[k], 0)
-		case imag(t.z) > 0:
-			g = complex(x[k], -x[k+1]) / 2
-		default:
-			g = complex(x[k-1], x[k]) / 2
-		}
-		t.gamma = g * t.z
+		t.gamma = complex(x[k], 0) * t.z
 		total += real(t.gamma * cvecSum(t.u) / (1 - t.z))
 	}
 	if total == 0 {

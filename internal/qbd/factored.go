@@ -7,10 +7,10 @@ import (
 	"slices"
 )
 
-// This file is the spectral solver's factored eigen stage, which replaces
-// the companion eigensolve and the s null-vector eliminations whenever
-// Params.Servers describes the environment as N identical, independent
-// servers (Palmer & Mitrani §3).
+// This file is the spectral solver's eigen stage. Params.Servers describes
+// the environment as N identical, independent servers (Palmer & Mitrani
+// §3), and the stage finds the s roots of det Q(z) inside the unit disk
+// and their left vectors from one server's k×k matrix.
 //
 // For levels ≥ N, Q(z)/z = λ(1/z − 1)·I + K(z), where K(z) = A − Dᴬ −
 // (1−z)·C is the sum of N copies of one server's k×k matrix
@@ -24,7 +24,11 @@ import (
 // One server's phase process is reversible (a breakdown from operative
 // phase j to repair phase l at ξ_j·β_l balances the repair back at
 // η_l·α_j), so M(z) is similar to a symmetric matrix and every θ_i(z) is
-// real. g_m(0) = λ > 0, and g_m(1) = Σ_i m_i·θ_i(1) < 0 for every m but
+// real. A phase of zero weight is never entered, but it leaves to the
+// entered phases: M(z) is then block triangular, the entered block keeps
+// its symmetrisation, and each such transient phase j adds the real
+// branch θ_j(z) = −out_j − (1−z)·r_j. g_m(0) = λ > 0, and
+// g_m(1) = Σ_i m_i·θ_i(1) < 0 for every m but
 // the all-Perron one, whose trivial root z = 1 is stepped past using
 // g′(1) = N·µa − λ > 0, the stability margin. Each g_m therefore changes
 // sign on (0, 1); since det Q(z) has exactly s roots inside the unit disk
@@ -36,7 +40,9 @@ import (
 //
 // with y_i M(z_m)'s left eigenvectors and tⁿ the monomial of mode n's
 // phase counts, built by multiplying one linear factor at a time through
-// composition tables hoisted once per environment.
+// composition tables hoisted once per environment. A transient phase's
+// left eigenvector is e_j + G[j][R]·(θ_j − M_RR)⁻¹, R being the entered
+// phases, read off the entered block's eigendecomposition.
 
 // describeTol bounds the relative difference NewSweepSolver accepts
 // between an entry of A or C_N and the one Params.Servers implies: a few
@@ -56,7 +62,9 @@ type factored struct {
 	k, servers int
 	sym        []float64 // k×k symmetrised G₁ (diagonal −Σ_q G₁[p][q]); M(z) adds −(1−z)·rates
 	rates      []float64 // one server's service rate per phase
-	sqrtPi     []float64 // √π_p: takes a symmetric eigenvector to M(z)'s left eigenvector
+	sqrtPi     []float64 // √π_p: takes a symmetric eigenvector to M(z)'s left eigenvector; 0 on a transient phase
+	g          []float64 // k×k G₁; a transient phase's row feeds its branch's left eigenvector
+	transient  []int     // the phases no rate enters, ascending
 	multisets  []int     // s×k branch counts; multiset 0 is the all-Perron (N, 0, …, 0)
 	t0, t1     []float64 // Σ_i m_i·θ_i(z) at z = 0 and z = 1, per multiset
 	monos      []int     // number of monomials of each degree 0..N
@@ -67,8 +75,8 @@ type factored struct {
 func (f *factored) multiset(mi int) []int { return f.multisets[mi*f.k : (mi+1)*f.k] }
 
 // newFactored checks p.Servers against A and C_N and hoists the factored
-// stage. A description that does not reproduce them, or whose server is
-// not irreducible and reversible, is an error.
+// stage. A description that does not reproduce them, or whose server's
+// entered phases are not irreducible and reversible, is an error.
 func newFactored(p Params) (*factored, error) {
 	d := p.Servers
 	s := p.Size()
@@ -143,6 +151,12 @@ func newFactored(p Params) (*factored, error) {
 		sym:     make([]float64, k*k),
 		rates:   append([]float64(nil), d.Rates...),
 		sqrtPi:  sqrtPi,
+		g:       append([]float64(nil), d.G.Data...),
+	}
+	for p2, sp := range sqrtPi {
+		if sp == 0 {
+			f.transient = append(f.transient, p2)
+		}
 	}
 	for p2 := 0; p2 < k; p2++ {
 		var out float64
@@ -251,17 +265,37 @@ func checkDescription(p Params, keys monoKeys, index map[uint64]int32) error {
 }
 
 // sqrtStationary returns √π for one server's stationary distribution π,
-// found along a spanning tree by detailed balance. It fails unless the
-// phase process is irreducible and every cycle balances (Kolmogorov's
-// criterion), the reversibility that makes M(z)'s eigen-branches real.
+// found along a spanning tree by detailed balance. A transient phase, one
+// that no rate enters but that leaves to another, has π = 0. It fails
+// unless the other phases form one irreducible class in which every cycle
+// balances (Kolmogorov's criterion), the reversibility that makes M(z)'s
+// eigen-branches real.
 func sqrtStationary(d *Servers) ([]float64, error) {
 	k := d.G.Rows
 	g := func(p, q int) float64 { return d.G.At(p, q) }
+	entered := make([]bool, k)
+	leaves := make([]bool, k)
+	for p := 0; p < k; p++ {
+		for q := 0; q < k; q++ {
+			if q != p && g(p, q) > 0 {
+				leaves[p], entered[q] = true, true
+			}
+		}
+	}
 	pi := make([]float64, k)
-	pi[0] = 1
 	seen := make([]bool, k)
-	seen[0] = true
-	queue := []int{0}
+	root := -1
+	for p := 0; p < k; p++ {
+		switch {
+		case !entered[p] && leaves[p]:
+			seen[p] = true // transient: π_p = 0
+		case root < 0:
+			root = p
+		}
+	}
+	pi[root] = 1
+	seen[root] = true
+	queue := []int{root}
 	for len(queue) > 0 {
 		p := queue[0]
 		queue = queue[1:]
@@ -544,9 +578,10 @@ func (w *SweepWorker) factoredTerms(lambda float64, sol *SpectralSolution) error
 
 // vector writes multiset mi's closed-form left vector
 // u[n] = [tⁿ] Π_i (y_i·t)^{m_i}, scaled to ‖u‖∞ = 1, for the branches last
-// evaluated: y_i[p] = v_i[p]·√π_p is M(z)'s left eigenvector for θ_i. The
-// product gains one linear factor per step, so step d holds the
-// coefficients of every monomial of degree d.
+// evaluated: y_i[p] = v_i[p]·√π_p is M(z)'s left eigenvector for θ_i, or
+// transientVector's for a transient phase's branch. The product gains one
+// linear factor per step, so step d holds the coefficients of every
+// monomial of degree d.
 func (fw *factoredWork) vector(f *factored, mi int, u []complex128) {
 	k := f.k
 	cur, next := fw.polyA, fw.polyB
@@ -556,10 +591,16 @@ func (fw *factoredWork) vector(f *factored, mi int, u []complex128) {
 		if m == 0 {
 			continue
 		}
+		if j := f.transientPhase(fw.v, i); j >= 0 {
+			fw.transientVector(f, i, j)
+		} else {
+			for p := 0; p < k; p++ {
+				fw.y[p] = fw.v[p*k+i] * f.sqrtPi[p]
+			}
+		}
 		var mx float64
-		for p := 0; p < k; p++ {
-			fw.y[p] = fw.v[p*k+i] * f.sqrtPi[p]
-			mx = math.Max(mx, math.Abs(fw.y[p]))
+		for _, y := range fw.y {
+			mx = math.Max(mx, math.Abs(y))
 		}
 		for p := range fw.y {
 			fw.y[p] /= mx
@@ -586,6 +627,46 @@ func (fw *factoredWork) vector(f *factored, mi int, u []complex128) {
 	}
 	for j := range u {
 		u[j] = complex(cur[j]/mx, 0)
+	}
+}
+
+// transientPhase returns the transient phase whose branch is column i of
+// v, or −1. The symmetrised M(z) has a zero row and column at a transient
+// phase j, which no Jacobi rotation touches, so its branch's eigenvector
+// is exactly e_j and every other branch's is exactly zero at j.
+func (f *factored) transientPhase(v []float64, i int) int {
+	for _, j := range f.transient {
+		if v[j*f.k+i] != 0 {
+			return j
+		}
+	}
+	return -1
+}
+
+// transientVector writes into y the left eigenvector of branch i, that of
+// the transient phase j: e_j + G[j][R]·(θ_j − M_RR)⁻¹ with R the entered
+// phases. With M_RR's left eigenvectors y_l = v_l·√π, that is
+// e_j + Σ_l c_l/(θ_j − θ_l)·y_l, c_l = Σ_q G[j][q]·v_l[q]/√π_q over the
+// entered phases q. A transient branch's v_l is zero on them, so its c_l
+// is 0 and it adds nothing.
+func (fw *factoredWork) transientVector(f *factored, i, j int) {
+	k := f.k
+	clear(fw.y)
+	fw.y[j] = 1
+	for l := 0; l < k; l++ {
+		var c float64
+		for q, sp := range f.sqrtPi {
+			if sp > 0 {
+				c += f.g[j*k+q] * fw.v[q*k+l] / sp
+			}
+		}
+		if c == 0 {
+			continue
+		}
+		c /= fw.theta[i] - fw.theta[l]
+		for p, sp := range f.sqrtPi {
+			fw.y[p] += c * fw.v[p*k+l] * sp
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package qbd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -62,28 +63,32 @@ func sortedRoots(t testing.TB, sol *SpectralSolution) []float64 {
 
 // maxVectorResidual returns the largest relative residual
 // ‖u·Q(z)‖∞ / (‖u‖∞·‖Q(z)‖₁) over a solution's terms, ‖·‖₁ being the
-// largest column sum, the norm ‖u·Q‖∞ ≤ ‖u‖∞·‖Q‖₁ is bounded by.
+// largest column sum, the norm ‖u·Q‖∞ ≤ ‖u‖∞·‖Q‖₁ is bounded by. Off the
+// diagonal Q(z) = z·A with z > 0 and A ≥ 0, so u·Q(z) is z·(u·A) plus the
+// diagonal's term, and column j of Q(z) sums in absolute value to
+// z·Σ_i A[i][j] + |Q[j][j]|: O(s²) work per term, not a matrix build.
 func maxVectorResidual(p Params, sol *SpectralSolution) float64 {
+	s := p.Size()
+	da, c := p.dA(), p.cTop()
+	colA := make([]float64, s) // Σ_i A[i][j]
+	for i := 0; i < s; i++ {
+		for j, a := range p.A.Data[i*s : (i+1)*s] {
+			colA[j] += a
+		}
+	}
+	u := make([]float64, s)
 	var worst float64
 	for _, term := range sol.terms {
-		q := p.QofZ(real(term.z))
-		u := make([]float64, len(term.u))
-		var un float64
+		z := real(term.z)
+		var un, qn, rn float64
 		for i, v := range term.u {
 			u[i] = real(v)
 			un = math.Max(un, math.Abs(u[i]))
 		}
-		var qn float64
-		for j := 0; j < q.Cols; j++ {
-			var col float64
-			for i := 0; i < q.Rows; i++ {
-				col += math.Abs(q.At(i, j))
-			}
-			qn = math.Max(qn, col)
-		}
-		var rn float64
-		for _, v := range q.VecTimes(u) {
-			rn = math.Max(rn, math.Abs(v))
+		for j, ua := range p.A.VecTimes(u) {
+			d := p.Lambda - z*(da[j]+p.Lambda+c[j]) + z*z*c[j] // Q(z)[j][j]
+			rn = math.Max(rn, math.Abs(z*ua+u[j]*d))
+			qn = math.Max(qn, z*colA[j]+math.Abs(d))
 		}
 		worst = math.Max(worst, rn/(un*qn))
 	}
@@ -97,11 +102,35 @@ func maxVectorResidual(p Params, sol *SpectralSolution) float64 {
 // factored path meets to 5e-11.
 func lTol(load float64) float64 { return math.Max(1e-9, 5e-11/(1-load)) }
 
-// TestFactoredMatchesCompanion solves every model across N and load with
-// and without the server description — the factored stage against the
-// companion eigensolve it replaces — and requires the same root set, the
-// same L, and every closed-form vector to be a left null vector of Q(z) to
-// 1e-12 relative. At N = 20 the companion's own roots drift in their
+// companionSolve solves p with SolveSpectralDense's companion eigen stage
+// (companionTerms) and the staged assembly of a fresh worker. It shares no
+// eigen code with the factored stage, whose oracle it is. A complex root
+// is an error: the real assembly takes real roots only.
+func companionSolve(p Params) (*SpectralSolution, error) {
+	w, err := newWorker(p)
+	if err != nil {
+		return nil, err
+	}
+	sol := new(SpectralSolution)
+	sol.reshape(p.Threshold(), p.Size())
+	if err := companionTerms(p, sol); err != nil {
+		return nil, err
+	}
+	for _, term := range sol.terms {
+		if imag(term.z) != 0 {
+			return nil, fmt.Errorf("companion root %v is complex", term.z)
+		}
+	}
+	if err := w.assemble(p.Lambda, sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// TestFactoredMatchesCompanion solves every model across N and load by the
+// factored stage and by companionSolve — the companion eigensolve it
+// replaced — and requires the same root set, the same L, and every
+// closed-form vector to be a left null vector of Q(z) to 1e-12 relative. At N = 20 the companion's own roots drift in their
 // tight clusters by up to 6e-8 (log|det Q| at them exceeds its value at
 // the factored roots by about 17 to 20 nats), so there the residual
 // certifies each factored root and the root sets are held to 1e-7. Load
@@ -127,9 +156,7 @@ func TestFactoredMatchesCompanion(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s N=%d load %v: factored: %v", e.name, n, load, err)
 				}
-				raw := p
-				raw.Servers = nil
-				comp, err := SolveSpectral(raw)
+				comp, err := companionSolve(p)
 				if err != nil {
 					t.Fatalf("%s N=%d load %v: companion: %v", e.name, n, load, err)
 				}
@@ -195,30 +222,125 @@ func TestFactoredEqualRateH2MatchesExp(t *testing.T) {
 	}
 }
 
-// TestZeroWeightPhaseTakesCompanion: with operative weights (1, 0) the
-// second phase is never entered, so no server description is attached and
-// the solve takes the companion path — which must still reproduce the
-// exponential model.
-func TestZeroWeightPhaseTakesCompanion(t *testing.T) {
-	op := dist.MustHyperExp([]float64{1, 0}, []float64{0.05, 0.3})
-	for _, n := range []int{2, 5} {
-		pz := atLoad(t, paramsFor(t, n, 1, 1, op, dist.Exp(2)), 0.8)
-		if pz.Servers != nil {
-			t.Fatalf("N=%d: a zero-weight phase must not get a server description", n)
-		}
-		pe := atLoad(t, paramsFor(t, n, 1, 1, dist.Exp(0.05), dist.Exp(2)), 0.8)
-		sz, err := SolveSpectral(pz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		se, err := SolveSpectral(pe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(sz.MeanQueue()-se.MeanQueue()) / se.MeanQueue(); d > 1e-10 {
-			t.Errorf("N=%d: zero-weight H2 L %v, Exp L %v (rel %.1e)", n, sz.MeanQueue(), se.MeanQueue(), d)
+// withoutZeroWeights returns d with its zero-weight phases dropped.
+func withoutZeroWeights(d *dist.HyperExp) *dist.HyperExp {
+	var w, r []float64
+	for i, v := range d.Weights {
+		if v > 0 {
+			w, r = append(w, v), append(r, d.Rates[i])
 		}
 	}
+	return dist.MustHyperExp(w, r)
+}
+
+// transientGap returns the smallest gap |θ_j − θ_l|, relative to the
+// largest |θ|, that the last solve on w divided by: over every root whose
+// multiset uses the branch of a transient phase j, against each branch l
+// that enters that branch's left eigenvector (c_l ≠ 0). It is +Inf when no
+// vector used a transient branch.
+func transientGap(w *SweepWorker) float64 {
+	f, fw := w.sv.fac, &w.fac
+	k := f.k
+	gap := math.Inf(1)
+	for _, r := range fw.roots {
+		fw.branches(f, r.z)
+		var scale float64
+		for _, th := range fw.theta {
+			scale = math.Max(scale, math.Abs(th))
+		}
+		for i, m := range f.multiset(r.m) {
+			j := f.transientPhase(fw.v, i)
+			if m == 0 || j < 0 {
+				continue
+			}
+			for l := 0; l < k; l++ {
+				var c float64
+				for q, sp := range f.sqrtPi {
+					if sp > 0 {
+						c += f.g[j*k+q] * fw.v[q*k+l] / sp
+					}
+				}
+				if c != 0 {
+					gap = math.Min(gap, math.Abs(fw.theta[i]-fw.theta[l])/scale)
+				}
+			}
+		}
+	}
+	return gap
+}
+
+// checkReducedModel solves p, whose server model has zero-weight phases,
+// and reduced, the same queue with those phases dropped. No server ever
+// enters a zero-weight phase, so the two must have the same L, to tol
+// relative; p's solution must also balance to 1e-12 over levels 0..N+10,
+// and each of its vectors must be a left null vector of Q(z) to 1e-12
+// relative. It returns the solve's transientGap.
+func checkReducedModel(t testing.TB, what string, p, reduced Params, tol float64) float64 {
+	t.Helper()
+	sv, err := NewSweepSolver(p)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	w := sv.NewWorker()
+	sol := new(SpectralSolution)
+	if err := w.SolveInto(p.Lambda, sol); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	red, err := SolveSpectral(reduced)
+	if err != nil {
+		t.Fatalf("%s: reduced model: %v", what, err)
+	}
+	if l, lr := sol.MeanQueue(), red.MeanQueue(); math.Abs(l-lr)/lr > tol {
+		t.Errorf("%s: L %v, reduced model %v (rel %.1e)", what, l, lr, math.Abs(l-lr)/lr)
+	}
+	if r := BalanceResidual(p, sol, p.Threshold()+10); r > 1e-12 {
+		t.Errorf("%s: balance residual %.1e", what, r)
+	}
+	if r := maxVectorResidual(p, sol); r > 1e-12 {
+		t.Errorf("%s: vector residual %.1e", what, r)
+	}
+	return transientGap(w)
+}
+
+// TestZeroWeightPhasesMatchReducedModel: a phase of zero weight is never
+// entered, and the factored stage takes it as a transient phase. Each
+// model, from N = 1 to 10 and load 0.05 to 0.999, must meet its reduced
+// model — the same queue without the zero-weight phases — to 1e-10 on L,
+// with balance and vector residuals ≤ 1e-12. Figure 6's C² = 1 member is
+// one such model. The smallest relative branch gap a transient vector
+// divided by is logged.
+func TestZeroWeightPhasesMatchReducedModel(t *testing.T) {
+	fig6, err := dist.HyperExp2FixedShortPhase(34.62, 1, 1/0.1663)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig6.Phases() != 2 || fig6.Weights[0] != 0 {
+		t.Fatalf("Figure 6's C² = 1 member is %v, want operative weights (0, 1)", fig6)
+	}
+	h2 := []float64{40, 5}
+	rows := []struct {
+		name    string
+		op, rep *dist.HyperExp
+	}{
+		{"operative (1, 0)", dist.MustHyperExp([]float64{1, 0}, []float64{0.05, 0.3}), dist.Exp(2)},
+		{"operative (0, 1), Figure 6 C² = 1", fig6, paperRepair},
+		{"repair (1, 0)", paperOps, dist.MustHyperExp([]float64{1, 0}, h2)},
+		{"repair (0, 1)", paperOps, dist.MustHyperExp([]float64{0, 1}, h2)},
+		{"H3 zero middle weight", dist.MustHyperExp([]float64{0.6, 0, 0.4}, []float64{0.3, 0.05, 0.01}), paperRepair},
+		{"zeros on both sides", dist.MustHyperExp([]float64{1, 0}, []float64{0.05, 0.3}), dist.MustHyperExp([]float64{0, 1}, h2)},
+	}
+	gap := math.Inf(1)
+	for _, r := range rows {
+		for _, n := range []int{1, 2, 5, 10} {
+			for _, load := range []float64{0.05, 0.5, 0.8, 0.95, 0.99, 0.999} {
+				p := atLoad(t, paramsFor(t, n, 1, 1, r.op, r.rep), load)
+				reduced := paramsFor(t, n, p.Lambda, 1, withoutZeroWeights(r.op), withoutZeroWeights(r.rep))
+				what := fmt.Sprintf("%s N=%d load %v", r.name, n, load)
+				gap = math.Min(gap, checkReducedModel(t, what, p, reduced, 1e-10))
+			}
+		}
+	}
+	t.Logf("smallest relative branch gap a transient vector divided by: %.2e", gap)
 }
 
 // TestMultisetRootErrors drives the root finder where its bracket has no
@@ -256,9 +378,9 @@ func TestMultisetRootErrors(t *testing.T) {
 	}
 }
 
-// TestNewSweepSolverRejectsWrongDescription: a server description that
-// does not reproduce A and C_N, or whose server is not reversible, fails
-// construction instead of solving a different queue.
+// TestNewSweepSolverRejectsWrongDescription: a missing server
+// description, or one that does not reproduce A and C_N or whose server is
+// not reversible, fails construction instead of solving a different queue.
 func TestNewSweepSolverRejectsWrongDescription(t *testing.T) {
 	good := paramsFor(t, 3, 1, 1, paperOps, paperRepair)
 	if _, err := NewSweepSolver(good); err != nil {
@@ -279,6 +401,19 @@ func TestNewSweepSolverRejectsWrongDescription(t *testing.T) {
 	if _, err := NewSweepSolver(lumpedParams(cyc, []float64{1, 1, 0}, 3)); err == nil ||
 		!strings.Contains(err.Error(), "not reversible") {
 		t.Errorf("cyclic server: got %v, want a not-reversible error", err)
+	}
+	// Without a description the spectral and approximate solvers refuse
+	// the queue.
+	none := good
+	none.Servers = nil
+	if _, err := NewSweepSolver(none); !errors.Is(err, ErrNoServers) {
+		t.Errorf("no description: NewSweepSolver returned %v, want ErrNoServers", err)
+	}
+	if _, err := SolveSpectral(none); !errors.Is(err, ErrNoServers) {
+		t.Errorf("no description: SolveSpectral returned %v, want ErrNoServers", err)
+	}
+	if _, err := SolveApprox(none); !errors.Is(err, ErrNoServers) {
+		t.Errorf("no description: SolveApprox returned %v, want ErrNoServers", err)
 	}
 	for name, m := range mutate {
 		p := good
@@ -332,63 +467,98 @@ func TestLargeNRegression(t *testing.T) {
 }
 
 // productFormParams draws a product-form environment — N in 1..12, one to
-// three operative and one or two repair phases with positive weights —
-// with λ at a load in (0.01, 0.999). N is lowered until s ≤ 120 so the
-// companion oracle stays cheap.
-func productFormParams(seed int64) (Params, float64) {
+// three operative and one or two repair phases — with λ at a load in
+// (0.01, 0.999). N is lowered until s ≤ 120 so the companion oracle stays
+// cheap. Each phase weight is then set to exactly 0 with probability ¼,
+// keeping one positive weight per distribution; such a draw also returns
+// its reduced model, the same queue without the zero-weight phases. The
+// zero weights are drawn last, so no other value a seed draws depends on
+// them.
+func productFormParams(seed int64) (Params, float64, *Params) {
 	rng := rand.New(rand.NewSource(seed))
-	draw := func(phases int, scale float64) *dist.HyperExp {
-		w := make([]float64, phases)
-		r := make([]float64, phases)
-		var sum float64
-		for i := range w {
-			w[i] = 0.05 + rng.Float64()
-			sum += w[i]
-			r[i] = scale * math.Exp(1.5*rng.NormFloat64())
+	type phases struct{ w, r []float64 }
+	draw := func(n int, scale float64) phases {
+		ph := phases{make([]float64, n), make([]float64, n)}
+		for i := range ph.w {
+			ph.w[i] = 0.05 + rng.Float64()
+			ph.r[i] = scale * math.Exp(1.5*rng.NormFloat64())
 		}
-		for i := range w {
-			w[i] /= sum
-		}
-		return dist.MustHyperExp(w, r)
+		return ph
 	}
 	op, rep := draw(1+rng.Intn(3), 0.05), draw(1+rng.Intn(2), 2)
 	n := 1 + rng.Intn(12)
-	for markov.NumModes(n, op.Phases(), rep.Phases()) > 120 {
+	for markov.NumModes(n, len(op.w), len(rep.w)) > 120 {
 		n--
 	}
 	mu := 0.5 + rng.Float64()
-	env, err := markov.NewEnv(n, op, rep)
+	load := 0.01 + 0.989*rng.Float64()
+	zeroed := false
+	for _, ph := range []phases{op, rep} {
+		positive := len(ph.w)
+		for i := range ph.w {
+			if rng.Intn(4) == 0 && positive > 1 {
+				ph.w[i] = 0
+				positive--
+				zeroed = true
+			}
+		}
+	}
+	hyper := func(ph phases) *dist.HyperExp {
+		var sum float64
+		for _, w := range ph.w {
+			sum += w
+		}
+		for i := range ph.w {
+			ph.w[i] /= sum
+		}
+		return dist.MustHyperExp(ph.w, ph.r)
+	}
+	opD, repD := hyper(op), hyper(rep)
+	env, err := markov.NewEnv(n, opD, repD)
 	if err != nil {
 		panic(err)
 	}
-	p := Params{Lambda: 1, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu),
-		Servers: &Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()}}
-	load := 0.01 + 0.989*rng.Float64()
+	p := envParams(env, 1, mu)
 	l1, err := p.Load()
 	if err != nil {
 		panic(err)
 	}
 	p.Lambda = load / l1
-	return p, load
+	if !zeroed {
+		return p, load, nil
+	}
+	renv, err := markov.NewEnv(n, withoutZeroWeights(opD), withoutZeroWeights(repD))
+	if err != nil {
+		panic(err)
+	}
+	reduced := envParams(renv, p.Lambda, mu)
+	return p, load, &reduced
 }
 
-// FuzzFactoredStage solves random product-form environments with and
-// without the server description and requires the same root set to 1e-9,
-// the same L to lTol(load) relative, and every closed-form vector to be a
-// left null vector of Q(z) to 1e-12 relative.
+// FuzzFactoredStage solves random product-form environments. A draw with
+// zero weights must meet its reduced model (checkReducedModel, L to
+// lTol(load)); the smallest relative branch gap its transient vectors
+// divided by is logged. Any other draw is also solved by companionSolve,
+// and must have the same root set to 1e-9, the same L to lTol(load)
+// relative, and every closed-form vector a left null vector of Q(z) to
+// 1e-12 relative. The companion is no oracle for zero weights: its QR
+// splits their clustered roots into spurious complex pairs.
 func FuzzFactoredStage(f *testing.F) {
-	for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 10} { // 7 and 10 draw zero weights
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		p, load := productFormParams(seed)
+		p, load, reduced := productFormParams(seed)
+		if reduced != nil {
+			gap := checkReducedModel(t, fmt.Sprintf("load %v s=%d", load, p.Size()), p, *reduced, lTol(load))
+			t.Logf("zero weights, s=%d load %v: smallest relative branch gap %.2e", p.Size(), load, gap)
+			return
+		}
 		fac, err := SolveSpectral(p)
 		if err != nil {
 			t.Fatalf("load %v s=%d: factored: %v", load, p.Size(), err)
 		}
-		raw := p
-		raw.Servers = nil
-		comp, err := SolveSpectral(raw)
+		comp, err := companionSolve(p)
 		if err != nil {
 			t.Fatalf("load %v s=%d: companion: %v", load, p.Size(), err)
 		}

@@ -3,24 +3,31 @@
 // service capacity — by four methods:
 //
 //   - SolveSpectral: the paper's exact spectral-expansion solution (§3.1).
-//     When Params.Servers describes the environment as N identical
-//     servers, det Q(z) factors into one scalar equation per multiset of
-//     one server's eigen-branches, each with one real root in (0, 1) and a
-//     closed-form left vector; otherwise the characteristic matrix
-//     polynomial is linearised in w = 1/z so that a standard QR eigensolve
-//     applies, and each left vector is a null vector of Q(z). The boundary
-//     is an O(N·s³) block elimination rather than a dense (N+1)s system:
-//     N−1 in-place Gauss–Jordan inverses whose row updates are
-//     linalg.Axpy, fused multiply-adds on CPUs with AVX2 and FMA.
-//     It is one point of a SweepSolver, which hoists the λ-independent work
-//     once per environment and solves a λ-sweep allocation-free; a one-off
-//     solve and every sweep point run the same code.
+//     Params.Servers describes the environment as N identical servers, so
+//     det Q(z) factors into one scalar equation per multiset of one
+//     server's eigen-branches, each with one real root in (0, 1) and a
+//     closed-form left vector; a phase of zero weight adds a transient
+//     branch of its own. The boundary is an O(N·s³) block elimination
+//     rather than a dense (N+1)s system: N−1 in-place Gauss–Jordan
+//     inverses whose row updates are linalg.Axpy, fused multiply-adds on
+//     CPUs with AVX2 and FMA. It is one point of a SweepSolver, which
+//     hoists the λ-independent work once per environment and solves a
+//     λ-sweep allocation-free; a one-off solve and every sweep point run
+//     the same code.
 //   - SolveApprox: the geometric approximation (§3.2, eq. 21) that keeps
-//     only the dominant eigenvalue; asymptotically exact in heavy traffic.
+//     only the dominant eigenvalue, the all-Perron multiset's root;
+//     asymptotically exact in heavy traffic.
 //   - SolveMatrixGeometric: the classical R-matrix method of Neuts, the
 //     comparator of Mitrani & Chakka [6], used as an independent baseline.
 //   - SolveTruncated: direct block-tridiagonal solution of the chain
 //     truncated at a finite level, used as a validation oracle.
+//
+// SolveSpectral and SolveApprox need the server description and reject
+// Params without one (ErrNoServers). SolveSpectralDense, the spectral
+// solver's oracle, does not: its eigen stage linearises Q(z) in w = 1/z
+// for a standard QR eigensolve and takes each left vector as a null
+// vector of Q(z), so it also solves environments that are not made of
+// identical servers, whose roots come in conjugate pairs.
 package qbd
 
 import (
@@ -35,12 +42,17 @@ import (
 // service capacity (paper eq. 11 violated).
 var ErrUnstable = errors.New("qbd: queue is not ergodic (offered load ≥ capacity)")
 
+// ErrNoServers is returned by the spectral and approximate solvers for
+// Params without a server description (Params.Servers).
+var ErrNoServers = errors.New("qbd: the spectral solvers need Params.Servers, the environment described as identical servers")
+
 // Params specifies a Markov-modulated queue with Poisson arrivals of rate
 // Lambda, an s×s environment transition matrix A (zero diagonal), and
 // level-dependent service captured by the diagonals of C_j: ServiceDiag[j]
 // for levels j = 0..N, with C_j = C_N for all j ≥ N (the homogeneous
-// threshold). Servers optionally describes the environment as identical
-// independent servers; the spectral solver then takes its factored stage.
+// threshold). Servers describes the environment as identical independent
+// servers, which SolveSpectral and SolveApprox require; the other solvers
+// ignore it.
 type Params struct {
 	Lambda      float64
 	A           *linalg.Matrix
@@ -53,7 +65,9 @@ type Params struct {
 // a vector of phase counts, and A and C_N are the sums of one server's
 // rates lumped by those counts. NewSweepSolver checks that the
 // description reproduces A and C_N, and that one server's phase process
-// is irreducible and reversible, which makes every eigen-branch real.
+// is reversible on one irreducible class of phases, which makes every
+// eigen-branch real. Any other phase must be transient: no rate enters
+// it, as with a phase of zero weight, and it leaves to the class.
 type Servers struct {
 	// G holds one server's k×k phase-change rates, with a zero diagonal
 	// as in A.

@@ -13,7 +13,8 @@ import (
 // TestCrossMethodAgreementProperty throws random unreliable-server systems
 // at both exact solvers and demands agreement — the strongest correctness
 // property available, since the two methods share almost no code path
-// (complex eigensolve + expansion vs real fixed-point + matrix powers).
+// (one server's eigen-branches, scalar roots and the expansion vs a real
+// fixed point and matrix powers).
 func TestCrossMethodAgreementProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -29,7 +30,7 @@ func TestCrossMethodAgreementProperty(t *testing.T) {
 			return false
 		}
 		mu := 0.5 + rng.Float64()
-		p := Params{Lambda: 1, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu)}
+		p := envParams(env, 1, mu)
 		load, err := p.Load()
 		if err != nil {
 			return false
@@ -90,7 +91,7 @@ func randomStableParams(rng *rand.Rand) (p Params, ok bool) {
 		return Params{}, false
 	}
 	mu := 0.5 + rng.Float64()
-	p = Params{Lambda: 1, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu)}
+	p = envParams(env, 1, mu)
 	load, err := p.Load()
 	if err != nil {
 		return Params{}, false

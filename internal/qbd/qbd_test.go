@@ -3,8 +3,10 @@ package qbd
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/dist"
 	"repro/internal/markov"
@@ -15,21 +17,26 @@ var (
 	paperRepair = dist.Exp(25)
 )
 
-// paramsFor builds queue parameters for N unreliable servers, with the
-// server description core.System.Params attaches when every phase weight
-// is positive, so the spectral solver takes the factored stage the
-// service runs.
+// paramsFor builds queue parameters for N unreliable servers (envParams).
 func paramsFor(t testing.TB, n int, lambda, mu float64, op, rep *dist.HyperExp) Params {
 	t.Helper()
 	env, err := markov.NewEnv(n, op, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{Lambda: lambda, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu)}
-	if env.PhasesReachable() {
-		p.Servers = &Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()}
+	return envParams(env, lambda, mu)
+}
+
+// envParams builds the queue of env's servers at arrival rate lambda and
+// service rate mu with the server description core.System.Params
+// attaches, as every spectral and approximate solve needs.
+func envParams(env *markov.Env, lambda, mu float64) Params {
+	return Params{
+		Lambda:      lambda,
+		A:           env.AMatrix(),
+		ServiceDiag: env.ServiceDiag(mu),
+		Servers:     &Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
 	}
-	return p
 }
 
 func TestValidate(t *testing.T) {
@@ -98,6 +105,80 @@ func TestLoadMatchesPaperFormula(t *testing.T) {
 	}
 }
 
+func TestEnvStationaryBinomial(t *testing.T) {
+	// With exponential operative and repair periods, servers are independent
+	// two-state chains: the number of operative servers is Binomial(N, p)
+	// with p = η/(ξ+η).
+	xi, eta := 0.5, 2.0
+	env, err := markov.NewEnv(3, dist.Exp(xi), dist.Exp(eta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := envParams(env, 1, 1).EnvStationary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := eta / (xi + eta)
+	for i, m := range env.Modes() {
+		x := m.Operative()
+		want := float64(binomial(3, x)) * math.Pow(p, float64(x)) * math.Pow(1-p, float64(3-x))
+		if math.Abs(pi[i]-want) > 1e-10 {
+			t.Errorf("mode %d (x=%d): π = %v, want %v", i, x, pi[i], want)
+		}
+	}
+}
+
+func TestEnvStationarySumsToOne(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(5)
+		w := 0.3 + 0.4*rng.Float64()
+		op := dist.MustHyperExp(
+			[]float64{w, 1 - w},
+			[]float64{math.Exp(rng.NormFloat64()), math.Exp(rng.NormFloat64())},
+		)
+		env, err := markov.NewEnv(n, op, dist.Exp(1+rng.Float64()*10))
+		if err != nil {
+			return false
+		}
+		pi, err := envParams(env, 1, 1).EnvStationary()
+		if err != nil {
+			return false
+		}
+		var sum float64
+		for _, p := range pi {
+			if p < -1e-12 {
+				return false
+			}
+			sum += p
+		}
+		return math.Abs(sum-1) < 1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestExpectedOperativeMatchesEnvStationary(t *testing.T) {
+	// E[operative] from the closed form must match Σ_i x_i·π_i even for
+	// hyperexponential periods (it depends only on the means — paper §3).
+	env, err := markov.NewEnv(6, paperOps, paperRepair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := envParams(env, 1, 1).EnvStationary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mean float64
+	for i, m := range env.Modes() {
+		mean += float64(m.Operative()) * pi[i]
+	}
+	if want := env.ExpectedOperative(); math.Abs(mean-want) > 1e-8 {
+		t.Errorf("Σxπ = %v, closed form %v", mean, want)
+	}
+}
+
 func TestUnstableRejected(t *testing.T) {
 	// Capacity ≈ N·η/(ξ+η)·µ ≈ 9.93 for N=10, so λ=11 is unstable.
 	p := paramsFor(t, 10, 11.0, 1.0, paperOps, paperRepair)
@@ -107,8 +188,8 @@ func TestUnstableRejected(t *testing.T) {
 	if _, err := SolveMatrixGeometric(p, MGOptions{}); !errors.Is(err, ErrUnstable) {
 		t.Errorf("matrix-geometric err = %v, want ErrUnstable", err)
 	}
-	if _, err := DominantEigenvalue(p); !errors.Is(err, ErrUnstable) {
-		t.Errorf("dominant err = %v, want ErrUnstable", err)
+	if _, err := SolveApprox(p); !errors.Is(err, ErrUnstable) {
+		t.Errorf("approx err = %v, want ErrUnstable", err)
 	}
 }
 
@@ -143,12 +224,12 @@ func TestSpectralModeMarginalsMatchEnvironment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{Lambda: 1.8, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(1.0)}
+	p := envParams(env, 1.8, 1.0)
 	sol, err := SolveSpectral(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := env.StationaryModeProbs()
+	pi, err := p.EnvStationary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,6 +385,9 @@ func TestSpectralHeavyLoadNearOne(t *testing.T) {
 	}
 }
 
+// TestDominantEigenvalueMatchesSpectral: the approximation's z_s is the
+// all-Perron multiset's root, found as the spectral solve finds it, so it
+// equals the spectral solution's dominant eigenvalue exactly.
 func TestDominantEigenvalueMatchesSpectral(t *testing.T) {
 	for _, lambda := range []float64{0.8, 1.9, 2.6} {
 		p := paramsFor(t, 3, lambda, 1.0, paperOps, paperRepair)
@@ -311,12 +395,12 @@ func TestDominantEigenvalueMatchesSpectral(t *testing.T) {
 		if err != nil {
 			t.Fatalf("λ=%v: %v", lambda, err)
 		}
-		z, err := DominantEigenvalue(p)
+		ap, err := SolveApprox(p)
 		if err != nil {
 			t.Fatalf("λ=%v: %v", lambda, err)
 		}
-		if math.Abs(z-sol.TailDecay()) > 1e-9 {
-			t.Errorf("λ=%v: scan %v vs spectral %v", lambda, z, sol.TailDecay())
+		if z := ap.TailDecay(); z != sol.TailDecay() {
+			t.Errorf("λ=%v: approx %v vs spectral %v", lambda, z, sol.TailDecay())
 		}
 	}
 }

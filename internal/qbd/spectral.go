@@ -3,7 +3,6 @@ package qbd
 import (
 	"errors"
 	"math/cmplx"
-	"slices"
 )
 
 // ErrEigenCount is returned when the number of eigenvalues found strictly
@@ -35,24 +34,19 @@ type SpectralSolution struct {
 // spectral expansion (paper §3.1):
 //
 //  1. The s eigenvalues z_k of Q(z) = Q0 + Q1·z + Q2·z² inside the unit
-//     disk. With a server description (Params.Servers) each is the one root
-//     in (0, 1) of a scalar equation λ(1−z) + z·Σ_i m_i·θ_i(z) = 0, one per
-//     multiset m of one server's real eigen-branches θ_i (factored.go).
-//     Without one they come from substituting w = 1/z, which linearises
-//     the problem into a standard 2s×2s eigenproblem because Q0 = λI is
-//     always invertible (Q2 = C is singular whenever a mode has no
-//     operative server, so the usual companion form in z would fail).
-//  2. Each left eigenvector u_k: with a server description, the
-//     closed-form product of one server's left eigenvectors
-//     u[n] = [tⁿ] Π_i (y_i·t)^{m_i}; without one, a null vector of Q(z_k)
-//     by full-pivot elimination.
+//     disk. Params.Servers describes the environment as identical servers,
+//     so each is the one root in (0, 1) of a scalar equation
+//     λ(1−z) + z·Σ_i m_i·θ_i(z) = 0, one per multiset m of one server's
+//     real eigen-branches θ_i (factored.go), a phase of zero weight
+//     contributing the branch of a transient phase.
+//  2. Each left eigenvector u_k, the closed-form product of one server's
+//     left eigenvectors u[n] = [tⁿ] Π_i (y_i·t)^{m_i}.
 //  3. The expansion already holds at level N−1, since the level-N balance
 //     equation has the repeating coefficients and λI is invertible. The
 //     boundary levels below it are eliminated by the S_j recursion
 //     (v_j = v_{j+1}·S_j, S_0..S_{N−2}), and the level-(N−1) balance
 //     equation becomes an s×s real singular system for the coefficients,
-//     a conjugate pair of roots giving the real and imaginary parts of one
-//     row, closed by the normalisation condition (eq. 20).
+//     closed by the normalisation condition (eq. 20).
 //
 // It is a sweep of one point: p is validated, its environment hoisted by
 // NewSweepSolver, and p.Lambda solved on a fresh SweepWorker, so a one-off
@@ -82,49 +76,6 @@ func newWorker(p Params) (*SweepWorker, error) {
 		return nil, err
 	}
 	return sv.NewWorker(), nil
-}
-
-// sortModulusDesc orders eigenvalues by descending modulus, breaking ties
-// by real part, then imaginary part, both descending, so conjugate pairs
-// sit adjacently with the +imag member first. Because the comparator is a
-// total order on values, the sorted sequence is unique: the roots picked
-// as the s inside the unit disk, and their order, depend only on the
-// eigenvalue set, never on the order QR found them in, even when moduli
-// tie at the unit-disk boundary. slices.SortFunc is also allocation-free,
-// which the worker's zero-allocation invariant relies on.
-func sortModulusDesc(ws []complex128) {
-	slices.SortFunc(ws, func(a, b complex128) int {
-		aa, ab := cmplx.Abs(a), cmplx.Abs(b)
-		switch {
-		case aa > ab:
-			return -1
-		case aa < ab:
-			return 1
-		}
-		switch {
-		case real(a) > real(b):
-			return -1
-		case real(a) < real(b):
-			return 1
-		}
-		switch {
-		case imag(a) > imag(b):
-			return -1
-		case imag(a) < imag(b):
-			return 1
-		}
-		return 0
-	})
-}
-
-func countAbove(ws []complex128, r float64) int {
-	n := 0
-	for _, w := range ws {
-		if cmplx.Abs(w) > r {
-			n++
-		}
-	}
-	return n
 }
 
 // Threshold returns N, the first level at which the expansion applies.

@@ -11,9 +11,10 @@ import (
 
 // cyclicParams builds a queue modulated by a non-reversible, cyclic 3-state
 // environment. Cyclic generators have complex eigenvalues, which drive the
-// characteristic polynomial's roots off the real axis — exercising the
-// complex-conjugate branch of the spectral solver that the (reversible-ish)
-// breakdown/repair environments never reach.
+// characteristic polynomial's roots off the real axis. No server
+// description fits it, so the spectral solver rejects it; these tests run
+// the dense oracle's companion eigen stage on it, the complex-conjugate
+// branch the breakdown/repair environments never reach.
 func cyclicParams(lambda float64) Params {
 	a := linalg.FromRows([][]float64{
 		{0, 1.3, 0},
@@ -36,7 +37,7 @@ func TestCyclicEnvironmentHasComplexEigenvalues(t *testing.T) {
 	if err := p.CheckStable(); err != nil {
 		t.Fatalf("test setup not stable: %v", err)
 	}
-	sol, err := SolveSpectral(p)
+	sol, err := SolveSpectralDense(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestCyclicEnvironmentHasComplexEigenvalues(t *testing.T) {
 func TestCyclicCrossMethodAgreement(t *testing.T) {
 	for _, lambda := range []float64{0.4, 1.0, 1.6} {
 		p := cyclicParams(lambda)
-		sp, err := SolveSpectral(p)
+		sp, err := SolveSpectralDense(p)
 		if err != nil {
 			t.Fatalf("λ=%v: %v", lambda, err)
 		}
@@ -94,18 +95,20 @@ func TestCyclicCrossMethodAgreement(t *testing.T) {
 	}
 }
 
+// TestCyclicDenseAgreement: the dense oracle's conjugate-pair solution
+// meets the truncated chain, which shares none of its code.
 func TestCyclicDenseAgreement(t *testing.T) {
 	p := cyclicParams(1.2)
-	fast, err := SolveSpectral(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dense, err := SolveSpectralDense(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := math.Abs(fast.MeanQueue() - dense.MeanQueue()); d > 1e-8 {
-		t.Errorf("L staged %v vs dense %v", fast.MeanQueue(), dense.MeanQueue())
+	tr, err := SolveTruncated(p, 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(tr.MeanQueue() - dense.MeanQueue()); d > 1e-8 {
+		t.Errorf("L truncated %v vs dense %v", tr.MeanQueue(), dense.MeanQueue())
 	}
 }
 
@@ -151,48 +154,48 @@ func randomCyclicParams(rng *rand.Rand) (Params, float64) {
 	return p, load
 }
 
-// TestConjugatePairsMatchDenseProperty checks the real assembly's
-// conjugate-pair rows on random non-reversible environments, which reach
-// the companion path with complex roots: L and every level entry up to
-// N+5 must agree with the dense (N+1)s complex solve to 1e-12 relative
-// (an entry relative to its level's largest), the balance residual must be
+// TestConjugatePairsMatchDenseProperty checks the dense oracle's
+// conjugate pairs on random non-reversible environments, whose roots are
+// complex: L and every level entry up to N+5 must agree with
+// SolveMatrixGeometric at MGOptions{Tol: 1e-15} to 1e-12 relative (an
+// entry relative to its level's largest), the balance residual must be
 // ≤ 1e-12, and at least 80% of the draws must have complex roots.
 func TestConjugatePairsMatchDenseProperty(t *testing.T) {
 	const draws = 60
 	withPairs := 0
 	for seed := int64(1); seed <= draws; seed++ {
 		p, load := randomCyclicParams(rand.New(rand.NewSource(seed)))
-		fast, err := SolveSpectral(p)
-		if err != nil {
-			t.Fatalf("seed %d (s=%d N=%d load %.3f): %v", seed, p.Size(), p.Threshold(), load, err)
-		}
 		dense, err := SolveSpectralDense(p)
 		if err != nil {
-			t.Fatalf("seed %d: dense: %v", seed, err)
+			t.Fatalf("seed %d (s=%d N=%d load %.3f): dense: %v", seed, p.Size(), p.Threshold(), load, err)
 		}
-		for _, z := range fast.Eigenvalues() {
+		mg, err := SolveMatrixGeometric(p, MGOptions{Tol: 1e-15})
+		if err != nil {
+			t.Fatalf("seed %d: matrix-geometric: %v", seed, err)
+		}
+		for _, z := range dense.Eigenvalues() {
 			if imag(z) != 0 {
 				withPairs++
 				break
 			}
 		}
-		lf, ld := fast.MeanQueue(), dense.MeanQueue()
-		if d := math.Abs(lf-ld) / ld; d > 1e-12 {
-			t.Errorf("seed %d (s=%d N=%d load %.3f): L %v vs dense %v (rel %.1e)", seed, p.Size(), p.Threshold(), load, lf, ld, d)
+		ld, lm := dense.MeanQueue(), mg.MeanQueue()
+		if d := math.Abs(ld-lm) / lm; d > 1e-12 {
+			t.Errorf("seed %d (s=%d N=%d load %.3f): L dense %v vs MG %v (rel %.1e)", seed, p.Size(), p.Threshold(), load, ld, lm, d)
 		}
 		for j := 0; j <= p.Threshold()+5; j++ {
-			a, b := fast.Level(j), dense.Level(j)
+			a, b := dense.Level(j), mg.Level(j)
 			var scale float64
 			for _, v := range b {
 				scale = math.Max(scale, math.Abs(v))
 			}
 			for i := range a {
 				if d := math.Abs(a[i] - b[i]); d > 1e-12*scale {
-					t.Fatalf("seed %d level %d mode %d: %v vs dense %v", seed, j, i, a[i], b[i])
+					t.Fatalf("seed %d level %d mode %d: dense %v vs MG %v", seed, j, i, a[i], b[i])
 				}
 			}
 		}
-		if r := BalanceResidual(p, fast, p.Threshold()+5); r > 1e-12 {
+		if r := BalanceResidual(p, dense, p.Threshold()+5); r > 1e-12 {
 			t.Errorf("seed %d: balance residual %.1e", seed, r)
 		}
 	}
@@ -202,8 +205,11 @@ func TestConjugatePairsMatchDenseProperty(t *testing.T) {
 	t.Logf("%d of %d draws had complex roots", withPairs, draws)
 }
 
+// TestCyclicApproximation checks the approximation's accessors on the Sun
+// model at load 0.95, the geometric regime: the approximation needs a
+// server description, which the cyclic environment has none of.
 func TestCyclicApproximation(t *testing.T) {
-	p := cyclicParams(1.8) // load ≈ 0.95, the geometric regime
+	p := atLoad(t, paramsFor(t, 3, 1, 1, paperOps, paperRepair), 0.95)
 	ex, err := SolveSpectral(p)
 	if err != nil {
 		t.Fatal(err)

@@ -24,17 +24,15 @@ import (
 )
 
 // hoistCacheSize bounds the hoisted-solver cache. An entry for an
-// environment of s modes retains about 32·s² bytes (chiefly the −A and Aᵀ
-// images): 62 and 141 KB for the paper's H2/exp model at N = 8 and 10,
-// 2.7 MB at N = 24. A product-form environment's entry adds the factored
-// eigen stage's composition tables, O(s·(N+k)) integers for k phases per
-// server: about 9 KB at N = 10. Each pooled per-point worker adds an
-// O(N·s²) workspace while it solves and until the next GC drops it —
-// chiefly the N−1 boundary stages, since the factored stage needs no
-// 2s×2s companion: 0.28, 0.67 and 6.5 MB at N = 8, 10 and 16, about 15 MB
-// at N = 20 (qbd's TestSweepWorkerMemoryBounded). 32 entries cover the
-// environments of a figure run or a planner's working set at a bounded
-// cost.
+// environment of s modes retains about 16·s² bytes (chiefly A and its −A
+// image) plus the factored eigen stage's composition tables, O(s·(N+k))
+// integers for k phases per server: 53 and 112 KB for the paper's H2/exp
+// model at N = 8 and 10, 1.9 MB at N = 24. Each pooled per-point worker
+// adds an O(N·s²) workspace while it solves and until the next GC drops
+// it — chiefly the N−1 boundary stages: 0.28, 0.67 and 6.5 MB at N = 8,
+// 10 and 16, about 15 MB at N = 20 (qbd's TestSweepWorkerMemoryBounded).
+// 32 entries cover the environments of a figure run or a planner's
+// working set at a bounded cost.
 const hoistCacheSize = 32
 
 // hoist is one environment's shared solver. The first miss to reach it

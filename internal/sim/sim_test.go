@@ -94,6 +94,17 @@ func TestAvailabilityMatchesTheory(t *testing.T) {
 	}
 }
 
+// spectralParams builds the queue of env's servers with the server
+// description the spectral solver requires.
+func spectralParams(env *markov.Env, lambda, mu float64) qbd.Params {
+	return qbd.Params{
+		Lambda:      lambda,
+		A:           env.AMatrix(),
+		ServiceDiag: env.ServiceDiag(mu),
+		Servers:     &qbd.Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
+	}
+}
+
 func TestSimulationMatchesSpectralExponential(t *testing.T) {
 	// Exponential operative periods: simulator vs exact solver.
 	op := dist.Exp(0.0289)
@@ -103,7 +114,7 @@ func TestSimulationMatchesSpectralExponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := qbd.SolveSpectral(qbd.Params{Lambda: lambda, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu)})
+	sol, err := qbd.SolveSpectral(spectralParams(env, lambda, mu))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +140,7 @@ func TestSimulationMatchesSpectralHyperexponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := qbd.SolveSpectral(qbd.Params{Lambda: lambda, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu)})
+	sol, err := qbd.SolveSpectral(spectralParams(env, lambda, mu))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,12 @@ func solverFor(t *testing.T, n int, lambda, mu float64, opts Options) (*Solver, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := qbd.Params{Lambda: lambda, A: env.AMatrix(), ServiceDiag: env.ServiceDiag(mu)}
+	p := qbd.Params{
+		Lambda:      lambda,
+		A:           env.AMatrix(),
+		ServiceDiag: env.ServiceDiag(mu),
+		Servers:     &qbd.Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
+	}
 	sv, err := NewSolver(p, opts)
 	if err != nil {
 		t.Fatal(err)
