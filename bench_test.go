@@ -453,11 +453,13 @@ func BenchmarkSweepBatched(b *testing.B) {
 // system that closes every served point, the inverse of the 66×66
 // boundary matrix K_{N−2} (the last matrix a point inverts), and the
 // factored eigen stage every served point runs: 66 roots and their
-// closed-form left vectors. Inputs are built before the timer; every
-// iteration copies its input into a warm arena matrix (the factored
-// member reuses a warm worker), so ns/op is one kernel call and allocs/op
-// must be exactly 0 (CI gates both, so a slowdown is attributed to a
-// kernel and not only to the whole point).
+// closed-form left vectors. The matching system and the inverse are also
+// timed at N = 8 (s = 45, λ = 5.6, the same load), the shape of every
+// jobs-durable point and of a third of solve-cold. Inputs are built before
+// the timer; every iteration copies its input into a warm arena matrix
+// (the factored member reuses a warm worker), so ns/op is one kernel call
+// and allocs/op must be exactly 0 (CI gates both, so a slowdown is
+// attributed to a kernel and not only to the whole point).
 func BenchmarkSpectralKernels(b *testing.B) {
 	const lambda = 7.0
 	p := benchParams(b, 10, lambda)
@@ -482,43 +484,13 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		}
 	}
 	realQ := p.QofZ(sol.TailDecay()).T()
-	// K_j = Dᴬ + λI + C_j − A − λ·S_{j−1}, S_j = C_{j+1}·K_j⁻¹: a point
-	// inverts K_0..K_{N−2} and matches against K_{N−1}. kLast ends as
-	// K_{N−2}, the last matrix inverted, and k as K_{N−1}.
-	var kLast, k, stage *linalg.Matrix
-	for j := 0; j+1 < len(p.ServiceDiag); j++ {
-		k = p.A.Scaled(-1)
-		for i := 0; i < s; i++ {
-			k.Add(i, i, da[i]+lambda+p.ServiceDiag[j][i])
-		}
-		if stage != nil {
-			k = k.Minus(stage.Scaled(lambda))
-		}
-		if j+2 == len(p.ServiceDiag) {
-			break // k is K_{N−1}
-		}
-		inv, err := linalg.Inverse(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kLast = k
-		stage = linalg.Diag(p.ServiceDiag[j+1]).Times(inv)
+	kLast, matching := boundaryKernelInputs(b, p, sol)
+	p8 := benchParams(b, 8, 0.8*lambda)
+	sol8, err := qbd.SolveSpectral(p8)
+	if err != nil {
+		b.Fatal(err)
 	}
-	// Level-(N−1) matching system, transposed: Mᵀ with
-	// M[t][·] = u_t·(K_{N−1} − z_t·C_N).
-	matching := linalg.NewMatrix(s, s)
-	for t, z := range sol.Eigenvalues() {
-		if imag(z) != 0 {
-			b.Fatalf("complex root %v: the inputs assume real roots at N = 10", z)
-		}
-		u, err := linalg.ForcedLeftNullVector(p.QofZ(real(z)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for col, v := range k.VecTimes(u) {
-			matching.Set(col, t, v-real(z)*c[col]*u[col])
-		}
-	}
+	kLast8, matching8 := boundaryKernelInputs(b, p8, sol8)
 
 	run := func(name string, kernel func(*linalg.Arena) error) {
 		b.Run(name, func(b *testing.B) {
@@ -551,20 +523,24 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		_, err := linalg.ForcedNullVectorScratch(w, ar)
 		return err
 	})
-	run(fmt.Sprintf("matching/n=%d", s), func(ar *linalg.Arena) error {
-		ar.Reset()
-		w := ar.MatUninit(s, s)
-		copy(w.Data, matching.Data)
-		_, err := linalg.ForcedNullVectorScratch(w, ar)
-		return err
-	})
-	run(fmt.Sprintf("inverse/n=%d", s), func(ar *linalg.Arena) error {
-		ar.Reset()
-		w := ar.MatUninit(s, s)
-		copy(w.Data, kLast.Data)
-		_, err := linalg.InverseScratch(w, ar)
-		return err
-	})
+	for _, m := range []*linalg.Matrix{matching, matching8} {
+		run(fmt.Sprintf("matching/n=%d", m.Rows), func(ar *linalg.Arena) error {
+			ar.Reset()
+			w := ar.MatUninit(m.Rows, m.Rows)
+			copy(w.Data, m.Data)
+			_, err := linalg.ForcedNullVectorScratch(w, ar)
+			return err
+		})
+	}
+	for _, k := range []*linalg.Matrix{kLast, kLast8} {
+		run(fmt.Sprintf("inverse/n=%d", k.Rows), func(ar *linalg.Arena) error {
+			ar.Reset()
+			w := ar.MatUninit(k.Rows, k.Rows)
+			copy(w.Data, k.Data)
+			_, err := linalg.InverseScratch(w, ar)
+			return err
+		})
+	}
 	// The factored eigen stage every served point runs: every multiset's
 	// root and its closed-form left vector, on a warm worker.
 	sv, err := qbd.NewSweepSolver(p)
@@ -576,6 +552,51 @@ func BenchmarkSpectralKernels(b *testing.B) {
 	run(fmt.Sprintf("factored/n=%d", s), func(*linalg.Arena) error {
 		return fw.EigenStage(lambda, &roots)
 	})
+}
+
+// boundaryKernelInputs builds the matrices p's boundary feeds the kernels:
+// K_j = Dᴬ + λI + C_j − A − λ·S_{j−1}, S_j = C_{j+1}·K_j⁻¹, so a point
+// inverts K_0..K_{N−2} and matches against K_{N−1}. It returns K_{N−2},
+// the last matrix inverted, and the level-(N−1) matching system,
+// transposed: Mᵀ with M[t][·] = u_t·(K_{N−1} − z_t·C_N).
+func boundaryKernelInputs(b *testing.B, p qbd.Params, sol *qbd.SpectralSolution) (kLast, matching *linalg.Matrix) {
+	b.Helper()
+	s := p.A.Rows
+	da := p.A.RowSums()
+	c := p.ServiceDiag[len(p.ServiceDiag)-1]
+	var k, stage *linalg.Matrix
+	for j := 0; j+1 < len(p.ServiceDiag); j++ {
+		k = p.A.Scaled(-1)
+		for i := 0; i < s; i++ {
+			k.Add(i, i, da[i]+p.Lambda+p.ServiceDiag[j][i])
+		}
+		if stage != nil {
+			k = k.Minus(stage.Scaled(p.Lambda))
+		}
+		if j+2 == len(p.ServiceDiag) {
+			break // k is K_{N−1}
+		}
+		inv, err := linalg.Inverse(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kLast = k
+		stage = linalg.Diag(p.ServiceDiag[j+1]).Times(inv)
+	}
+	matching = linalg.NewMatrix(s, s)
+	for t, z := range sol.Eigenvalues() {
+		if imag(z) != 0 {
+			b.Fatalf("complex root %v: the inputs assume real roots", z)
+		}
+		u, err := linalg.ForcedLeftNullVector(p.QofZ(real(z)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for col, v := range k.VecTimes(u) {
+			matching.Set(col, t, v-real(z)*c[col]*u[col])
+		}
+	}
+	return kLast, matching
 }
 
 // BenchmarkSpectralFrontier records the reliability and cost frontier

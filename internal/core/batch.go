@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/markov"
 	"repro/internal/qbd"
@@ -26,6 +27,14 @@ type BatchSolver struct {
 	env      *markov.Env
 	opCounts []int
 	sv       *qbd.SweepSolver
+	steady   sync.Pool // *steadyWork, for SolveSteady
+}
+
+// steadyWork is a worker with the solution it solves into, reused whole
+// by SolveSteady so a point allocates neither.
+type steadyWork struct {
+	w   *qbd.SweepWorker
+	sol qbd.SpectralSolution
 }
 
 // NewBatchSolver validates the λ-independent part of base and hoists the
@@ -45,12 +54,14 @@ func NewBatchSolver(base System) (*BatchSolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BatchSolver{
+	b := &BatchSolver{
 		base:     base,
 		env:      env,
 		opCounts: env.OperativeCounts(),
 		sv:       sv,
-	}, nil
+	}
+	b.steady.New = func() any { return &steadyWork{w: sv.NewWorker()} }
+	return b, nil
 }
 
 // Modes returns s, the number of environment modes.
@@ -80,5 +91,30 @@ func (b *BatchSolver) Solve(lambda float64) (*Performance, error) {
 		Load:         sys.Load(),
 		sol:          sol,
 		opCounts:     b.opCounts,
+	}, nil
+}
+
+// SolveSteady is Solve(lambda).SteadyState() without the full solution:
+// it solves on a pooled worker into that worker's own reused solution and
+// returns only L, W, z_s and the load, bit for bit what SteadyState would
+// keep, with Solve's errors. A memoising caller that keeps nothing else
+// saves the O(s²) solution Solve allocates and drops per point.
+func (b *BatchSolver) SolveSteady(lambda float64) (*Performance, error) {
+	sys := b.base
+	sys.ArrivalRate = lambda
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	sw := b.steady.Get().(*steadyWork)
+	defer b.steady.Put(sw)
+	if err := sw.w.SolveInto(lambda, &sw.sol); err != nil {
+		return nil, err
+	}
+	l := sw.sol.MeanQueue()
+	return &Performance{
+		MeanJobs:     l,
+		MeanResponse: l / lambda,
+		TailDecay:    sw.sol.TailDecay(),
+		Load:         sys.Load(),
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/linalg"
@@ -86,6 +87,67 @@ func TestBatchSolverMatchesSystemSolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolveSteadyMatchesSolve checks BatchSolver.SolveSteady, which reuses
+// a pooled worker together with its solution, against
+// Solve(λ).SteadyState() across a λ-grid that runs past the stability
+// limit and includes invalid rates: the four fields must match bit for
+// bit, no solution may be kept, and every error must be Solve's, text
+// included. The grid is then solved again from eight goroutines at once,
+// so pooled pairs are checked in and out concurrently: a pair shared or
+// torn between two points shows as a wrong L (and to -race).
+func TestSolveSteadyMatchesSolve(t *testing.T) {
+	bs, err := NewBatchSolver(fig5System(6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := []float64{-1, 0, math.NaN(), math.Inf(1)}
+	for g := 0; g < 24; g++ {
+		rates = append(rates, 0.2+6*float64(g)/23)
+	}
+	for _, lambda := range rates {
+		full, wantErr := bs.Solve(lambda)
+		got, gotErr := bs.SolveSteady(lambda)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("λ=%v: Solve err %v, SolveSteady err %v", lambda, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("λ=%v: error text %q vs %q", lambda, wantErr, gotErr)
+			}
+			continue
+		}
+		want := full.SteadyState()
+		if !sameF64(want.MeanJobs, got.MeanJobs) || !sameF64(want.MeanResponse, got.MeanResponse) ||
+			!sameF64(want.TailDecay, got.TailDecay) || !sameF64(want.Load, got.Load) {
+			t.Fatalf("λ=%v: SolveSteady %+v, Solve(λ).SteadyState() %+v", lambda, *got, *want)
+		}
+		if got.Solution() != nil {
+			t.Fatalf("λ=%v: SolveSteady kept a solution", lambda)
+		}
+	}
+	want := make([]float64, len(rates))
+	for i, lambda := range rates {
+		if perf, err := bs.Solve(lambda); err == nil {
+			want[i] = perf.MeanJobs
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range rates {
+				i := (k + 3*g) % len(rates)
+				perf, err := bs.SolveSteady(rates[i])
+				if err == nil && !sameF64(perf.MeanJobs, want[i]) {
+					t.Errorf("goroutine %d λ=%v: L %v, want %v", g, rates[i], perf.MeanJobs, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestBatchSolverErrorParity checks that per-point errors carry the

@@ -7,6 +7,20 @@ package linalg
 //go:noescape
 func axpyFMA(a float64, x, y []float64)
 
+// axpyRowsFMA is AxpyRows's AVX2/FMA kernel (axpy_amd64.s): sixteen lanes
+// per pass, each lane taking the rows' fused multiply-adds in order in a
+// register, then 4-wide steps and a scalar tail. The caller checks that
+// every row read lies inside x.
+//
+//go:noescape
+func axpyRowsFMA(a, x []float64, stride int, y []float64)
+
+// subTrackAVX is subTrack's AVX2 kernel (axpy_amd64.s). len(y) must equal
+// len(x).
+//
+//go:noescape
+func subTrackAVX(m float64, x, y []float64) (mx float64, arg int)
+
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
@@ -15,7 +29,7 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() uint32
 
 // hasAVX2FMA reports whether the CPU implements AVX2 and FMA and the
-// operating system saves the YMM registers, so axpyFMA may run.
+// operating system saves the YMM registers, so the kernels may run.
 func hasAVX2FMA() bool {
 	const (
 		fma     = 1 << 12 // CPUID.1:ECX

@@ -31,8 +31,13 @@ import (
 //     Hessenberg's left update walks rows once for all column sums, and
 //     its right update carries four sums at a time — while each sum still
 //     adds its terms in the reference order.
-//   - Vector multiply-adds: every O(n³) step of the inverse is one
-//     full-row Axpy, four elements per fused multiply-add on AVX2.
+//   - Vector kernels. The inverse is a blocked Gauss–Jordan whose O(n³)
+//     work is AxpyRows: eight pivot rows' multiply-adds per element in a
+//     register, loading and storing each row once per block instead of
+//     once per pivot. The null vector's row updates run on subTrack,
+//     which also keeps the row's pivot-search maximum in vector lanes.
+//     Both keep each element's operations and their order, so their
+//     results are the reference's bits.
 //   - Skipping provably neutral work: the QR iteration's row updates stop
 //     at the active block's last column, as in the eigenvalue-only EISPACK
 //     hqr (columns right of it never feed an eigenvalue again); the
@@ -519,8 +524,10 @@ func ForcedNullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
 // first attaining column over the active columns; the pivot scan takes the
 // first row attaining the global maximum and that row's first attaining
 // column — the same position. The caches are maintained exactly: rows
-// rewritten by the elimination step recompute their maximum in the same
-// left-to-right order during the update pass; untouched rows (zero
+// rewritten by the elimination step recompute their maximum during the
+// update pass (subTrack returns the first column attaining the largest
+// modulus, as a left-to-right scan with a strict > finds it); untouched
+// rows (zero
 // multiplier) keep a valid cache because the departing pivot column holds
 // a zero for them, except when the cached argmax sat on a column moved by
 // the pivot column swap, in which case the row is rescanned.
@@ -593,14 +600,11 @@ func nullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
 				continue
 			}
 			irow[k] = 0
-			nm, narg := 0.0, 0
-			tail, ptail := irow[k+1:], prow[k+1:]
-			ptail = ptail[:len(tail)]
-			for j, pv := range ptail {
-				tail[j] -= m * pv
-				if av := math.Abs(tail[j]); av > nm {
-					nm, narg = av, k+1+j
-				}
+			nm, narg := subTrack(m, prow[k+1:], irow[k+1:])
+			if narg >= 0 {
+				narg += k + 1
+			} else {
+				narg = 0
 			}
 			rmax[i], rarg[i] = nm, narg
 		}
@@ -751,64 +755,243 @@ func cAbsIfAbove(v complex128, t float64) float64 {
 	return cmplx.Abs(v)
 }
 
+// invBlock is the number of pivots InverseScratch eliminates per block:
+// AxpyRows keeps one register per lane across a block's rows, and 8 beat 4
+// at the served sizes.
+const invBlock = 8
+
 // InverseScratch inverts a in place by Gauss–Jordan elimination with
-// partial pivoting and returns it; the arena holds only the pivot record.
-// Step k takes the first row at or below k whose column-k entry has the
-// largest modulus, swaps it into row k, sets the pivot entry to 1 and
-// scales the row by 1/pivot, so column k of the row becomes the inverse's.
-// Every other row with a nonzero column-k entry f then has that entry
-// zeroed and takes Axpy(−f, pivot row, row) over the full width, which
-// also writes its part of the inverse's column k. The row swaps leave the
-// inverse's columns permuted; swapping columns k and the pivot row of step
-// k back, for k descending, undoes it. A pivot whose modulus is at most
-// n·ε times the largest earlier pivot modulus — a zero one included —
-// returns ErrSingular with a partly eliminated: an exactly singular matrix
-// whose elimination leaves a rounding-sized pivot must not come back as an
-// "inverse" of order 1/ε. The multiply-adds are Axpy's: fused on CPUs
-// with AVX2 and FMA, rounded twice elsewhere.
+// partial pivoting and returns it; the arena holds the pivot record, the
+// multipliers and one block's panel. Step k takes the first row at or
+// below k whose column-k entry has the largest modulus, swaps it into row
+// k, sets the pivot entry to 1 and scales the row by 1/pivot, so column k
+// of the row becomes the inverse's. Every other row with a nonzero
+// column-k entry f then has that entry zeroed and takes Axpy(−f, pivot
+// row, row) over the full width, which also writes its part of the
+// inverse's column k. The row swaps leave the inverse's columns permuted;
+// swapping columns k and the pivot row of step k back, for k descending,
+// undoes it. A pivot whose modulus is at most n·ε times the largest
+// earlier pivot modulus — a zero one included — returns ErrSingular with a
+// partly eliminated: an exactly singular matrix whose elimination leaves a
+// rounding-sized pivot must not come back as an "inverse" of order 1/ε.
+// The multiply-adds are Axpy's: fused on CPUs with AVX2 and FMA, rounded
+// twice elsewhere.
+//
+// The steps run in blocks of invBlock pivots, and every element still gets
+// exactly the multiply-adds above, in step order:
+//
+//   - The block's own columns (the panel) are kept column by column, and
+//     its steps run there for every row. A step's column, with the pivot
+//     row's entry 0, is the step's multipliers f (0 where a row is
+//     skipped), and each panel column takes one Axpy(−p_j, f) per run of
+//     nonzero multipliers, −p_j·f rounding as −f·p_j does. The pivot row
+//     rides along in a run and gets its entries back.
+//   - Before a pivot row is scaled, the rest of it takes its pending
+//     updates from the block's earlier pivots, so each pivot row is
+//     complete before any other row reads it.
+//   - Then every other row takes the block's updates, each run of nonzero
+//     multipliers in one AxpyRows call, and last pivot row t takes those
+//     of pivots t+1, t+2, … — in ascending t, so each still reads the later
+//     pivot rows as their steps left them.
+//   - These row updates run over the full width; a row's panel entries
+//     then go back over what they left there, and the next block's panel
+//     entries come out of it.
+//
+// A zero multiplier is skipped, as the step skips the row: fma(−0, p, −0)
+// is +0, so applying it could flip a zero's sign.
 func InverseScratch(a *Matrix, ar *Arena) (*Matrix, error) {
 	a.square()
 	n := a.Rows
 	d := a.Data
 	piv := ar.Ints(n)
+	pan := ar.f64Raw(n * invBlock) // pan[t·n+i]: row i of the panel's column t
+	mul := ar.f64Raw(n * invBlock) // mul[t·n+i]: row i's f at the block's step t, 0 if skipped
+	var pivPan [invBlock]float64   // the pivot row's panel entries
 	tol := float64(n) * 0x1p-52
 	var maxPiv float64
-	for k := 0; k < n; k++ {
-		p, mx := k, math.Abs(d[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(d[i*n+k]); v > mx {
-				mx, p = v, i
+	swapped := false
+	for i := 0; i < n; i++ {
+		panelRow(pan, d, n, i, 0, min(invBlock, n), false)
+	}
+	for k0 := 0; k0 < n; k0 += invBlock {
+		b := min(invBlock, n-k0)
+		nb := min(invBlock, max(n-k0-invBlock, 0)) // the next block's width
+		// dense holds while no row but the pivot skips a step of the
+		// block; then every other row takes all its updates in one call,
+		// without blockUpdate's scan for zero coefficients.
+		dense := true
+		for t := 0; t < b; t++ {
+			k := k0 + t
+			col := pan[t*n : t*n+n]
+			// Rows that skip this step: any zero, since the pivot never is.
+			skips := 0
+			for _, f := range col[:k+1] {
+				if f == 0 {
+					skips++
+				}
 			}
-		}
-		if mx <= tol*maxPiv {
-			return nil, ErrSingular
-		}
-		if mx > maxPiv {
-			maxPiv = mx // a NaN pivot never becomes the scale
-		}
-		piv[k] = p
-		prow := d[k*n : k*n+n]
-		if p != k {
-			other := d[p*n : p*n+n]
+			p, mx := k, math.Abs(col[k])
+			for i := k + 1; i < n; i++ {
+				f := col[i]
+				if f == 0 {
+					skips++
+				}
+				if v := math.Abs(f); v > mx {
+					mx, p = v, i
+				}
+			}
+			if mx <= tol*maxPiv {
+				return nil, ErrSingular
+			}
+			if mx > maxPiv {
+				maxPiv = mx // a NaN pivot never becomes the scale
+			}
+			piv[k] = p
+			prow := d[k*n : k*n+n]
+			if p != k {
+				swapped = true
+				other := d[p*n : p*n+n]
+				for j := range prow {
+					prow[j], other[j] = other[j], prow[j]
+				}
+				for j := 0; j < b; j++ {
+					pan[j*n+k], pan[j*n+p] = pan[j*n+p], pan[j*n+k]
+				}
+				for j := 0; j < t; j++ {
+					mul[j*n+k], mul[j*n+p] = mul[j*n+p], mul[j*n+k]
+				}
+			}
+			var c [invBlock]float64
+			for j := 0; j < t; j++ {
+				c[j] = -mul[j*n+k]
+			}
+			blockUpdate(d, n, k0, c[:t], prow)
+			inv := 1 / col[k]
+			col[k] = 1
 			for j := range prow {
-				prow[j], other[j] = other[j], prow[j]
+				prow[j] *= inv
+			}
+			for j := 0; j < b; j++ {
+				pan[j*n+k] *= inv
+				pivPan[j] = pan[j*n+k]
+			}
+			mt := mul[t*n : t*n+n]
+			copy(mt, col)
+			mt[k] = 0
+			if skips > 0 {
+				dense = false
+			}
+			// The step on the panel, one run of rows with nonzero
+			// multipliers at a time: the column's entries are zeroed, and
+			// each panel column takes an Axpy of the multipliers. The pivot
+			// row rides along with its zero one, so a dense column is one
+			// run, and gets its entries back afterwards.
+			for lo := 0; lo < n; {
+				hi := n
+				if skips > 0 {
+					if mt[lo] == 0 && lo != k {
+						lo++
+						continue
+					}
+					hi = lo + 1
+					for hi < n && (mt[hi] != 0 || hi == k) {
+						hi++
+					}
+				}
+				clear(col[lo:hi])
+				for j := 0; j < b; j++ {
+					Axpy(-pivPan[j], mt[lo:hi], pan[j*n+lo:j*n+hi])
+				}
+				lo = hi
+			}
+			for j := 0; j < b; j++ {
+				pan[j*n+k] = pivPan[j]
 			}
 		}
-		inv := 1 / prow[k]
-		prow[k] = 1
-		for j := range prow {
-			prow[j] *= inv
-		}
+		// A row is final for this block once updated: its panel entries
+		// go back, and the next block's come out while the row is hot.
+		var c [invBlock]float64
 		for i := 0; i < n; i++ {
-			irow := d[i*n : i*n+n]
-			if f := irow[k]; f != 0 && i != k {
-				irow[k] = 0
-				Axpy(-f, prow, irow)
+			if i >= k0 && i < k0+b {
+				continue
 			}
+			for t := 0; t < b; t++ {
+				c[t] = -mul[t*n+i]
+			}
+			if dense {
+				AxpyRows(c[:b], d[k0*n:], n, d[i*n:i*n+n])
+			} else {
+				blockUpdate(d, n, k0, c[:b], d[i*n:i*n+n])
+			}
+			panelRow(pan, d, n, i, k0, b, true)
+			panelRow(pan, d, n, i, k0+b, nb, false)
+		}
+		for k := k0; k < k0+b-1; k++ {
+			t := k - k0 + 1
+			for j := t; j < b; j++ {
+				c[j] = -mul[j*n+k]
+			}
+			blockUpdate(d, n, k0+t, c[t:b], d[k*n:k*n+n])
+		}
+		for k := k0; k < k0+b; k++ {
+			panelRow(pan, d, n, k, k0, b, true)
+			panelRow(pan, d, n, k, k0+b, nb, false)
 		}
 	}
-	for k := n - 1; k >= 0; k-- {
-		swapCols(a, k, piv[k])
+	if swapped {
+		// Undo the column permutation a row at a time: the same swaps in
+		// the same order, without striding down columns.
+		for i := 0; i < n; i++ {
+			row := d[i*n : i*n+n]
+			for k := n - 1; k >= 0; k-- {
+				if p := piv[k]; p != k {
+					row[k], row[p] = row[p], row[k]
+				}
+			}
+		}
 	}
 	return a, nil
+}
+
+// panelRow copies row i's entries in columns k0..k0+b−1 of the n×n
+// row-major matrix d into the column-major panel, pan[t·n+i] =
+// d[i][k0+t], or back when back is set.
+func panelRow(pan, d []float64, n, i, k0, b int, back bool) {
+	if b == invBlock {
+		r := (*[invBlock]float64)(d[i*n+k0:])
+		p := pan[i : i+7*n+1]
+		if back {
+			r[0], r[1], r[2], r[3] = p[0], p[n], p[2*n], p[3*n]
+			r[4], r[5], r[6], r[7] = p[4*n], p[5*n], p[6*n], p[7*n]
+		} else {
+			p[0], p[n], p[2*n], p[3*n] = r[0], r[1], r[2], r[3]
+			p[4*n], p[5*n], p[6*n], p[7*n] = r[4], r[5], r[6], r[7]
+		}
+		return
+	}
+	for t := 0; t < b; t++ {
+		if back {
+			d[i*n+k0+t] = pan[t*n+i]
+		} else {
+			pan[t*n+i] = d[i*n+k0+t]
+		}
+	}
+}
+
+// blockUpdate adds to row y of the n-wide matrix d, for t = 0, 1, … in
+// order, c[t] times row k0+t wherever c[t] is nonzero: each run of nonzero
+// coefficients is one AxpyRows call.
+func blockUpdate(d []float64, n, k0 int, c, y []float64) {
+	for t := 0; t < len(c); {
+		if c[t] == 0 {
+			t++
+			continue
+		}
+		e := t + 1
+		for e < len(c) && c[e] != 0 {
+			e++
+		}
+		AxpyRows(c[t:e], d[(k0+t)*n:], n, y)
+		t = e
+	}
 }

@@ -340,6 +340,88 @@ func TestScratchKernelsMatchReferenceLarge(t *testing.T) {
 	}
 }
 
+// signedZeroMatrix draws entries from {−2, −1, −0, +0, 1, 2}: many
+// multipliers are exactly zero, and rows keep −0 entries that an update
+// with a zero multiplier would turn into +0, so a kernel that applies one
+// instead of skipping the row changes bits the reference keeps.
+func signedZeroMatrix(rng *rand.Rand, n int) *Matrix {
+	vals := []float64{-2, -1, math.Copysign(0, -1), 0, 1, 2}
+	m := NewMatrix(n, n)
+	for i := range m.Data {
+		m.Data[i] = vals[rng.Intn(len(vals))]
+	}
+	return m
+}
+
+// TestScratchKernelsMatchReferenceServedSizes repeats the inverse and
+// null-vector reference comparisons at the sizes served points run, s = 45,
+// 55 and 66 (N = 8–10 of the Sun model), and at 91, where the blocked
+// inverse runs many full blocks of invBlock pivots and a partial last one.
+// Inputs: dense normal matrices, whose blocks have no zero multiplier;
+// diagonally dominant ones, which pivot on the diagonal; the same rows
+// shuffled, so every step swaps; tie-heavy integers; signed zeros, whose
+// steps skip rows holding −0; and a dense matrix whose first row is −0 but
+// for its last entry, so that row skips every step and is swapped away
+// from each pivot position in turn, its zeros' signs surviving to the
+// inverse.
+func TestScratchKernelsMatchReferenceServedSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	var ar Arena
+	for _, n := range []int{45, 55, 66, 91} {
+		for kind := 0; kind < 6; kind++ {
+			var m *Matrix
+			switch kind {
+			case 0, 1, 2, 5:
+				m = NewMatrix(n, n)
+				for i := range m.Data {
+					m.Data[i] = rng.NormFloat64()
+				}
+				if kind > 0 {
+					for i := 0; i < n; i++ {
+						m.Data[i*n+i] += float64(2 * n)
+					}
+				}
+				if kind == 5 {
+					for j := 0; j < n-1; j++ {
+						m.Data[j] = math.Copysign(0, -1)
+					}
+					m.Data[n-1] = 1
+				}
+				if kind == 2 {
+					perm := rng.Perm(n)
+					src := m.Clone()
+					for i, r := range perm {
+						copy(m.Data[i*n:(i+1)*n], src.Data[r*n:(r+1)*n])
+					}
+				}
+			case 3:
+				m = randomTestMatrix(rng, n)
+				for i := range m.Data {
+					m.Data[i] = float64(rng.Intn(5) - 2)
+				}
+			case 4:
+				m = signedZeroMatrix(rng, n)
+			}
+			name := fmt.Sprintf("n=%d kind %d", n, kind)
+			checkInverse(t, name, m, &ar)
+
+			if kind != 1 && kind != 5 {
+				src, dst := rng.Intn(n), rng.Intn(n)
+				copy(m.Data[dst*n:(dst+1)*n], m.Data[src*n:(src+1)*n])
+			}
+			want, wantErr := refForcedNullVector(m)
+			ar.Reset()
+			got, gotErr := ForcedNullVectorScratch(m.Clone(), &ar)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s: null vector error mismatch: %v vs %v", name, wantErr, gotErr)
+			}
+			if wantErr == nil {
+				requireSameF64(t, name+": null vector", want, got)
+			}
+		}
+	}
+}
+
 // TestEigenvaluesScratchBlockTriangularMatchesReference feeds block upper
 // triangular matrices. Their Hessenberg forms keep exact zeros on the
 // subdiagonal between blocks, so QR deflates with l > 0, and each block

@@ -17,15 +17,18 @@ type ApproxSolution struct {
 // eigenvalue instead of s, which keeps it numerically robust where the
 // exact method meets ill-conditioning (paper §4, N ≳ 24).
 //
-// z_s is the root in (0, 1) of the all-Perron multiset's scalar equation
-// λ(1−z) + z·N·θ₁(z) = 0, θ₁ being the largest eigen-branch of one
-// server's matrix M(z) (factored.go): every other multiset's sum of
-// branches is smaller, so its root is too. u_s is that multiset's
-// closed-form vector, the N-th lumped power of one server's Perron vector,
-// normalised to sum 1. It is the root and vector the spectral solver finds
-// for that multiset, on a fresh worker, so it costs one scalar root, not
-// s of them, and agrees with SolveSpectral's TailDecay bit for bit. Params
-// without a server description are rejected with ErrNoServers.
+// z_s is the root in (0, 1) of the entered Perron multiset's scalar
+// equation λ(1−z) + z·N·θ_P(z) = 0, θ_P being the largest eigen-branch of
+// one server's matrix M(z) (factored.go) that is not a transient phase's:
+// every other multiset without a transient server has a smaller sum of
+// branches, so its root is smaller too, and a multiset with one carries
+// no probability. u_s is that multiset's closed-form vector, the N-th
+// lumped power of one server's Perron vector, normalised to sum 1. Without
+// zero-weight phases it is the root and vector the spectral solver finds
+// for its all-Perron multiset, on a fresh worker, so it costs one scalar
+// root, not s of them, and agrees with SolveSpectral's TailDecay bit for
+// bit. Params without a server description are rejected with
+// ErrNoServers.
 func SolveApprox(p Params) (*ApproxSolution, error) {
 	w, err := newWorker(p)
 	if err != nil {
@@ -34,14 +37,14 @@ func SolveApprox(p Params) (*ApproxSolution, error) {
 	if err := w.sv.checkPoint(p.Lambda); err != nil {
 		return nil, err
 	}
-	z, err := w.multisetRoot(p.Lambda, 0)
+	z, err := w.multisetRoot(p.Lambda, enteredPerron)
 	if err != nil {
 		return nil, err
 	}
 	f, fw := w.sv.fac, &w.fac
 	fw.branches(f, z)
 	cu := make([]complex128, w.sv.s)
-	fw.vector(f, 0, cu)
+	fw.vector(f, enteredPerron, cu)
 	u := make([]float64, len(cu))
 	var total float64
 	for i, v := range cu {

@@ -204,6 +204,7 @@ func (sol *SpectralSolution) reshape(n, s int) {
 		} else {
 			sol.terms[k].u = sol.terms[k].u[:s]
 		}
+		sol.terms[k].transient = false
 	}
 }
 
@@ -221,8 +222,9 @@ func (sol *SpectralSolution) reshape(n, s int) {
 // stage matrix and inverted there in place, so the boundary takes
 // O(N·s²) arena memory; the levels are folded straight into sol's
 // boundary rows. The λ·S_{j−1}
-// subtraction, the matching-system build and the fold are linalg.Axpy
-// row updates, as are the inversions' eliminations.
+// subtraction and the fold are linalg.Axpy row updates; the
+// matching-system build adds eight rows per linalg.AxpyRows call, as the
+// inversions' blocked eliminations do.
 func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	sv := w.sv
 	s, n := sv.s, sv.n
@@ -281,11 +283,17 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 			mt.Data[i*s+k] = -sv.c[i] * (z * real(u))
 		}
 	}
-	// Row i of Mᵀ adds K_{N−1}[r][i]·(row r of rt) for every r.
+	// Row i of Mᵀ adds K_{N−1}[r][i]·(row r of rt) for every r in order,
+	// eight rows of rt per call, zero coefficients included.
+	var coef [8]float64
 	for i := 0; i < s; i++ {
 		out := mt.Data[i*s : (i+1)*s]
-		for r := 0; r < s; r++ {
-			linalg.Axpy(kj.Data[r*s+i], rt.Data[r*s:(r+1)*s], out)
+		for r := 0; r < s; r += len(coef) {
+			c := coef[:min(len(coef), s-r)]
+			for t := range c {
+				c[t] = kj.Data[(r+t)*s+i]
+			}
+			linalg.AxpyRows(c, rt.Data[r*s:], s, out)
 		}
 	}
 	x, err := linalg.ForcedNullVectorScratch(mt, &w.ar)

@@ -56,6 +56,13 @@ const maxRootIter = 200
 // rootTol is the relative step at which a root counts as converged.
 const rootTol = 4 * 0x1p-52
 
+// enteredPerron names, in place of a multiset index, the multiset of N
+// servers on the largest branch that is not a transient phase's. Without
+// transient phases it is multiset 0, the all-Perron one; with them, a
+// slow zero-weight phase's branch can outrank the entered block's Perron
+// branch near the root, and multiset 0 then takes that instead.
+const enteredPerron = -1
+
 // factored is the λ-independent part of the factored eigen stage, hoisted
 // once per environment.
 type factored struct {
@@ -415,6 +422,7 @@ type factoredWork struct {
 	a, v         []float64 // k×k: M(z) symmetrised, then its eigenvectors by column
 	theta, b, zz []float64 // k: eigenvalues (descending) and Jacobi accumulators
 	y            []float64 // k: one left eigenvector, scaled to ‖y‖∞ = 1
+	perron       []int     // k: the enteredPerron multiset's branch counts
 	polyA, polyB []float64 // s: the polynomial product's two last degrees
 	roots        []factoredRoot
 }
@@ -435,6 +443,7 @@ func (fw *factoredWork) init(f *factored, s int) {
 	fw.zz, buf = buf[:k], buf[k:]
 	fw.y, buf = buf[:k], buf[k:]
 	fw.polyA, fw.polyB = buf[:s], buf[s:]
+	fw.perron = make([]int, k)
 	fw.roots = make([]factoredRoot, s)
 }
 
@@ -451,13 +460,30 @@ func (fw *factoredWork) branches(f *factored, z float64) {
 	symEigen(fw.a, k, fw.v, fw.theta, fw.b, fw.zz)
 }
 
-// g returns g_m(z) and g_m′(z) for multiset mi. With unit eigenvectors v_i
-// of the symmetrised M(z), θ_i′(z) = Σ_p v_i[p]²·rates[p].
+// counts returns multiset mi's branch counts, or for mi = enteredPerron
+// those of N servers on the largest branch last evaluated that is not a
+// transient phase's.
+func (fw *factoredWork) counts(f *factored, mi int) []int {
+	if mi != enteredPerron {
+		return f.multiset(mi)
+	}
+	clear(fw.perron)
+	i := 0
+	for f.transientPhase(fw.v, i) >= 0 {
+		i++
+	}
+	fw.perron[i] = f.servers
+	return fw.perron
+}
+
+// g returns g_m(z) and g_m′(z) for multiset mi (or enteredPerron). With
+// unit eigenvectors v_i of the symmetrised M(z),
+// θ_i′(z) = Σ_p v_i[p]²·rates[p].
 func (fw *factoredWork) g(f *factored, lambda, z float64, mi int) (float64, float64) {
 	fw.branches(f, z)
 	k := f.k
 	var t, dt float64
-	for i, m := range f.multiset(mi) {
+	for i, m := range fw.counts(f, mi) {
 		if m == 0 {
 			continue
 		}
@@ -472,19 +498,20 @@ func (fw *factoredWork) g(f *factored, lambda, z float64, mi int) (float64, floa
 	return lambda*(1-z) + z*t, -lambda + t + z*dt
 }
 
-// multisetRoot returns the root in (0, 1) of g_m for multiset mi, by
-// Newton's method safeguarded by bisection inside a bracket on which g_m
-// changes sign. The start depends only on λ and the multiset: the root of
-// g_m with θ frozen at z = 0, λ/(λ − Σ_i m_i·θ_i(0)). A bracket without a
-// sign change, or an iteration that does not converge, is an error
-// wrapping ErrEigenCount that names the multiset.
+// multisetRoot returns the root in (0, 1) of g_m for multiset mi (or
+// enteredPerron), by Newton's method safeguarded by bisection inside a
+// bracket on which g_m changes sign. The start depends only on λ and the
+// multiset: the root of g_m with θ frozen at z = 0,
+// λ/(λ − Σ_i m_i·θ_i(0)), multiset 0's for enteredPerron. A bracket
+// without a sign change, or an iteration that does not converge, is an
+// error wrapping ErrEigenCount that names the multiset.
 func (w *SweepWorker) multisetRoot(lambda float64, mi int) (float64, error) {
 	f, fw := w.sv.fac, &w.fac
 	lo, hi := 0.0, 1.0
 	if !(lambda > 0) {
 		return 0, f.rootErr(mi, "no sign change", lo, hi)
 	}
-	if mi == 0 {
+	if mi <= 0 {
 		// The all-Perron multiset: g(1) = 0 and g′(1) = N·µa − λ > 0, so g < 0
 		// just below 1. Step back from 1 until g turns negative; every step
 		// that finds g > 0 lies below the root.
@@ -511,7 +538,7 @@ func (w *SweepWorker) multisetRoot(lambda float64, mi int) (float64, error) {
 	} else if !(f.t1[mi] < 0) {
 		return 0, f.rootErr(mi, "no sign change", lo, hi)
 	}
-	z := lambda / (lambda - f.t0[mi])
+	z := lambda / (lambda - f.t0[max(mi, 0)])
 	if !(z > lo && z < hi) {
 		z = lo + (hi-lo)/2
 	}
@@ -542,13 +569,18 @@ func (w *SweepWorker) multisetRoot(lambda float64, mi int) (float64, error) {
 }
 
 func (f *factored) rootErr(mi int, why string, lo, hi float64) error {
-	return fmt.Errorf("%w: multiset %v of M(z)'s eigen-branches: %s on (%v, %v)", ErrEigenCount, f.multiset(mi), why, lo, hi)
+	name := "entered Perron"
+	if mi != enteredPerron {
+		name = fmt.Sprint(f.multiset(mi))
+	}
+	return fmt.Errorf("%w: multiset %s of M(z)'s eigen-branches: %s on (%v, %v)", ErrEigenCount, name, why, lo, hi)
 }
 
 // factoredTerms is the factored eigen stage of one point: it finds every
 // multiset's root, orders the roots by descending value (ties by
 // multiset), and writes each root with its closed-form left vector into
-// sol.terms.
+// sol.terms, marking those whose multiset puts a server on a transient
+// phase's branch.
 func (w *SweepWorker) factoredTerms(lambda float64, sol *SpectralSolution) error {
 	f, fw := w.sv.fac, &w.fac
 	roots := fw.roots
@@ -570,28 +602,31 @@ func (w *SweepWorker) factoredTerms(lambda float64, sol *SpectralSolution) error
 	})
 	for t, r := range roots {
 		fw.branches(f, r.z)
-		fw.vector(f, r.m, sol.terms[t].u)
+		sol.terms[t].transient = fw.vector(f, r.m, sol.terms[t].u)
 		sol.terms[t].z = complex(r.z, 0)
 	}
 	return nil
 }
 
-// vector writes multiset mi's closed-form left vector
-// u[n] = [tⁿ] Π_i (y_i·t)^{m_i}, scaled to ‖u‖∞ = 1, for the branches last
-// evaluated: y_i[p] = v_i[p]·√π_p is M(z)'s left eigenvector for θ_i, or
-// transientVector's for a transient phase's branch. The product gains one
-// linear factor per step, so step d holds the coefficients of every
-// monomial of degree d.
-func (fw *factoredWork) vector(f *factored, mi int, u []complex128) {
+// vector writes multiset mi's (or enteredPerron's) closed-form left
+// vector u[n] = [tⁿ] Π_i (y_i·t)^{m_i}, scaled to ‖u‖∞ = 1, for the
+// branches last evaluated: y_i[p] = v_i[p]·√π_p is M(z)'s left eigenvector
+// for θ_i, or transientVector's for a transient phase's branch. The
+// product gains one linear factor per step, so step d holds the
+// coefficients of every monomial of degree d. It reports whether the
+// multiset puts a server on a transient phase's branch.
+func (fw *factoredWork) vector(f *factored, mi int, u []complex128) bool {
 	k := f.k
 	cur, next := fw.polyA, fw.polyB
 	cur[0] = 1
 	deg := 0
-	for i, m := range f.multiset(mi) {
+	transient := false
+	for i, m := range fw.counts(f, mi) {
 		if m == 0 {
 			continue
 		}
 		if j := f.transientPhase(fw.v, i); j >= 0 {
+			transient = true
 			fw.transientVector(f, i, j)
 		} else {
 			for p := 0; p < k; p++ {
@@ -628,6 +663,7 @@ func (fw *factoredWork) vector(f *factored, mi int, u []complex128) {
 	for j := range u {
 		u[j] = complex(cur[j]/mx, 0)
 	}
+	return transient
 }
 
 // transientPhase returns the transient phase whose branch is column i of

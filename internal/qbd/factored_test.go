@@ -272,7 +272,9 @@ func transientGap(w *SweepWorker) float64 {
 // checkReducedModel solves p, whose server model has zero-weight phases,
 // and reduced, the same queue with those phases dropped. No server ever
 // enters a zero-weight phase, so the two must have the same L, to tol
-// relative; p's solution must also balance to 1e-12 over levels 0..N+10,
+// relative, and the same tail decay z_s, to 1e-13 relative, which the §3.2
+// approximation must reproduce too, with its L within tol of the reduced
+// model's; p's solution must also balance to 1e-12 over levels 0..N+10,
 // and each of its vectors must be a left null vector of Q(z) to 1e-12
 // relative. It returns the solve's transientGap.
 func checkReducedModel(t testing.TB, what string, p, reduced Params, tol float64) float64 {
@@ -299,6 +301,24 @@ func checkReducedModel(t testing.TB, what string, p, reduced Params, tol float64
 	if r := maxVectorResidual(p, sol); r > 1e-12 {
 		t.Errorf("%s: vector residual %.1e", what, r)
 	}
+	zr := red.TailDecay()
+	if z := sol.TailDecay(); math.Abs(z-zr) > 1e-13*zr {
+		t.Errorf("%s: z_s %v, reduced model %v", what, z, zr)
+	}
+	ap, err := SolveApprox(p)
+	if err != nil {
+		t.Fatalf("%s: approximation: %v", what, err)
+	}
+	apr, err := SolveApprox(reduced)
+	if err != nil {
+		t.Fatalf("%s: reduced model's approximation: %v", what, err)
+	}
+	if z := ap.TailDecay(); math.Abs(z-zr) > 1e-13*zr {
+		t.Errorf("%s: approximation's z_s %v, reduced model %v", what, z, zr)
+	}
+	if l, lr := ap.MeanQueue(), apr.MeanQueue(); math.Abs(l-lr)/lr > tol {
+		t.Errorf("%s: approximate L %v, reduced model's %v (rel %.1e)", what, l, lr, math.Abs(l-lr)/lr)
+	}
 	return transientGap(w)
 }
 
@@ -306,9 +326,13 @@ func checkReducedModel(t testing.TB, what string, p, reduced Params, tol float64
 // entered, and the factored stage takes it as a transient phase. Each
 // model, from N = 1 to 10 and load 0.05 to 0.999, must meet its reduced
 // model — the same queue without the zero-weight phases — to 1e-10 on L,
-// with balance and vector residuals ≤ 1e-12. Figure 6's C² = 1 member is
-// one such model. The smallest relative branch gap a transient vector
-// divided by is logged.
+// exact and approximate, and 1e-13 on z_s, with balance and vector
+// residuals ≤ 1e-12. Figure 6's C² = 1 member is one such model. In the
+// slow repair row the zero-weight phase leaves at rate 0.01, so its branch
+// outranks the entered Perron branch near the root and multiset 0 takes a
+// spurious z_s ≈ 0.97 that the tail decay and the approximation must pass
+// over. The smallest relative branch gap a transient vector divided by is
+// logged.
 func TestZeroWeightPhasesMatchReducedModel(t *testing.T) {
 	fig6, err := dist.HyperExp2FixedShortPhase(34.62, 1, 1/0.1663)
 	if err != nil {
@@ -326,13 +350,14 @@ func TestZeroWeightPhasesMatchReducedModel(t *testing.T) {
 		{"operative (0, 1), Figure 6 C² = 1", fig6, paperRepair},
 		{"repair (1, 0)", paperOps, dist.MustHyperExp([]float64{1, 0}, h2)},
 		{"repair (0, 1)", paperOps, dist.MustHyperExp([]float64{0, 1}, h2)},
+		{"repair (1, 0), slow zero-weight phase", paperOps, dist.MustHyperExp([]float64{1, 0}, []float64{25, 0.01})},
 		{"H3 zero middle weight", dist.MustHyperExp([]float64{0.6, 0, 0.4}, []float64{0.3, 0.05, 0.01}), paperRepair},
 		{"zeros on both sides", dist.MustHyperExp([]float64{1, 0}, []float64{0.05, 0.3}), dist.MustHyperExp([]float64{0, 1}, h2)},
 	}
 	gap := math.Inf(1)
 	for _, r := range rows {
 		for _, n := range []int{1, 2, 5, 10} {
-			for _, load := range []float64{0.05, 0.5, 0.8, 0.95, 0.99, 0.999} {
+			for _, load := range []float64{0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.999} {
 				p := atLoad(t, paramsFor(t, n, 1, 1, r.op, r.rep), load)
 				reduced := paramsFor(t, n, p.Lambda, 1, withoutZeroWeights(r.op), withoutZeroWeights(r.rep))
 				what := fmt.Sprintf("%s N=%d load %v", r.name, n, load)
@@ -535,45 +560,89 @@ func productFormParams(seed int64) (Params, float64, *Params) {
 	return p, load, &reduced
 }
 
+// certifyRoots checks each factored root on its own scalar equation: for
+// every multiset m, the root z that multisetRoot finds must have g_m
+// change sign around it, g_m(z·(1−1e-13)) > 0 > g_m(z·(1+1e-13)). g_m
+// has one root in (0, 1), where it falls through 0, so this brackets the
+// root to 1e-13 relative without any other eigen-solver.
+func certifyRoots(t testing.TB, what string, p Params) {
+	t.Helper()
+	w, err := newWorker(p)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	f, fw := w.sv.fac, &w.fac
+	for mi := range len(f.multisets) / f.k {
+		z, err := w.multisetRoot(p.Lambda, mi)
+		if err != nil {
+			t.Fatalf("%s: multiset %v: %v", what, f.multiset(mi), err)
+		}
+		below, _ := fw.g(f, p.Lambda, z*(1-1e-13), mi)
+		above, _ := fw.g(f, p.Lambda, z*(1+1e-13), mi)
+		if !(below > 0 && above < 0) {
+			t.Fatalf("%s: multiset %v: root %v is not bracketed: g = %v below, %v above", what, f.multiset(mi), z, below, above)
+		}
+	}
+}
+
 // FuzzFactoredStage solves random product-form environments. A draw with
 // zero weights must meet its reduced model (checkReducedModel, L to
 // lTol(load)); the smallest relative branch gap its transient vectors
-// divided by is logged. Any other draw is also solved by companionSolve,
-// and must have the same root set to 1e-9, the same L to lTol(load)
-// relative, and every closed-form vector a left null vector of Q(z) to
-// 1e-12 relative. The companion is no oracle for zero weights: its QR
-// splits their clustered roots into spurious complex pairs.
+// divided by is logged. Any other draw has every root certified on its
+// own scalar equation (certifyRoots, 1e-13 relative) and every
+// closed-form vector a left null vector of Q(z) to 1e-12 relative. It is
+// also solved by companionSolve, and must have the same L to lTol(load)
+// relative and, wherever a companion root's nearest neighbour is more than
+// 1e-6 away relative, the same root to 1e-8, so the two root sets pair
+// up. The companion QR's roots are the inaccurate ones: as eigenvalues of
+// the non-normal companion they sit up to 3.9e-9 from the certified roots
+// (seed −29, over 420 draws of seeds −400..400), even 4e-3 apart, and
+// inside a tight cluster they can move by about ε over its gap. The
+// companion is no oracle for zero weights: its QR splits their clustered
+// roots into spurious complex pairs.
 func FuzzFactoredStage(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 10} { // 7 and 10 draw zero weights
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		p, load, reduced := productFormParams(seed)
+		what := fmt.Sprintf("load %v s=%d", load, p.Size())
 		if reduced != nil {
-			gap := checkReducedModel(t, fmt.Sprintf("load %v s=%d", load, p.Size()), p, *reduced, lTol(load))
+			gap := checkReducedModel(t, what, p, *reduced, lTol(load))
 			t.Logf("zero weights, s=%d load %v: smallest relative branch gap %.2e", p.Size(), load, gap)
 			return
 		}
 		fac, err := SolveSpectral(p)
 		if err != nil {
-			t.Fatalf("load %v s=%d: factored: %v", load, p.Size(), err)
+			t.Fatalf("%s: factored: %v", what, err)
+		}
+		certifyRoots(t, what, p)
+		if r := maxVectorResidual(p, fac); r > 1e-12 {
+			t.Fatalf("%s: closed-form vector residual %.1e", what, r)
 		}
 		comp, err := companionSolve(p)
 		if err != nil {
-			t.Fatalf("load %v s=%d: companion: %v", load, p.Size(), err)
+			t.Fatalf("%s: companion: %v", what, err)
 		}
 		a, b := sortedRoots(t, fac), sortedRoots(t, comp)
 		for i := range a {
-			if d := math.Abs(a[i] - b[i]); d > 1e-9 {
-				t.Fatalf("load %v s=%d: root %d: factored %v, companion %v", load, p.Size(), i, a[i], b[i])
+			gap := math.Inf(1)
+			if i > 0 {
+				gap = b[i] - b[i-1]
+			}
+			if i+1 < len(b) {
+				gap = math.Min(gap, b[i+1]-b[i])
+			}
+			if gap <= 1e-6*b[i] {
+				continue // inside a cluster: certified above
+			}
+			if d := math.Abs(a[i] - b[i]); d > 1e-8 {
+				t.Fatalf("%s: root %d: factored %v, companion %v", what, i, a[i], b[i])
 			}
 		}
 		lf, lc := fac.MeanQueue(), comp.MeanQueue()
 		if d := math.Abs(lf-lc) / lc; d > lTol(load) {
-			t.Fatalf("load %v s=%d: L factored %v, companion %v (rel %.1e)", load, p.Size(), lf, lc, d)
-		}
-		if r := maxVectorResidual(p, fac); r > 1e-12 {
-			t.Fatalf("load %v s=%d: closed-form vector residual %.1e", load, p.Size(), r)
+			t.Fatalf("%s: L factored %v, companion %v (rel %.1e)", what, lf, lc, d)
 		}
 	})
 }

@@ -19,6 +19,10 @@ type spectralTerm struct {
 	z     complex128
 	u     []complex128
 	gamma complex128 // γ̃_k = γ_k·z_k^N
+	// transient marks a root whose multiset puts a server on a transient
+	// phase's branch. Such a mode carries no probability, so its γ̃ is 0
+	// and its root is no decay rate of the queue.
+	transient bool
 }
 
 // SpectralSolution is the exact stationary distribution produced by
@@ -92,11 +96,14 @@ func (s *SpectralSolution) Eigenvalues() []complex128 {
 
 // TailDecay returns the dominant eigenvalue z_s — the asymptotic geometric
 // decay rate of the queue-length distribution. It is always real and
-// positive (paper §3.2).
+// positive (paper §3.2). A root whose multiset puts a server on a
+// transient phase's branch is passed over: its coefficient is 0, so it
+// decays nothing, though with a slow zero-weight phase it can be the
+// largest root.
 func (s *SpectralSolution) TailDecay() float64 {
 	var best float64
 	for _, t := range s.terms {
-		if imag(t.z) == 0 && real(t.z) > best {
+		if !t.transient && imag(t.z) == 0 && real(t.z) > best {
 			best = real(t.z)
 		}
 	}

@@ -45,14 +45,15 @@ type hoist struct {
 	err  error
 }
 
-// solve evaluates sys through the shared solver. When construction failed,
-// it solves sys on its own with System.SolveWith, which reports the
-// configuration's error with its usual precedence, keeping error text
-// identical to an unhoisted solve. The engine's batch counters record both
-// outcomes: one BatchGroups tick per construction and one BatchFallbacks
-// tick per point solved without the hoisted solver after it failed to
-// build.
-func (h *hoist) solve(e *Engine, sys core.System) (*core.Performance, error) {
+// solve evaluates sys through the shared solver: the steady-state block
+// alone (BatchSolver.SolveSteady) when steady is set, the full solve
+// otherwise. When construction failed, it solves sys on its own with
+// System.SolveWith, which reports the configuration's error with its usual
+// precedence, keeping error text identical to an unhoisted solve. The
+// engine's batch counters record both outcomes: one BatchGroups tick per
+// construction and one BatchFallbacks tick per point solved without the
+// hoisted solver after it failed to build.
+func (h *hoist) solve(e *Engine, sys core.System, steady bool) (*core.Performance, error) {
 	h.once.Do(func() {
 		h.bs, h.err = core.NewBatchSolver(sys)
 		e.batchGroups.Add(1)
@@ -61,16 +62,20 @@ func (h *hoist) solve(e *Engine, sys core.System) (*core.Performance, error) {
 		e.batchFallbacks.Add(1)
 		return sys.SolveWith(core.Spectral)
 	}
+	if steady {
+		return h.bs.SolveSteady(sys.ArrivalRate)
+	}
 	return h.bs.Solve(sys.ArrivalRate)
 }
 
 // solve runs one cache miss: spectral configurations through their
 // environment's hoisted solver, the other methods — which have no hoisted
-// form — through System.SolveWith.
-func (e *Engine) solve(sys core.System, m core.Method) (*core.Performance, error) {
+// form — through System.SolveWith. With steady set the caller keeps only
+// the steady-state block, so a spectral miss solves for that alone.
+func (e *Engine) solve(sys core.System, m core.Method, steady bool) (*core.Performance, error) {
 	if m != core.Spectral {
 		return sys.SolveWith(m)
 	}
 	h := e.hoists.getOrAdd(sys.EnvFingerprint(), func() *hoist { return new(hoist) })
-	return h.solve(e, sys)
+	return h.solve(e, sys, steady)
 }

@@ -228,7 +228,7 @@ func TestSweepGroupConstructionFallback(t *testing.T) {
 	bad.ServiceRate = 0
 	h := new(hoist)
 	e := NewEngine(Config{})
-	_, err := h.solve(e, bad)
+	_, err := h.solve(e, bad, false)
 	if err == nil {
 		t.Fatal("expected an error from the fallback scalar solve")
 	}
@@ -247,7 +247,8 @@ func TestSweepGroupConstructionFallback(t *testing.T) {
 // TestHoistFromNaNRateStaysBatched checks that an environment's hoist
 // first touched by a NaN-rate system is still built: that point reports
 // the validation error, and later valid rates solve through the batched
-// path (no fallback) with one-shot solves' results.
+// path (no fallback) with one-shot solves' results. It takes the
+// steady-state path a memoising engine takes.
 func TestHoistFromNaNRateStaysBatched(t *testing.T) {
 	h := new(hoist)
 	e := NewEngine(Config{})
@@ -256,11 +257,11 @@ func TestHoistFromNaNRateStaysBatched(t *testing.T) {
 	if wantErr == nil {
 		t.Fatal("a NaN arrival rate passed validation")
 	}
-	if _, err := h.solve(e, bad); err == nil || err.Error() != wantErr.Error() {
+	if _, err := h.solve(e, bad, true); err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("NaN rate: got %v, want the validation error %v", err, wantErr)
 	}
 	sys := testSystem(3, 1.2)
-	got, err := h.solve(e, sys)
+	got, err := h.solve(e, sys, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,15 +232,16 @@ func (e *Engine) evaluate(ctx context.Context, sys core.System, m core.Method) (
 			return nil, ctx.Err() // cancelled waiting for a slot; not a solver error
 		}
 		e.solves.Add(1)
-		perf, err := e.solve(sys, m)
+		perf, err := e.solve(sys, m, e.cache != nil)
 		<-e.sem
 		if err != nil {
 			e.errs.Add(1)
 			return nil, err
 		}
-		if e.cache != nil {
+		if e.cache != nil && perf.Solution() != nil {
 			// The memo keeps the steady-state block alone, and the leader
-			// and every joiner get the pointer it keeps.
+			// and every joiner get the pointer it keeps. A spectral miss
+			// solved for that block alone already is one.
 			perf = perf.SteadyState()
 		}
 		return perf, nil

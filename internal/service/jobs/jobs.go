@@ -673,6 +673,9 @@ func (s *Scheduler) runSweep(ctx context.Context, j *job) (*api.JobResult, error
 	if len(j.partial) > len(systems) { // a log replaying more points than the grid holds
 		j.partial = j.partial[:len(systems)]
 	}
+	if cap(j.partial) < len(systems) { // one allocation for the whole grid
+		j.partial = append(make([]api.SweepPoint, 0, len(systems)), j.partial...)
+	}
 	j.total = len(systems)
 	resume := len(j.partial)
 	j.completed = resume
@@ -701,9 +704,11 @@ func (s *Scheduler) runSweep(ctx context.Context, j *job) (*api.JobResult, error
 	if err != nil {
 		return nil, err
 	}
+	// The result shares the finished points with j.partial, as a replayed
+	// job's does (rebuildResult): nothing appends to either once the run
+	// is done, and the capped slice keeps any append off the shared array.
 	s.mu.Lock()
-	points := make([]api.SweepPoint, len(j.partial))
-	copy(points, j.partial)
+	points := j.partial[:len(j.partial):len(j.partial)]
 	s.mu.Unlock()
 	return &api.JobResult{
 		ID:    j.id,

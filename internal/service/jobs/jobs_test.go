@@ -431,6 +431,49 @@ func TestPartialSweepMidRun(t *testing.T) {
 	}
 }
 
+// TestFinishedSweepKeepsOneCopy: a finished sweep's result and a partial
+// read return the same points, and the result shares its storage with the
+// job's point record instead of holding a second copy for the job's
+// lifetime. The record is sized for the grid once, and the result is
+// capped so an append cannot reach the shared array.
+func TestFinishedSweepKeepsOneCopy(t *testing.T) {
+	s := New(Config{Engine: &fakeEngine{}})
+	defer s.Close()
+	st, err := s.Submit(context.Background(), sweepJob(1, 2, 3, 4, 5, 6, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := s.Wait(context.Background(), st.ID); err != nil || fin.State != api.JobStateDone {
+		t.Fatalf("final: %+v, %v", fin, err)
+	}
+	res, err := s.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, _, err := s.PartialSweep(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Sweep.Points
+	if len(got) != 7 || len(pts) != len(got) {
+		t.Fatalf("result has %d points, partial read %d", len(got), len(pts))
+	}
+	for i := range got {
+		if got[i].Index != pts[i].Index || got[i].Value != pts[i].Value || *got[i].Perf != *pts[i].Perf {
+			t.Errorf("point %d: result %+v, partial %+v", i, got[i], pts[i])
+		}
+	}
+	s.mu.Lock()
+	partial := s.jobs[st.ID].partial
+	s.mu.Unlock()
+	if &partial[0] != &got[0] {
+		t.Error("the result holds a second copy of the points")
+	}
+	if cap(got) != len(got) || cap(partial) != 7 {
+		t.Errorf("result cap %d (len %d), record cap %d: want the record sized for the grid and the result capped", cap(got), len(got), cap(partial))
+	}
+}
+
 func TestPartialSweepRejectsNonSweepJobs(t *testing.T) {
 	s := New(Config{Engine: &fakeEngine{}})
 	defer s.Close()
