@@ -147,20 +147,31 @@ func TestSweepRequestValidateAndSystems(t *testing.T) {
 }
 
 func TestOptimizeRequestValidate(t *testing.T) {
-	sla := OptimizeRequest{System: System{Lambda: 7.5}, TargetResponse: 1.5}
-	if err := sla.Validate(); err != nil {
-		t.Fatalf("SLA mode without explicit range rejected: %v", err)
-	}
-	if minN, maxN := sla.Bounds(); minN != 1 || maxN != 64 {
-		t.Errorf("SLA bounds = [%d, %d], want [1, 64]", minN, maxN)
+	// Absent bounds default to [1, 64] in either mode: the search prunes
+	// the N that cannot win, so cost mode needs no explicit range either.
+	for _, req := range []OptimizeRequest{
+		{System: System{Lambda: 7.5}, TargetResponse: 1.5},
+		{System: System{Lambda: 8}, HoldingCost: 4, ServerCost: 1},
+	} {
+		if err := req.Validate(); err != nil {
+			t.Fatalf("%+v without explicit range rejected: %v", req, err)
+		}
+		if minN, maxN := req.Bounds(); minN != 1 || maxN != 64 {
+			t.Errorf("%+v: bounds = [%d, %d], want [1, 64]", req, minN, maxN)
+		}
 	}
 	cost := OptimizeRequest{System: System{Lambda: 8}, HoldingCost: 4, ServerCost: 1, MinServers: 9, MaxServers: 17}
 	if err := cost.Validate(); err != nil {
 		t.Fatalf("cost mode rejected: %v", err)
 	}
+	if got := cost.Objective(); got != (core.Objective{Cost: core.CostModel{HoldingCost: 4, ServerCost: 1}}) {
+		t.Errorf("Objective() = %+v", got)
+	}
 	for name, bad := range map[string]OptimizeRequest{
-		"no objective":   {System: System{Lambda: 8}},
-		"inverted range": {System: System{Lambda: 8}, HoldingCost: 4, ServerCost: 1, MinServers: 5, MaxServers: 3},
+		"no objective":          {System: System{Lambda: 8}},
+		"inverted range":        {System: System{Lambda: 8}, HoldingCost: 4, ServerCost: 1, MinServers: 5, MaxServers: 3},
+		"negative holding cost": {System: System{Lambda: 8}, HoldingCost: -4, ServerCost: 1},
+		"negative server cost":  {System: System{Lambda: 8}, HoldingCost: 4, ServerCost: -1},
 	} {
 		var ae *Error
 		if err := bad.Validate(); !errors.As(err, &ae) || ae.Code != CodeInvalidArgument {

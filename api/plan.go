@@ -71,19 +71,13 @@ type PlanRequest struct {
 	TargetResponse float64 `json:"target_response,omitempty"`
 }
 
-// Bounds returns the effective search range. Unlike optimize, plan
-// defaults absent bounds to [1, 64] in every mode: a plan is a what-if
-// about the tier, not a hand-built experiment, so it should answer with
-// no boilerplate.
-func (r PlanRequest) Bounds() (minN, maxN int) {
-	minN, maxN = r.MinServers, r.MaxServers
-	if minN == 0 {
-		minN = 1
-	}
-	if maxN == 0 {
-		maxN = 64
-	}
-	return minN, maxN
+// Bounds returns the effective search range by the rule every
+// provisioning request shares (bounds).
+func (r PlanRequest) Bounds() (minN, maxN int) { return bounds(r.MinServers, r.MaxServers) }
+
+// Objective returns the provisioning question the request asks.
+func (r PlanRequest) Objective() core.Objective {
+	return core.Objective{Cost: core.CostModel{HoldingCost: r.HoldingCost, ServerCost: r.ServerCost}, Target: r.TargetResponse}
 }
 
 // ResolveObjective validates the mode-independent fields — solver,
@@ -95,15 +89,9 @@ func (r PlanRequest) ResolveObjective() (m core.Method, minN, maxN int, err erro
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if r.TargetResponse < 0 {
-		return 0, 0, 0, InvalidArgument("target_response", "target response %v must be positive", r.TargetResponse)
-	}
-	if r.TargetResponse == 0 && r.HoldingCost <= 0 && r.ServerCost <= 0 {
-		return 0, 0, 0, InvalidArgument("target_response", "plan needs holding_cost/server_cost or target_response")
-	}
 	minN, maxN = r.Bounds()
-	if minN < 1 || maxN < minN {
-		return 0, 0, 0, InvalidArgument("min_servers", "invalid server range [%d, %d]", minN, maxN)
+	if err = checkObjective(r.Objective(), minN, maxN); err != nil {
+		return 0, 0, 0, err
 	}
 	return m, minN, maxN, nil
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/core"
 )
 
-// TestPlanRequestBoundsDefaults: a plan is a what-if about the tier, so
-// absent bounds default to [1, 64] in every mode — unlike optimize, which
-// demands them.
+// TestPlanRequestBoundsDefaults: absent bounds default to [1, 64] in
+// every mode, by the rule plan shares with optimize
+// (TestOptimizeRequestValidate checks optimize's side).
 func TestPlanRequestBoundsDefaults(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -27,6 +27,10 @@ func TestPlanRequestBoundsDefaults(t *testing.T) {
 			minN, maxN := tc.req.Bounds()
 			if minN != tc.wantMin || maxN != tc.wantMax {
 				t.Errorf("Bounds() = [%d, %d], want [%d, %d]", minN, maxN, tc.wantMin, tc.wantMax)
+			}
+			opt := OptimizeRequest{MinServers: tc.req.MinServers, MaxServers: tc.req.MaxServers}
+			if oMin, oMax := opt.Bounds(); oMin != minN || oMax != maxN {
+				t.Errorf("OptimizeRequest.Bounds() = [%d, %d], plan's = [%d, %d]", oMin, oMax, minN, maxN)
 			}
 		})
 	}

@@ -190,29 +190,22 @@ type OptimizeRequest struct {
 	// ServerCost is c₂ of the cost objective.
 	ServerCost float64 `json:"server_cost,omitempty"`
 	// MinServers is the bottom of the searched fleet-size range
-	// (default 1 in SLA mode; required in cost mode).
+	// (default 1).
 	MinServers int `json:"min_servers,omitempty"`
-	// MaxServers is the top of the searched range (default 64 in SLA
-	// mode; required in cost mode).
+	// MaxServers is the top of the searched range (default 64).
 	MaxServers int `json:"max_servers,omitempty"`
 	// TargetResponse switches to SLA mode: find the smallest N with
 	// W ≤ TargetResponse.
 	TargetResponse float64 `json:"target_response,omitempty"`
 }
 
-// Bounds returns the effective search range, applying the SLA-mode
-// defaults [1, 64] for absent bounds.
-func (r OptimizeRequest) Bounds() (minN, maxN int) {
-	minN, maxN = r.MinServers, r.MaxServers
-	if r.TargetResponse > 0 {
-		if minN == 0 {
-			minN = 1
-		}
-		if maxN == 0 {
-			maxN = 64
-		}
-	}
-	return minN, maxN
+// Bounds returns the effective search range by the rule every
+// provisioning request shares (bounds).
+func (r OptimizeRequest) Bounds() (minN, maxN int) { return bounds(r.MinServers, r.MaxServers) }
+
+// Objective returns the provisioning question the request asks.
+func (r OptimizeRequest) Objective() core.Objective {
+	return core.Objective{Cost: core.CostModel{HoldingCost: r.HoldingCost, ServerCost: r.ServerCost}, Target: r.TargetResponse}
 }
 
 // Resolve validates the request and converts it to model types in one
@@ -228,17 +221,44 @@ func (r OptimizeRequest) Resolve() (base core.System, m core.Method, minN, maxN 
 	if err != nil {
 		return core.System{}, 0, 0, 0, err
 	}
-	if r.TargetResponse < 0 {
-		return core.System{}, 0, 0, 0, InvalidArgument("target_response", "target response %v must be positive", r.TargetResponse)
-	}
-	if r.TargetResponse == 0 && r.HoldingCost <= 0 && r.ServerCost <= 0 {
-		return core.System{}, 0, 0, 0, InvalidArgument("target_response", "optimize needs holding_cost/server_cost or target_response")
-	}
 	minN, maxN = r.Bounds()
-	if minN < 1 || maxN < minN {
-		return core.System{}, 0, 0, 0, InvalidArgument("min_servers", "invalid server range [%d, %d]", minN, maxN)
+	if err = checkObjective(r.Objective(), minN, maxN); err != nil {
+		return core.System{}, 0, 0, 0, err
 	}
 	return base, m, minN, maxN, nil
+}
+
+// bounds defaults absent provisioning bounds to [1, 64], in either mode:
+// the search stops at the first N that cannot win (the exact bound
+// L ≥ λ/µ in cost mode, the first satisfying N in SLA mode), so a wide
+// default costs only the solves the answer needs.
+func bounds(minN, maxN int) (int, int) {
+	if minN == 0 {
+		minN = 1
+	}
+	if maxN == 0 {
+		maxN = 64
+	}
+	return minN, maxN
+}
+
+// checkObjective validates what both provisioning requests share: a
+// positive target or non-negative cost weights, not both 0, and a
+// non-empty range.
+func checkObjective(obj core.Objective, minN, maxN int) error {
+	switch {
+	case obj.Target < 0:
+		return InvalidArgument("target_response", "target response %v must be positive", obj.Target)
+	case obj.Cost.HoldingCost < 0:
+		return InvalidArgument("holding_cost", "holding cost %v must not be negative", obj.Cost.HoldingCost)
+	case obj.Cost.ServerCost < 0:
+		return InvalidArgument("server_cost", "server cost %v must not be negative", obj.Cost.ServerCost)
+	case obj.Target == 0 && obj.Cost.HoldingCost == 0 && obj.Cost.ServerCost == 0:
+		return InvalidArgument("target_response", "the request needs holding_cost/server_cost or target_response")
+	case minN < 1 || maxN < minN:
+		return InvalidArgument("min_servers", "invalid server range [%d, %d]", minN, maxN)
+	}
+	return nil
 }
 
 // Validate reports wire-level problems as *Error values.

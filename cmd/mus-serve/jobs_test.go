@@ -47,11 +47,7 @@ func (g *gatedEngine) Simulate(ctx context.Context, sys core.System, opts core.S
 	}
 }
 
-func (g *gatedEngine) OptimizeServers(ctx context.Context, base core.System, cm core.CostModel, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
-	return core.ServerSweepPoint{Servers: minN, Perf: &core.Performance{MeanJobs: 1}}, nil
-}
-
-func (g *gatedEngine) MinServersForResponseTime(ctx context.Context, base core.System, target float64, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
+func (g *gatedEngine) Provision(ctx context.Context, base core.System, obj core.Objective, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
 	return core.ServerSweepPoint{Servers: minN, Perf: &core.Performance{MeanJobs: 1}}, nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -315,5 +316,105 @@ func TestPlanMeasuredClusterAggregation(t *testing.T) {
 	}
 	if resp.Servers != best.Servers {
 		t.Errorf("cluster plan N = %d, offline N = %d", resp.Servers, best.Servers)
+	}
+}
+
+// TestPlanDefaultBoundsPrunedSearch is the provisioning acceptance test: a
+// cost-mode /v1/plan on the Sun model with no bounds searches [1, 64] on
+// an engine of two workers, yet answers Figure 5 (N* = 11, 12, 13 at
+// λ = 7, 8, 8.5) from at most six solves each, read from the engine's
+// Solves counter, and all three within a second.
+func TestPlanDefaultBoundsPrunedSearch(t *testing.T) {
+	eng := service.NewEngine(service.Config{Workers: 2})
+	ts := httptest.NewServer(newTestHandler(t, eng))
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
+	start := time.Now()
+	for _, tc := range []struct {
+		lambda float64
+		paperN int
+	}{{7, 11}, {8, 12}, {8.5, 13}} {
+		before := eng.Stats().Solves
+		resp, err := c.Plan(context.Background(), api.PlanRequest{
+			System:      api.System{Lambda: tc.lambda},
+			HoldingCost: 4, ServerCost: 1,
+		})
+		if err != nil {
+			t.Fatalf("λ=%v: %v", tc.lambda, err)
+		}
+		solves := eng.Stats().Solves - before
+		t.Logf("λ=%v: N* = %d from %d solves (%s)", tc.lambda, resp.Servers, solves, resp.Objective)
+		if resp.Servers != tc.paperN {
+			t.Errorf("λ=%v: N* = %d, Figure 5 reads %d", tc.lambda, resp.Servers, tc.paperN)
+		}
+		if solves > 6 {
+			t.Errorf("λ=%v: %d solves, want ≤ 6", tc.lambda, solves)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("three default-bounds plans took %v, want < 1 s", elapsed)
+	}
+}
+
+// TestProvisionTargetAtServiceTimeFloor: W = L/λ ≥ 1/µ for an exact
+// method, so a spectral target_response ≤ 1/µ is 422 unsatisfiable on both
+// provisioning routes without a solve, and the engine's search says so in
+// well under a millisecond. The §3.2 approximation has no such floor, so
+// the same request with "method": "approx" still searches.
+func TestProvisionTargetAtServiceTimeFloor(t *testing.T) {
+	eng := service.NewEngine(service.Config{Workers: 2})
+	ts := httptest.NewServer(newTestHandler(t, eng))
+	t.Cleanup(ts.Close)
+	for _, path := range []string{api.PathOptimize, api.PathPlan} {
+		for _, target := range []float64{1, 0.5} {
+			before := eng.Stats().Solves
+			status, env := postForError(t, ts.URL+path, fmt.Sprintf(`{"lambda": 8, "target_response": %v}`, target))
+			if status != http.StatusUnprocessableEntity || env.Error == nil || env.Error.Code != api.CodeUnsatisfiable {
+				t.Errorf("%s, target %v: status %d, envelope %+v, want 422 unsatisfiable", path, target, status, env.Error)
+			}
+			if solves := eng.Stats().Solves - before; solves != 0 {
+				t.Errorf("%s, target %v: %d solves, want 0", path, target, solves)
+			}
+		}
+	}
+	base, err := (api.System{Servers: 1, Lambda: 8}).ToSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = eng.Provision(context.Background(), base, core.Objective{Target: 1}, 1, 64, core.Spectral)
+	if elapsed := time.Since(start); err == nil || elapsed > time.Millisecond {
+		t.Errorf("engine search: %v after %v, want an error within 1 ms", err, elapsed)
+	}
+	before := eng.Stats().Solves
+	status, raw := postJSON(t, ts.URL+api.PathOptimize, `{"lambda": 8, "target_response": 1, "method": "approx", "max_servers": 20}`, nil)
+	if solves := eng.Stats().Solves - before; solves == 0 {
+		t.Errorf("approx target 1/µ: %d solves (status %d: %s), want a search", solves, status, raw)
+	}
+}
+
+// TestPlanAtStabilityBoundary pins λ one ulp below 8·A for the Sun model,
+// where core's closed-form load calls N = 8 stable but the solver's own
+// capacity rejects it: a plan whose range starts below the boundary must
+// skip that N and answer, in cost and in SLA mode.
+func TestPlanAtStabilityBoundary(t *testing.T) {
+	ts := testServer(t)
+	c := client.New(ts.URL)
+	base, err := (api.System{Servers: 1, Lambda: 1}).ToSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda := math.Nextafter(8*base.Availability(), 0)
+	for _, req := range []api.PlanRequest{
+		{System: api.System{Lambda: lambda}, HoldingCost: 1, ServerCost: 1, MaxServers: 20},
+		{System: api.System{Lambda: lambda}, TargetResponse: 2, MaxServers: 20},
+	} {
+		resp, err := c.Plan(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		if resp.Servers < 8 || resp.Perf.MeanJobs <= 0 {
+			t.Errorf("%s: N = %d, L = %v", resp.Objective, resp.Servers, resp.Perf.MeanJobs)
+		}
 	}
 }

@@ -696,42 +696,12 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	if req.TargetResponse > 0 {
-		pt, err := s.eng.MinServersForResponseTime(r.Context(), base, req.TargetResponse, minN, maxN, m)
-		if err != nil {
-			s.writeError(w, r, unsatisfiable(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, api.OptimizeResponse{
-			Objective: fmt.Sprintf("min N in [%d, %d] with W ≤ %g", minN, maxN, req.TargetResponse),
-			Servers:   pt.Servers,
-			Perf:      api.FromPerformance(pt.Perf),
-		})
-		return
-	}
-	cm := core.CostModel{HoldingCost: req.HoldingCost, ServerCost: req.ServerCost}
-	best, err := s.eng.OptimizeServers(r.Context(), base, cm, minN, maxN, m)
+	resp, err := jobs.Optimize(r.Context(), s.eng, base, req.Objective(), minN, maxN, m)
 	if err != nil {
-		s.writeError(w, r, unsatisfiable(err))
+		s.writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.OptimizeResponse{
-		Objective: fmt.Sprintf("min %g·L + %g·N over [%d, %d]", cm.HoldingCost, cm.ServerCost, minN, maxN),
-		Servers:   best.Servers,
-		Cost:      &best.Cost,
-		Perf:      api.FromPerformance(best.Perf),
-	})
-}
-
-// unsatisfiable classifies an optimisation failure: cancellations and
-// deadline expiries keep their codes, everything else — no stable N, no
-// N meeting the target — is a well-formed question with no answer (422),
-// not an internal failure.
-func unsatisfiable(err error) error {
-	if ae := api.Classify(err); ae.Code != api.CodeInternal {
-		return ae
-	}
-	return &api.Error{Code: api.CodeUnsatisfiable, Message: err.Error()}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handlePlan answers the provisioning questions of /v1/optimize about
@@ -741,10 +711,10 @@ func unsatisfiable(err error) error {
 // controller's fitted self-model, aggregated across every live cluster
 // node when clustering is enabled: arrival rates sum (each node sheds
 // its own offered load), per-server service, breakdown and repair rates
-// average. Either way the answer is computed by the same
-// core.OptimizeServers / MinServersForResponseTime search the offline
-// optimizer runs, so a plan fed the paper's §5 parameters agrees with
-// Figure 5 exactly.
+// average. Either way the answer comes from the same search
+// (jobs.Optimize over core.Provision) that /v1/optimize, optimize jobs
+// and the offline helpers run, so a plan fed the paper's §5 parameters
+// agrees with Figure 5 exactly.
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req api.PlanRequest
 	if !s.decodeBody(w, r, &req) {
@@ -787,32 +757,17 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	minStable, err := core.MinServersForStability(base)
 	if err != nil {
-		s.writeError(w, r, unsatisfiable(fmt.Errorf("no fleet size stabilises the planned load: %w", err)))
+		s.writeError(w, r, &api.Error{Code: api.CodeUnsatisfiable, Message: "no fleet size stabilises the planned load: " + err.Error()})
 		return
 	}
 	resp.MinStable = minStable
 	resp.Availability = base.Availability()
-	if req.TargetResponse > 0 {
-		pt, err := s.eng.MinServersForResponseTime(r.Context(), base, req.TargetResponse, minN, maxN, m)
-		if err != nil {
-			s.writeError(w, r, unsatisfiable(err))
-			return
-		}
-		resp.Objective = fmt.Sprintf("min N in [%d, %d] with W ≤ %g", minN, maxN, req.TargetResponse)
-		resp.Servers = pt.Servers
-		resp.Perf = api.FromPerformance(pt.Perf)
-	} else {
-		cm := core.CostModel{HoldingCost: req.HoldingCost, ServerCost: req.ServerCost}
-		best, err := s.eng.OptimizeServers(r.Context(), base, cm, minN, maxN, m)
-		if err != nil {
-			s.writeError(w, r, unsatisfiable(err))
-			return
-		}
-		resp.Objective = fmt.Sprintf("min %g·L + %g·N over [%d, %d]", cm.HoldingCost, cm.ServerCost, minN, maxN)
-		resp.Servers = best.Servers
-		resp.Cost = &best.Cost
-		resp.Perf = api.FromPerformance(best.Perf)
+	opt, err := jobs.Optimize(r.Context(), s.eng, base, req.Objective(), minN, maxN, m)
+	if err != nil {
+		s.writeError(w, r, err)
+		return
 	}
+	resp.Objective, resp.Servers, resp.Cost, resp.Perf = opt.Objective, opt.Servers, opt.Cost, opt.Perf
 	writeJSON(w, http.StatusOK, resp)
 }
 

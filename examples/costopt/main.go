@@ -3,7 +3,9 @@
 // servers?" — the paper's third introduction question (eq. 22, Figure 5).
 //
 // The example reproduces Figure 5's optima and then shows how the optimum
-// moves when the holding-cost/server-cost ratio changes.
+// moves when the holding-cost/server-cost ratio changes. Every search
+// spans N ∈ [1, 64]; the bound L ≥ λ/µ keeps each to the few N that can
+// win.
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 	for _, lambda := range []float64{7, 8, 8.5} {
 		sys := base
 		sys.ArrivalRate = lambda
-		best, err := core.OptimizeServers(sys, cm, 9, 17, core.Spectral)
+		best, err := core.OptimizeServers(sys, cm, 1, 64, core.Spectral)
 		if err != nil {
 			log.Fatalf("λ=%v: %v", lambda, err)
 		}
@@ -49,7 +51,7 @@ func main() {
 	sys.ArrivalRate = 8
 	for _, ratio := range []float64{1, 2, 4, 8, 16, 32} {
 		cm := core.CostModel{HoldingCost: ratio, ServerCost: 1}
-		best, err := core.OptimizeServers(sys, cm, 9, 22, core.Spectral)
+		best, err := core.OptimizeServers(sys, cm, 1, 64, core.Spectral)
 		if err != nil {
 			log.Fatalf("ratio %v: %v", ratio, err)
 		}

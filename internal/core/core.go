@@ -15,6 +15,9 @@
 //     performance? — MinServersForResponseTime.
 //  3. What number of servers minimises the holding-plus-provisioning cost
 //     C = c₁L + c₂N? — OptimizeServers.
+//
+// Questions 2 and 3 run one search, Provision, pruned by the exact bound
+// L ≥ λ/µ.
 package core
 
 import (

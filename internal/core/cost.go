@@ -6,6 +6,8 @@ import (
 	"math"
 	"runtime"
 	"sync"
+
+	"repro/internal/qbd"
 )
 
 // CostModel is the paper's linear trade-off (eq. 22): holding a job costs
@@ -125,91 +127,130 @@ func SweepServers(base System, cm CostModel, minN, maxN int, m Method) ([]Server
 	return out, nil
 }
 
-// OptimizeServers returns the N in [minN, maxN] minimising C = c₁L + c₂N —
-// the paper's third introduction question, answered in Figure 5. Because L
-// decreases in N while c₂N grows linearly, the cost is unimodal in N; the
-// search therefore stops early once the cost has not decreased for three
-// consecutive stable configurations, which keeps the expensive large-N
-// solves out of the loop.
-func OptimizeServers(base System, cm CostModel, minN, maxN int, m Method) (ServerSweepPoint, error) {
-	return optimizeServers(base, cm, minN, maxN, func(sys System) (*Performance, error) {
-		return sys.SolveWith(m)
-	})
+// Objective is one of the paper's two provisioning questions. With Target
+// positive it asks for the smallest N whose mean response time W is at
+// most Target (Figure 9); otherwise for the N minimising Cost (Figure 5).
+type Objective struct {
+	// Cost holds the weights c₁ and c₂ of the cost mode.
+	Cost CostModel
+	// Target, when positive, selects SLA mode: W ≤ Target.
+	Target float64
 }
 
-// costTol is the relative tolerance under which two consecutive costs count
-// as equal for the early-stop rule of optimizeServers.
-const costTol = 1e-9
+// Evaluator solves a wave of systems with one method and returns each
+// system's performance or error, in order.
+type Evaluator func(systems []System, m Method) ([]*Performance, []error)
 
-// optimizeServers is OptimizeServers with the solver injected, so the
-// early-stop behaviour is testable against synthetic cost curves.
-func optimizeServers(base System, cm CostModel, minN, maxN int, solve func(System) (*Performance, error)) (ServerSweepPoint, error) {
+// solveEach is the serial Evaluator.
+func solveEach(systems []System, m Method) ([]*Performance, []error) {
+	perfs, errs := make([]*Performance, len(systems)), make([]error, len(systems))
+	for i, sys := range systems {
+		perfs[i], errs[i] = sys.SolveWith(m)
+	}
+	return perfs, errs
+}
+
+// Provision answers obj over N ∈ [minN, maxN]. It solves stable N in
+// ascending waves of up to width systems through eval, skipping an N that
+// Stable rejects or whose solve returns qbd.ErrUnstable: core's closed-form
+// load and the solver's own capacity can disagree in the last bit at the
+// stability boundary.
+//
+// Both modes rest on an exact bound. A busy server completes jobs at rate
+// µ, so in steady state λ = µ·E[min(J, operative servers)] ≤ µL, that is
+// L ≥ λ/µ and W ≥ 1/µ, for the exact methods (Spectral, MatrixGeometric).
+// The §3.2 approximation's L can fall below λ/µ, so for it the bound is 0.
+//   - Cost mode dispatches an N only while c₁·λ/µ + c₂·N is below the best
+//     cost found so far; that bound grows with N, so the first N it rules
+//     out ends the search. The smallest stable N is solved alone first, so
+//     every later wave is capped by the bound. Among equal costs the
+//     smallest N wins.
+//   - SLA mode returns the first N with W ≤ Target. An exact-method target
+//     ≤ 1/µ is unsatisfiable, and the search says so without a solve.
+func Provision(base System, obj Objective, minN, maxN int, m Method, width int, eval Evaluator) (ServerSweepPoint, error) {
+	cm := obj.Cost
 	if minN < 1 || maxN < minN {
 		return ServerSweepPoint{}, fmt.Errorf("core: invalid server range [%d, %d]", minN, maxN)
 	}
+	if !(obj.Target >= 0 && cm.HoldingCost >= 0 && cm.ServerCost >= 0) || obj.Target == 0 && cm.HoldingCost == 0 && cm.ServerCost == 0 {
+		return ServerSweepPoint{}, fmt.Errorf("core: provisioning needs a positive response-time target, or cost weights that are non-negative and not both 0 (target %v, c₁ = %v, c₂ = %v)",
+			obj.Target, cm.HoldingCost, cm.ServerCost)
+	}
+	probe := base
+	probe.Servers = minN
+	if err := probe.Validate(); err != nil {
+		return ServerSweepPoint{}, err
+	}
+	lmin := 0.0
+	if m == Spectral || m == MatrixGeometric {
+		lmin = base.ArrivalRate / base.ServiceRate
+	}
+	sla := obj.Target > 0
+	if sla && lmin > 0 && obj.Target <= 1/base.ServiceRate {
+		return ServerSweepPoint{}, fmt.Errorf("core: no N achieves W ≤ %v: W ≥ 1/µ = %v at every N", obj.Target, 1/base.ServiceRate)
+	}
 	var best ServerSweepPoint
 	found := false
-	rises := 0
-	prev := math.Inf(1)
-	for n := minN; n <= maxN; n++ {
-		sys := base
-		sys.Servers = n
-		if !sys.Stable() {
-			continue
+	for n := minN; n <= maxN; {
+		size := max(width, 1)
+		if !sla && !found {
+			size = 1
 		}
-		perf, err := solve(sys)
-		if err != nil {
-			return ServerSweepPoint{}, fmt.Errorf("core: N = %d: %w", n, err)
-		}
-		pt := ServerSweepPoint{Servers: n, Perf: perf, Cost: cm.Cost(perf.MeanJobs, n)}
-		if !found || pt.Cost < best.Cost {
-			best = pt
-			found = true
-		}
-		// A non-decreasing step counts as a rise: past the minimum of a
-		// unimodal curve the cost can only stay flat or grow, so an
-		// equal-cost plateau (within costTol of float noise) must trip the
-		// cutoff too — a strict comparison would reset the counter on every
-		// flat point and solve all the way to maxN.
-		if pt.Cost >= prev-costTol*math.Max(1, math.Abs(prev)) {
-			rises++
-			if rises >= 3 {
+		var wave []System
+		for ; n <= maxN && len(wave) < size; n++ {
+			if found && cm.Cost(lmin, n) >= best.Cost {
+				n = maxN + 1 // the bound never falls with N: no larger N can win
 				break
 			}
-		} else {
-			rises = 0
+			sys := base
+			sys.Servers = n
+			if sys.Stable() {
+				wave = append(wave, sys)
+			}
 		}
-		prev = pt.Cost
+		if len(wave) == 0 {
+			break
+		}
+		perfs, errs := eval(wave, m)
+		for i, sys := range wave {
+			if errors.Is(errs[i], qbd.ErrUnstable) {
+				continue
+			}
+			if errs[i] != nil {
+				return ServerSweepPoint{}, fmt.Errorf("core: N = %d: %w", sys.Servers, errs[i])
+			}
+			pt := ServerSweepPoint{Servers: sys.Servers, Perf: perfs[i], Cost: cm.Cost(perfs[i].MeanJobs, sys.Servers)}
+			if sla && pt.Perf.MeanResponse <= obj.Target {
+				return pt, nil
+			}
+			if !sla && (!found || pt.Cost < best.Cost) {
+				best, found = pt, true
+			}
+		}
 	}
-	if !found {
+	switch {
+	case found:
+		return best, nil
+	case sla:
+		return ServerSweepPoint{}, fmt.Errorf("core: no N in [%d, %d] achieves W ≤ %v", minN, maxN, obj.Target)
+	default:
 		return ServerSweepPoint{}, errors.New("core: no stable configuration in the requested range")
 	}
-	return best, nil
+}
+
+// OptimizeServers returns the N in [minN, maxN] minimising C = c₁L + c₂N —
+// the paper's third introduction question, answered in Figure 5 — by a
+// serial Provision.
+func OptimizeServers(base System, cm CostModel, minN, maxN int, m Method) (ServerSweepPoint, error) {
+	return Provision(base, Objective{Cost: cm}, minN, maxN, m, 1, solveEach)
 }
 
 // MinServersForResponseTime returns the smallest N ≤ maxN whose mean
 // response time does not exceed target — the paper's second introduction
 // question, answered in Figure 9 ("at least 9 servers should be deployed"
-// for W ≤ 1.5 at λ = 7.5).
+// for W ≤ 1.5 at λ = 7.5) — by a serial Provision.
 func MinServersForResponseTime(base System, target float64, maxN int, m Method) (ServerSweepPoint, error) {
-	if target <= 0 {
-		return ServerSweepPoint{}, fmt.Errorf("core: target response time %v must be positive", target)
-	}
-	for n := 1; n <= maxN; n++ {
-		sys := base
-		sys.Servers = n
-		if !sys.Stable() {
-			continue
-		}
-		perf, err := sys.SolveWith(m)
-		if err != nil {
-			return ServerSweepPoint{}, fmt.Errorf("core: N = %d: %w", n, err)
-		}
-		if perf.MeanResponse <= target {
-			return ServerSweepPoint{Servers: n, Perf: perf}, nil
-		}
-	}
-	return ServerSweepPoint{}, fmt.Errorf("core: no N ≤ %d achieves W ≤ %v", maxN, target)
+	return Provision(base, Objective{Target: target}, 1, maxN, m, 1, solveEach)
 }
 
 // MinServersForStability returns the smallest N satisfying eq. (11),

@@ -264,7 +264,7 @@ func Figure9(opts Options) (*Figure, error) {
 		approx.Y = append(approx.Y, results[len(stableN)+i].Perf.MeanResponse)
 	}
 	fig.Series = []Series{exact, approx}
-	minN, err := eng.MinServersForResponseTime(context.Background(), paperSystem(0, 7.5, 25), 1.5, 1, 20, core.Spectral)
+	minN, err := eng.Provision(context.Background(), paperSystem(0, 7.5, 25), core.Objective{Target: 1.5}, 1, 20, core.Spectral)
 	if err != nil {
 		return nil, err
 	}

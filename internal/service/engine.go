@@ -439,66 +439,24 @@ func (e *Engine) SweepServers(ctx context.Context, base core.System, cm core.Cos
 	return out, nil
 }
 
-// OptimizeServers returns the stable N in [minN, maxN] minimising
-// C = c₁L + c₂N (the paper's Figure 5 question). Unlike the serial
-// early-exit in core, the whole range is evaluated concurrently — with the
-// pool and cache the extra points cost less than the lost parallelism
-// would.
-func (e *Engine) OptimizeServers(ctx context.Context, base core.System, cm core.CostModel, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
-	sweep, err := e.SweepServers(ctx, base, cm, minN, maxN, m)
-	if err != nil {
-		return core.ServerSweepPoint{}, err
-	}
-	best := sweep[0]
-	for _, pt := range sweep[1:] {
-		if pt.Cost < best.Cost {
-			best = pt
+// Provision answers a provisioning question — the cost-optimal N, or the
+// smallest N meeting a response-time target — over [minN, maxN] with
+// core.Provision, solving each wave of up to Workers configurations
+// concurrently through the pool and cache. The search's bound keeps the
+// large-N solves that cannot win out of the waves; Stats().Solves shows
+// what it ran.
+func (e *Engine) Provision(ctx context.Context, base core.System, obj core.Objective, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
+	return core.Provision(base, obj, minN, maxN, m, e.workers, func(systems []core.System, m core.Method) ([]*core.Performance, []error) {
+		jobs := make([]Job, len(systems))
+		for i, sys := range systems {
+			jobs[i] = Job{System: sys, Method: m}
 		}
-	}
-	return best, nil
-}
-
-// MinServersForResponseTime returns the smallest stable N in [minN, maxN]
-// with mean response time at most target (the paper's Figure 9 question).
-// W falls monotonically in N, so the range is evaluated in ascending waves
-// of one worker-pool width each: every wave solves concurrently, but the
-// search still stops at the first satisfying N instead of paying for the
-// huge state spaces near maxN that the answer never needs.
-func (e *Engine) MinServersForResponseTime(ctx context.Context, base core.System, target float64, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
-	if target <= 0 {
-		return core.ServerSweepPoint{}, fmt.Errorf("service: target response time %v must be positive", target)
-	}
-	if minN < 1 || maxN < minN {
-		return core.ServerSweepPoint{}, fmt.Errorf("service: invalid server range [%d, %d]", minN, maxN)
-	}
-	for lo := minN; lo <= maxN; lo += e.workers {
-		hi := lo + e.workers - 1
-		if hi > maxN {
-			hi = maxN
+		perfs, errs := make([]*core.Performance, len(jobs)), make([]error, len(jobs))
+		for i, r := range e.EvaluateBatch(ctx, jobs) {
+			perfs[i], errs[i] = r.Perf, r.Err
 		}
-		var jobs []Job
-		for n := lo; n <= hi; n++ {
-			sys := base
-			sys.Servers = n
-			if !sys.Stable() {
-				continue
-			}
-			jobs = append(jobs, Job{System: sys, Method: m})
-		}
-		if len(jobs) == 0 {
-			continue
-		}
-		results := e.EvaluateBatch(ctx, jobs)
-		if err := FirstError(results); err != nil {
-			return core.ServerSweepPoint{}, err
-		}
-		for _, r := range results {
-			if r.Perf.MeanResponse <= target {
-				return core.ServerSweepPoint{Servers: r.Job.System.Servers, Perf: r.Perf}, nil
-			}
-		}
-	}
-	return core.ServerSweepPoint{}, fmt.Errorf("service: no N in [%d, %d] achieves W ≤ %v", minN, maxN, target)
+		return perfs, errs
+	})
 }
 
 // Stats is a point-in-time snapshot of engine activity.

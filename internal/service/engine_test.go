@@ -307,7 +307,7 @@ func TestOptimizeServersMatchesPaper(t *testing.T) {
 		lambda float64
 		wantN  int
 	}{{7, 11}, {8, 12}, {8.5, 13}} {
-		best, err := eng.OptimizeServers(context.Background(), testSystem(0, c.lambda), cm, 9, 17, core.Spectral)
+		best, err := eng.Provision(context.Background(), testSystem(0, c.lambda), core.Objective{Cost: cm}, 9, 17, core.Spectral)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,21 +320,24 @@ func TestOptimizeServersMatchesPaper(t *testing.T) {
 func TestMinServersForResponseTime(t *testing.T) {
 	eng := NewEngine(Config{})
 	// Figure 9: λ = 7.5, W ≤ 1.5 needs at least 9 servers.
-	pt, err := eng.MinServersForResponseTime(context.Background(), testSystem(0, 7.5), 1.5, 1, 20, core.Spectral)
+	sla := func(target float64, minN, maxN int) (core.ServerSweepPoint, error) {
+		return eng.Provision(context.Background(), testSystem(0, 7.5), core.Objective{Target: target}, minN, maxN, core.Spectral)
+	}
+	pt, err := sla(1.5, 1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pt.Servers != 9 {
 		t.Errorf("min N = %d, paper says 9", pt.Servers)
 	}
-	if _, err := eng.MinServersForResponseTime(context.Background(), testSystem(0, 7.5), -1, 1, 20, core.Spectral); err == nil {
+	if _, err := sla(-1, 1, 20); err == nil {
 		t.Error("negative target accepted")
 	}
-	if _, err := eng.MinServersForResponseTime(context.Background(), testSystem(0, 7.5), 1.5, 12, 9, core.Spectral); err == nil {
+	if _, err := sla(1.5, 12, 9); err == nil {
 		t.Error("inverted range accepted")
 	}
 	// A floor above the unconstrained answer must be respected.
-	floored, err := eng.MinServersForResponseTime(context.Background(), testSystem(0, 7.5), 1.5, 11, 20, core.Spectral)
+	floored, err := sla(1.5, 11, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,11 +65,10 @@ type Engine interface {
 	EvaluateStream(ctx context.Context, jobs []service.Job, emit func(service.Result) error) error
 	// Simulate runs one replicated simulation through the engine's cache.
 	Simulate(ctx context.Context, sys core.System, opts core.SimOptions) (core.SimResult, error)
-	// OptimizeServers returns the cost-minimising fleet size in a range.
-	OptimizeServers(ctx context.Context, base core.System, cm core.CostModel, minN, maxN int, m core.Method) (core.ServerSweepPoint, error)
-	// MinServersForResponseTime returns the smallest fleet size meeting a
-	// response-time target.
-	MinServersForResponseTime(ctx context.Context, base core.System, target float64, minN, maxN int, m core.Method) (core.ServerSweepPoint, error)
+	// Provision answers a provisioning question over a fleet-size range:
+	// the cost-minimising N, or the smallest N meeting a response-time
+	// target.
+	Provision(ctx context.Context, base core.System, obj core.Objective, minN, maxN int, m core.Method) (core.ServerSweepPoint, error)
 }
 
 // Defaults applied by New for zero Config fields.
@@ -749,36 +748,35 @@ func (s *Scheduler) runOptimize(ctx context.Context, j *job) (*api.JobResult, er
 	s.mu.Lock()
 	j.total = 1
 	s.mu.Unlock()
-	var resp api.OptimizeResponse
-	if req.TargetResponse > 0 {
-		pt, err := s.eng.MinServersForResponseTime(ctx, base, req.TargetResponse, minN, maxN, m)
-		if err != nil {
-			return nil, unsatisfiable(err)
-		}
-		resp = api.OptimizeResponse{
-			Objective: fmt.Sprintf("min N in [%d, %d] with W ≤ %g", minN, maxN, req.TargetResponse),
-			Servers:   pt.Servers,
-			Perf:      api.FromPerformance(pt.Perf),
-		}
-	} else {
-		cm := core.CostModel{HoldingCost: req.HoldingCost, ServerCost: req.ServerCost}
-		best, err := s.eng.OptimizeServers(ctx, base, cm, minN, maxN, m)
-		if err != nil {
-			return nil, unsatisfiable(err)
-		}
-		resp = api.OptimizeResponse{
-			Objective: fmt.Sprintf("min %g·L + %g·N over [%d, %d]", cm.HoldingCost, cm.ServerCost, minN, maxN),
-			Servers:   best.Servers,
-			Cost:      &best.Cost,
-			Perf:      api.FromPerformance(best.Perf),
-		}
+	resp, err := Optimize(ctx, s.eng, base, req.Objective(), minN, maxN, m)
+	if err != nil {
+		return nil, err
 	}
 	return &api.JobResult{ID: j.id, Kind: j.req.Kind, Optimize: &resp}, nil
 }
 
-// unsatisfiable classifies an optimisation failure exactly like the
-// synchronous handler: cancellations keep their code, everything else is
-// a well-formed question with no answer.
+// Optimize answers one provisioning question on eng and builds the
+// response that /v1/optimize, /v1/plan and optimize jobs return.
+// Failures are classified by unsatisfiable.
+func Optimize(ctx context.Context, eng Engine, base core.System, obj core.Objective, minN, maxN int, m core.Method) (api.OptimizeResponse, error) {
+	pt, err := eng.Provision(ctx, base, obj, minN, maxN, m)
+	if err != nil {
+		return api.OptimizeResponse{}, unsatisfiable(err)
+	}
+	resp := api.OptimizeResponse{Servers: pt.Servers, Perf: api.FromPerformance(pt.Perf)}
+	if obj.Target > 0 {
+		resp.Objective = fmt.Sprintf("min N in [%d, %d] with W ≤ %g", minN, maxN, obj.Target)
+	} else {
+		resp.Objective = fmt.Sprintf("min %g·L + %g·N over [%d, %d]", obj.Cost.HoldingCost, obj.Cost.ServerCost, minN, maxN)
+		resp.Cost = &pt.Cost
+	}
+	return resp, nil
+}
+
+// unsatisfiable classifies a provisioning failure: cancellations and
+// deadline expiries keep their codes, and everything else — no stable N,
+// no N meeting the target — is a well-formed question with no answer
+// (422), not an internal failure.
 func unsatisfiable(err error) error {
 	if ae := api.Classify(err); ae.Code != api.CodeInternal {
 		return ae

@@ -68,18 +68,16 @@ func (f *fakeEngine) Simulate(ctx context.Context, sys core.System, opts core.Si
 	return core.SimResult{Replications: opts.Replications, Converged: true, Confidence: 0.95, MeanQueue: 4.2, Completed: 1000}, nil
 }
 
-func (f *fakeEngine) OptimizeServers(ctx context.Context, base core.System, cm core.CostModel, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
+// Provision answers cost mode with the bottom of the range and SLA mode
+// with its top, meeting the target exactly.
+func (f *fakeEngine) Provision(ctx context.Context, base core.System, obj core.Objective, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
 	if err := f.wait(ctx); err != nil {
 		return core.ServerSweepPoint{}, err
+	}
+	if obj.Target > 0 {
+		return core.ServerSweepPoint{Servers: maxN, Perf: &core.Performance{MeanJobs: 2, MeanResponse: obj.Target}}, nil
 	}
 	return core.ServerSweepPoint{Servers: minN, Perf: &core.Performance{MeanJobs: 1}, Cost: 7}, nil
-}
-
-func (f *fakeEngine) MinServersForResponseTime(ctx context.Context, base core.System, target float64, minN, maxN int, m core.Method) (core.ServerSweepPoint, error) {
-	if err := f.wait(ctx); err != nil {
-		return core.ServerSweepPoint{}, err
-	}
-	return core.ServerSweepPoint{Servers: maxN, Perf: &core.Performance{MeanJobs: 2, MeanResponse: target}}, nil
 }
 
 // fakeClock is an injectable, advanceable time source.
