@@ -585,15 +585,12 @@ func boundaryKernelInputs(b *testing.B, p qbd.Params, sol *qbd.SpectralSolution)
 	}
 	matching = linalg.NewMatrix(s, s)
 	for t, z := range sol.Eigenvalues() {
-		if imag(z) != 0 {
-			b.Fatalf("complex root %v: the inputs assume real roots", z)
-		}
-		u, err := linalg.ForcedLeftNullVector(p.QofZ(real(z)))
+		u, err := linalg.ForcedLeftNullVector(p.QofZ(z))
 		if err != nil {
 			b.Fatal(err)
 		}
 		for col, v := range k.VecTimes(u) {
-			matching.Set(col, t, v-real(z)*c[col]*u[col])
+			matching.Set(col, t, v-z*c[col]*u[col])
 		}
 	}
 	return kLast, matching

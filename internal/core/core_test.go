@@ -264,23 +264,6 @@ func TestMinServersForResponseTimeErrors(t *testing.T) {
 	}
 }
 
-func TestSweepServersSkipsUnstable(t *testing.T) {
-	cm := CostModel{HoldingCost: 4, ServerCost: 1}
-	// λ = 8 needs at least N = 9 for stability (capacity 0.99885·N).
-	sweep, err := SweepServers(fig5System(0, 8), cm, 5, 12, Spectral)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range sweep {
-		if pt.Servers < 9 {
-			t.Errorf("unstable N = %d included", pt.Servers)
-		}
-	}
-	if _, err := SweepServers(fig5System(0, 8), cm, 0, 3, Spectral); err == nil {
-		t.Error("invalid/unstable range should fail")
-	}
-}
-
 func TestMinServersForStability(t *testing.T) {
 	s := fig5System(0, 8)
 	n, err := MinServersForStability(s)

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/qbd"
 )
@@ -70,61 +68,6 @@ type ServerSweepPoint struct {
 	Servers int
 	Perf    *Performance
 	Cost    float64
-}
-
-// SweepServers solves the system for every N in [minN, maxN] (skipping
-// unstable configurations) and returns the per-N performance and cost in
-// ascending N order. The solves are independent, so they run on a bounded
-// worker pool; results stay deterministic because each worker writes only
-// its own slot.
-func SweepServers(base System, cm CostModel, minN, maxN int, m Method) ([]ServerSweepPoint, error) {
-	if minN < 1 || maxN < minN {
-		return nil, fmt.Errorf("core: invalid server range [%d, %d]", minN, maxN)
-	}
-	type slot struct {
-		pt  ServerSweepPoint
-		err error
-		ok  bool
-	}
-	slots := make([]slot, maxN-minN+1)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for n := minN; n <= maxN; n++ {
-		sys := base
-		sys.Servers = n
-		if !sys.Stable() {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, n int, sys System) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			perf, err := sys.SolveWith(m)
-			if err != nil {
-				slots[i] = slot{err: fmt.Errorf("core: N = %d: %w", n, err)}
-				return
-			}
-			slots[i] = slot{
-				pt: ServerSweepPoint{Servers: n, Perf: perf, Cost: cm.Cost(perf.MeanJobs, n)},
-				ok: true,
-			}
-		}(n-minN, n, sys)
-	}
-	wg.Wait()
-	var out []ServerSweepPoint
-	for _, s := range slots {
-		if s.err != nil {
-			return nil, s.err
-		}
-		if s.ok {
-			out = append(out, s.pt)
-		}
-	}
-	if len(out) == 0 {
-		return nil, errors.New("core: no stable configuration in the requested range")
-	}
-	return out, nil
 }
 
 // Objective is one of the paper's two provisioning questions. With Target

@@ -1,7 +1,8 @@
-// Package linalg provides the dense real and complex linear-algebra kernels
-// required by the spectral-expansion solver: LU factorisation, linear solves,
-// determinants in log form, matrix inversion, a Francis double-shift QR
-// eigenvalue solver, and rank-deficient null-space extraction.
+// Package linalg provides the dense real linear-algebra kernels required by
+// the spectral-expansion solver: LU factorisation, linear solves,
+// determinants, matrix inversion, rank-deficient null-space extraction, and
+// a Francis double-shift QR solver for a real matrix's eigenvalues, which
+// can be complex.
 //
 // Conventions: matrices are dense, row-major. Dimension mismatches are
 // programmer errors and panic (as in gonum); numerical failures such as

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math"
 
 // The reference kernels: the straightforward eigensolver, forced null
 // vector and inverse that the arena kernels in scratch.go were derived
@@ -30,11 +27,6 @@ func refEigenvalues(a *Matrix) ([]complex128, error) {
 // refForcedNullVector is the reference forced right null vector.
 func refForcedNullVector(a *Matrix) ([]float64, error) {
 	return nullVector(a)
-}
-
-// refCForcedNullVector is the reference forced complex right null vector.
-func refCForcedNullVector(a *CMatrix) ([]complex128, error) {
-	return cNullVector(a)
 }
 
 // refInverse is the oracle inverse: an LU factorisation solved against
@@ -405,77 +397,7 @@ func nullVector(a *Matrix) ([]float64, error) {
 	return x, nil
 }
 
-// cNullVector is the complex analogue of nullVector.
-func cNullVector(a *CMatrix) ([]complex128, error) {
-	a.square()
-	n := a.Rows
-	w := a.Clone()
-	colPerm := make([]int, n)
-	for i := range colPerm {
-		colPerm[i] = i
-	}
-	rank := 0
-	for k := 0; k < n-1; k++ {
-		pi, pj, mx := k, k, 0.0
-		for i := k; i < n; i++ {
-			for j := k; j < n; j++ {
-				if v := cmplx.Abs(w.At(i, j)); v > mx {
-					mx, pi, pj = v, i, j
-				}
-			}
-		}
-		if mx == 0 {
-			if k == 0 {
-				x := make([]complex128, n)
-				x[0] = 1
-				return x, nil
-			}
-			break
-		}
-		rank++
-		cswapRows(w, k, pi)
-		cswapCols(w, k, pj)
-		colPerm[k], colPerm[pj] = colPerm[pj], colPerm[k]
-		pivot := w.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := w.At(i, k) / pivot
-			if m == 0 {
-				continue
-			}
-			w.Set(i, k, 0)
-			for j := k + 1; j < n; j++ {
-				w.Data[i*n+j] -= m * w.Data[k*n+j]
-			}
-		}
-	}
-	y := make([]complex128, n)
-	y[rank] = 1
-	for i := rank - 1; i >= 0; i-- {
-		var s complex128
-		for j := i + 1; j <= rank; j++ {
-			s += w.At(i, j) * y[j]
-		}
-		y[i] = -s / w.At(i, i)
-	}
-	x := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		x[colPerm[k]] = y[k]
-	}
-	cnormalizeInf(x)
-	return x, nil
-}
-
 func swapRows(m *Matrix, a, b int) {
-	if a == b {
-		return
-	}
-	n := m.Cols
-	for j := 0; j < n; j++ {
-		m.Data[a*n+j], m.Data[b*n+j] = m.Data[b*n+j], m.Data[a*n+j]
-	}
-}
-
-func cswapRows(m *CMatrix, a, b int) {
 	if a == b {
 		return
 	}

@@ -1,12 +1,9 @@
 package linalg
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math"
 
 // This file holds the package's one implementation of each solver kernel
-// — eigenvalues, forced null vectors (real and complex) and the inverse.
+// — eigenvalues, forced null vectors and the inverse.
 // Every routine takes an Arena for its working memory, so the spectral
 // solver (qbd.SweepSolver) reaches an allocation-free steady state; the
 // allocating entry points Eigenvalues, ForcedNullVector and friends, and
@@ -41,9 +38,9 @@ import (
 //   - Skipping provably neutral work: the QR iteration's row updates stop
 //     at the active block's last column, as in the eigenvalue-only EISPACK
 //     hqr (columns right of it never feed an eigenvalue again); the
-//     null-vector eliminations swap only the live tail of two pivot rows,
-//     and the real one skips the division of a zero pivot-column entry,
-//     whose multiplier is zero either way.
+//     null-vector elimination swaps only the live tail of two pivot rows
+//     and skips the division of a zero pivot-column entry, whose
+//     multiplier is zero either way.
 //   - Cheaper pivot searches that are proven to select the same pivots.
 //
 // scratch_test.go enforces both properties: exact agreement with the
@@ -65,14 +62,12 @@ type Arena struct {
 	intn  int
 	mats  []*Matrix
 	matn  int
-	cmats []*CMatrix
-	cmatn int
 }
 
 // Reset recycles every outstanding handout. Slices and matrices obtained
 // before the call must no longer be used.
 func (a *Arena) Reset() {
-	a.f64n, a.c128n, a.intn, a.matn, a.cmatn = 0, 0, 0, 0, 0
+	a.f64n, a.c128n, a.intn, a.matn = 0, 0, 0, 0
 }
 
 func (a *Arena) f64Raw(n int) []float64 {
@@ -163,28 +158,6 @@ func (a *Arena) MatUninit(r, c int) *Matrix {
 	a.matn++
 	m.Rows, m.Cols = r, c
 	m.Data = a.f64Raw(r * c)
-	return m
-}
-
-// CMat returns a zeroed r×c complex scratch matrix.
-func (a *Arena) CMat(r, c int) *CMatrix {
-	m := a.CMatUninit(r, c)
-	clear(m.Data)
-	return m
-}
-
-// CMatUninit is MatUninit for complex matrices.
-func (a *Arena) CMatUninit(r, c int) *CMatrix {
-	var m *CMatrix
-	if a.cmatn < len(a.cmats) {
-		m = a.cmats[a.cmatn]
-	} else {
-		m = new(CMatrix)
-		a.cmats = append(a.cmats, m)
-	}
-	a.cmatn++
-	m.Rows, m.Cols = r, c
-	m.Data = a.c128Raw(r * c)
 	return m
 }
 
@@ -628,109 +601,12 @@ func nullVectorScratch(a *Matrix, ar *Arena) ([]float64, error) {
 	return x, nil
 }
 
-// CForcedNullVectorScratch is the complex analogue of
-// ForcedNullVectorScratch: CForcedNullVector semantics, matrix destroyed
-// in place, result in the arena, bit-identical output, row swaps
-// confined to the live tail. Its one solver caller is the companion
-// path's left vector of a complex root; the spectral boundary is solved
-// in real arithmetic.
-func CForcedNullVectorScratch(a *CMatrix, ar *Arena) ([]complex128, error) {
-	a.square()
-	n := a.Rows
-	w := a
-	d := w.Data
-	colPerm := ar.Ints(n)
-	for i := range colPerm {
-		colPerm[i] = i
-	}
-	rmax := ar.f64Raw(n)
-	rarg := ar.Ints(n)
-	for i := 0; i < n; i++ {
-		row := d[i*n : i*n+n]
-		nm, narg := 0.0, 0
-		for j, v := range row {
-			if av := cAbsIfAbove(v, nm); av > nm {
-				nm, narg = av, j
-			}
-		}
-		rmax[i], rarg[i] = nm, narg
-	}
-	rank := 0
-	for k := 0; k < n-1; k++ {
-		pi, pj, mx := k, k, 0.0
-		for i := k; i < n; i++ {
-			if rmax[i] > mx {
-				mx, pi, pj = rmax[i], i, rarg[i]
-			}
-		}
-		if mx == 0 {
-			if k == 0 {
-				x := ar.C128(n)
-				x[0] = 1
-				return x, nil
-			}
-			break
-		}
-		rank++
-		swapTails(d, n, k, pi)
-		rmax[k], rmax[pi] = rmax[pi], rmax[k]
-		rarg[k], rarg[pi] = rarg[pi], rarg[k]
-		cswapCols(w, k, pj)
-		colPerm[k], colPerm[pj] = colPerm[pj], colPerm[k]
-		pivot := d[k*n+k]
-		prow := d[k*n : k*n+n]
-		for i := k + 1; i < n; i++ {
-			irow := d[i*n : i*n+n]
-			m := irow[k] / pivot
-			if m == 0 {
-				if g := rarg[i]; g == k || g == pj {
-					nm, narg := 0.0, 0
-					for j := k + 1; j < n; j++ {
-						if av := cAbsIfAbove(irow[j], nm); av > nm {
-							nm, narg = av, j
-						}
-					}
-					rmax[i], rarg[i] = nm, narg
-				}
-				continue
-			}
-			irow[k] = 0
-			nm, narg := 0.0, 0
-			tail, ptail := irow[k+1:], prow[k+1:]
-			ptail = ptail[:len(tail)]
-			for j, pv := range ptail {
-				tail[j] -= m * pv
-				if av := cAbsIfAbove(tail[j], nm); av > nm {
-					nm, narg = av, k+1+j
-				}
-			}
-			rmax[i], rarg[i] = nm, narg
-		}
-	}
-	y := ar.C128(n)
-	y[rank] = 1
-	for i := rank - 1; i >= 0; i-- {
-		var s complex128
-		row := d[i*n : i*n+n]
-		for j := i + 1; j <= rank; j++ {
-			s += row[j] * y[j]
-		}
-		y[i] = -s / row[i]
-	}
-	x := ar.c128Raw(n)
-	for k := 0; k < n; k++ {
-		x[colPerm[k]] = y[k]
-	}
-	cnormalizeInf(x)
-	return x, nil
-}
-
 // swapTails swaps columns k..n−1 of rows k and p of the row-major n×n
-// matrix d — the part of a pivot-row swap the null-vector eliminations
-// read again. Entries left of the pivot column are never read once it is
+// matrix d — the part of a pivot-row swap the null-vector elimination
+// reads again. Entries left of the pivot column are never read once it is
 // eliminated (back substitution reads only a row's diagonal and what lies
 // right of it), so leaving them unswapped changes no result.
-func swapTails[T float64 | complex128](d []T, n, k, p int) {
+func swapTails(d []float64, n, k, p int) {
 	if p == k {
 		return
 	}
@@ -739,20 +615,6 @@ func swapTails[T float64 | complex128](d []T, n, k, p int) {
 	for j := range a {
 		a[j], b[j] = b[j], a[j]
 	}
-}
-
-// cAbsIfAbove returns cmplx.Abs(v), skipping the Hypot when v provably
-// cannot exceed the threshold t: |re|+|im| overestimates the true modulus
-// and the rounded sum underestimates it by at most a few ulps, so when the
-// sum is below t·(1−1e−15) the rounded Hypot is strictly below t and the
-// strict > comparison against t cannot select v. Returning 0 in that case
-// leaves the caller's running maximum unchanged — exactly as the reference
-// search, which would have computed the modulus and rejected it.
-func cAbsIfAbove(v complex128, t float64) float64 {
-	if math.Abs(real(v))+math.Abs(imag(v)) <= t*(1-1e-15) {
-		return 0
-	}
-	return cmplx.Abs(v)
 }
 
 // invBlock is the number of pivots InverseScratch eliminates per block:

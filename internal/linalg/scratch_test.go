@@ -116,38 +116,6 @@ func TestForcedNullVectorScratchMatchesReference(t *testing.T) {
 	}
 }
 
-func TestCForcedNullVectorScratchMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var ar Arena
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + rng.Intn(8)
-		m := NewCMatrix(n, n)
-		if rng.Intn(2) == 0 {
-			for i := range m.Data {
-				m.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-		} else {
-			for i := range m.Data {
-				m.Data[i] = complex(float64(rng.Intn(3)-1), float64(rng.Intn(3)-1))
-			}
-		}
-		if rng.Intn(2) == 0 && n > 1 {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			copy(m.Data[dst*n:(dst+1)*n], m.Data[src*n:(src+1)*n])
-		}
-		want, wantErr := refCForcedNullVector(m)
-		ar.Reset()
-		got, gotErr := CForcedNullVectorScratch(m.Clone(), &ar)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		requireSameC128(t, "null vector", want, got)
-	}
-}
-
 // axpyPaths lists the Axpy paths this machine can run: the portable one,
 // and the fused one where the CPU has AVX2 and FMA.
 func axpyPaths() []bool {
@@ -324,18 +292,10 @@ func TestScratchKernelsMatchReferenceLarge(t *testing.T) {
 			requireSameF64(t, "null vector", wantNull, gotNull)
 		}
 
-		cm := NewCMatrix(n, n)
-		for i, v := range m.Data {
-			cm.Data[i] = complex(v, float64(rng.Intn(3)-1))
-		}
-		wantC, wantErr := refCForcedNullVector(cm)
-		ar.Reset()
-		gotC, gotErr := CForcedNullVectorScratch(cm.Clone(), &ar)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d n=%d: complex null vector error mismatch: %v vs %v", trial, n, wantErr, gotErr)
-		}
-		if wantErr == nil {
-			requireSameC128(t, "complex null vector", wantC, gotC)
+		// n² draws that no check reads: they keep the seeded sequence, and
+		// with it every later trial's matrix, as the trials were recorded.
+		for range m.Data {
+			rng.Intn(3)
 		}
 	}
 }

@@ -43,14 +43,9 @@ func SolveApprox(p Params) (*ApproxSolution, error) {
 	}
 	f, fw := w.sv.fac, &w.fac
 	fw.branches(f, z)
-	cu := make([]complex128, w.sv.s)
-	fw.vector(f, enteredPerron, cu)
-	u := make([]float64, len(cu))
-	var total float64
-	for i, v := range cu {
-		u[i] = real(v)
-		total += u[i]
-	}
+	u := make([]float64, w.sv.s)
+	fw.vector(f, enteredPerron, u)
+	total := vecSum(u)
 	for i := range u {
 		u[i] /= total
 	}

@@ -200,7 +200,7 @@ func (sol *SpectralSolution) reshape(n, s int) {
 	}
 	for k := range sol.terms {
 		if cap(sol.terms[k].u) < s {
-			sol.terms[k].u = make([]complex128, s)
+			sol.terms[k].u = make([]float64, s)
 		} else {
 			sol.terms[k].u = sol.terms[k].u[:s]
 		}
@@ -275,12 +275,10 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	// kernel needs no transpose pass.
 	rt := w.ar.MatUninit(s, s) // rt[i][k] = u_k[i]
 	mt := w.ar.MatUninit(s, s)
-	for k := range sol.terms {
-		t := &sol.terms[k]
-		z := real(t.z)
+	for k, t := range sol.terms {
 		for i, u := range t.u {
-			rt.Data[i*s+k] = real(u)
-			mt.Data[i*s+k] = -sv.c[i] * (z * real(u))
+			rt.Data[i*s+k] = u
+			mt.Data[i*s+k] = -sv.c[i] * (t.z * u)
 		}
 	}
 	// Row i of Mᵀ adds K_{N−1}[r][i]·(row r of rt) for every r in order,
@@ -328,14 +326,14 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	}
 	for k := range sol.terms {
 		t := &sol.terms[k]
-		t.gamma = complex(x[k], 0) * t.z
-		total += real(t.gamma * cvecSum(t.u) / (1 - t.z))
+		t.gamma = x[k] * t.z
+		total += t.gamma * vecSum(t.u) / (1 - t.z)
 	}
 	if total == 0 {
 		return errors.New("qbd: zero total probability mass in spectral assembly")
 	}
 	for k := range sol.terms {
-		sol.terms[k].gamma /= complex(total, 0)
+		sol.terms[k].gamma /= total
 	}
 	for _, lv := range sol.boundary {
 		for i := range lv {

@@ -2,8 +2,8 @@ package qbd
 
 import (
 	"errors"
+	"fmt"
 	"math"
-	"math/cmplx"
 	"runtime"
 	"strings"
 	"sync"
@@ -24,10 +24,6 @@ func sameFloat(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b)
 	}
 	return math.Abs(a-b) <= 1e-12*(1+math.Abs(a))
-}
-
-func sameComplex(a, b complex128) bool {
-	return sameFloat(real(a), real(b)) && sameFloat(imag(a), imag(b))
 }
 
 func requireSameFloats(t *testing.T, what string, want, got []float64) {
@@ -58,17 +54,13 @@ func requireSolutionsIdentical(t *testing.T, want, got *SpectralSolution) {
 	}
 	for k := range want.terms {
 		wt, gt := want.terms[k], got.terms[k]
-		if !sameComplex(wt.z, gt.z) {
+		if !sameFloat(wt.z, gt.z) {
 			t.Fatalf("term %d z: %v vs %v", k, wt.z, gt.z)
 		}
-		if !sameComplex(wt.gamma, gt.gamma) {
+		if !sameFloat(wt.gamma, gt.gamma) {
 			t.Fatalf("term %d gamma: %v vs %v", k, wt.gamma, gt.gamma)
 		}
-		for i := range wt.u {
-			if !sameComplex(wt.u[i], gt.u[i]) {
-				t.Fatalf("term %d u[%d]: %v vs %v", k, i, wt.u[i], gt.u[i])
-			}
-		}
+		requireSameFloats(t, fmt.Sprintf("term %d u", k), wt.u, gt.u)
 	}
 	if !sameFloat(want.MeanQueue(), got.MeanQueue()) {
 		t.Fatalf("MeanQueue: %v vs %v", want.MeanQueue(), got.MeanQueue())
@@ -424,7 +416,7 @@ func TestSweepSolverEigenvaluesMatch(t *testing.T) {
 		if runtime.GOARCH == exactArch && we[i] != ge[i] {
 			t.Fatalf("eigenvalue %d: %v vs %v", i, we[i], ge[i])
 		}
-		if cmplx.Abs(we[i]-ge[i]) > 1e-12 {
+		if math.Abs(we[i]-ge[i]) > 1e-12 {
 			t.Fatalf("eigenvalue %d: %v vs %v", i, we[i], ge[i])
 		}
 	}

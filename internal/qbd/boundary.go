@@ -61,11 +61,3 @@ func vecSum(v []float64) float64 {
 	}
 	return s
 }
-
-func cvecSum(v []complex128) complex128 {
-	var s complex128
-	for _, x := range v {
-		s += x
-	}
-	return s
-}

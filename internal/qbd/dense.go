@@ -1,7 +1,6 @@
 package qbd
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -12,7 +11,7 @@ import (
 
 // SolveSpectralDense is the textbook assembly of the spectral-expansion
 // boundary problem: the balance equations for levels 0..N and the
-// normalisation condition are stacked into one dense complex linear system
+// normalisation condition are stacked into one dense real linear system
 // of size (N+1)s in the unknowns (v_0, ..., v_{N−1}, γ̃), exactly as
 // described under eq. (19)–(20) of the paper ("a set of (N+1)s linear
 // equations with Ns unknown probabilities plus the s constants γ_k").
@@ -22,9 +21,10 @@ import (
 // O((Ns)³) cost this formulation pays. It shares no eigen or boundary code
 // with the solve it checks: its eigen stage is the companion eigensolve
 // with a null vector of Q(z_k) per root (companionTerms), so it needs no
-// server description and takes any environment, conjugate pairs of roots
-// included, and its boundary and γ̃ come from the dense system instead of
-// the staged elimination.
+// server description, and its boundary and γ̃ come from the dense system
+// instead of the staged elimination. Like the served solvers it takes
+// only environments whose roots inside the unit disk are all real, as a
+// reversible one's are; a root that stays complex is an error.
 func SolveSpectralDense(p Params) (*SpectralSolution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -44,20 +44,14 @@ func SolveSpectralDense(p Params) (*SpectralSolution, error) {
 	dim := (n + 1) * s
 	// Unknown vector x = (v_0, ..., v_{N−1}, γ̃) of length (N+1)s. Row-vector
 	// equations x·M = rhs are assembled transposed: M is dim×dim with
-	// column blocks = equations.
-	m := linalg.NewCMatrix(dim, dim)
-	rhs := make([]complex128, dim)
+	// column blocks = equations; the block for level j occupies columns
+	// j·s .. j·s+s−1.
+	m := linalg.NewMatrix(dim, dim)
+	rhs := make([]float64, dim)
 
-	// vblock(j) returns, for each unknown index u, the coefficient of
-	// unknown u in the expression for v_j[i]; for j < N the level vectors
-	// are unknowns themselves, for j ≥ N they expand through the terms.
-	// We exploit that equations are linear in v_{j−1}, v_j, v_{j+1}.
-	// Equation block for level j occupies columns j·s .. j·s+s−1.
-	addCoef := func(row, col int, v complex128) { m.Add(row, col, v) }
-
-	// addLevelTimes adds coef·(v_l · Mat) to equation block eq, where Mat is
-	// a real s×s matrix expressed elementwise through matFn(i, col).
-	// v_l[i] is either unknown (l < n) or Σ_k γ̃_k z_k^{l−n} u_k[i].
+	// addLevel adds v_l·Mat to equation block eq, where Mat is a real s×s
+	// matrix expressed elementwise through matFn(i, col). v_l[i] is either
+	// unknown (l < n) or Σ_k γ̃_k z_k^{l−n} u_k[i].
 	addLevel := func(eq int, l int, matFn func(i, c int) float64) {
 		if l < 0 {
 			return
@@ -67,16 +61,16 @@ func SolveSpectralDense(p Params) (*SpectralSolution, error) {
 			if l < n {
 				for i := 0; i < s; i++ {
 					if v := matFn(i, c); v != 0 {
-						addCoef(l*s+i, col, complex(v, 0))
+						m.Add(l*s+i, col, v)
 					}
 				}
 				continue
 			}
 			for k, t := range terms {
-				zp := cpow(t.z, l-n)
+				zp := math.Pow(t.z, float64(l-n))
 				for i := 0; i < s; i++ {
 					if v := matFn(i, c); v != 0 {
-						addCoef(n*s+k, col, zp*t.u[i]*complex(v, 0))
+						m.Add(n*s+k, col, zp*t.u[i]*v)
 					}
 				}
 			}
@@ -121,41 +115,21 @@ func SolveSpectralDense(p Params) (*SpectralSolution, error) {
 		}
 	}
 	for k, t := range terms {
-		m.Set(n*s+k, normCol, cvecSum(t.u)/(1-t.z))
+		m.Set(n*s+k, normCol, vecSum(t.u)/(1-t.z))
 	}
 	rhs[normCol] = 1
 
-	// Solve xᵀ·M = rhsᵀ  ⇔  Mᵀ x = rhs.
-	x, err := linalg.FactorCLU(m.T()).Solve(rhs)
+	x, err := linalg.SolveTranspose(m, rhs)
 	if err != nil {
 		return nil, fmt.Errorf("qbd: dense boundary system: %w", err)
 	}
-	var maxImag float64
 	for j, row := range sol.boundary {
-		for i := range row {
-			v := x[j*s+i]
-			row[i] = real(v)
-			if im := math.Abs(imag(v)); im > maxImag {
-				maxImag = im
-			}
-		}
+		copy(row, x[j*s:])
 	}
 	for k := range sol.terms {
 		sol.terms[k].gamma = x[n*s+k]
 	}
-	if maxImag > 1e-6 {
-		return nil, errors.New("qbd: dense boundary produced complex probabilities")
-	}
 	return sol, nil
-}
-
-// cpow computes z^k for small non-negative integer k.
-func cpow(z complex128, k int) complex128 {
-	out := complex(1, 0)
-	for i := 0; i < k; i++ {
-		out *= z
-	}
-	return out
 }
 
 // companionTerms writes the s roots of det Q(z) inside the unit disk,
@@ -165,9 +139,10 @@ func cpow(z complex128, k int) complex128 {
 // mode has no operative server, so the usual companion form in z would
 // fail), so the roots are the reciprocals of the s largest eigenvalues of
 // the 2s×2s companion [[0, I], [−Q2ᵀ/λ, −Q1ᵀ/λ]]; the next one down is the
-// unit root w = 1. Each left vector u_k is the right null vector of
-// Q(z_k)ᵀ, by full-pivot elimination, and a conjugate pair of roots gets
-// conjugate vectors.
+// unit root w = 1. A root's rounding-sized imaginary part is cleaned off;
+// one that stays complex, as a non-reversible environment's can, is an
+// error. Each left vector u_k is the left null vector of Q(z_k), by
+// full-pivot elimination.
 func companionTerms(p Params, sol *SpectralSolution) error {
 	s := p.Size()
 	lambda := p.Lambda
@@ -209,61 +184,31 @@ func companionTerms(p Params, sol *SpectralSolution) error {
 	zs := ws[:s]
 	for k := range zs {
 		zs[k] = 1 / zs[k]
-		// Clean tiny imaginary parts so real roots are treated as real; the
-		// rest must then come in adjacent conjugate pairs.
 		if math.Abs(imag(zs[k])) < 1e-9*(1+math.Abs(real(zs[k]))) {
 			zs[k] = complex(real(zs[k]), 0)
 		}
 	}
 	sortModulusDesc(zs)
-	cqt := ar.CMatUninit(s, s)
-	for k := 0; k < s; k++ {
-		z := zs[k]
-		switch {
-		case imag(z) == 0:
-			u, err := linalg.ForcedLeftNullVector(p.QofZ(real(z)))
-			if err != nil {
-				return fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
-			}
-			sol.terms[k].z = z
-			for i, v := range u {
-				sol.terms[k].u[i] = complex(v, 0)
-			}
-		case imag(z) > 0 && k+1 < s && zs[k+1] == cmplx.Conj(z):
-			lam := complex(lambda, 0)
-			for i := 0; i < s; i++ {
-				row := cqt.Data[i*s : (i+1)*s]
-				for j, v := range aT.Data[i*s : (i+1)*s] {
-					row[j] = z * complex(v, 0)
-				}
-				ci, di := complex(c[i], 0), complex(da[i], 0)
-				row[i] += lam - z*(di+lam+ci) + z*z*ci
-			}
-			u, err := linalg.CForcedNullVectorScratch(cqt, &ar)
-			if err != nil {
-				return fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
-			}
-			sol.terms[k].z, sol.terms[k+1].z = z, zs[k+1]
-			copy(sol.terms[k].u, u)
-			for i, v := range u {
-				sol.terms[k+1].u[i] = cmplx.Conj(v)
-			}
-			k++
-		default:
-			return fmt.Errorf("qbd: unpaired complex eigenvalue %v", z)
+	for k, z := range zs {
+		if imag(z) != 0 {
+			return fmt.Errorf("qbd: complex eigenvalue %v: the dense oracle takes only environments whose roots are real", z)
 		}
+		u, err := linalg.ForcedLeftNullVector(p.QofZ(real(z)))
+		if err != nil {
+			return fmt.Errorf("qbd: eigenvector for z = %v: %w", z, err)
+		}
+		sol.terms[k].z = real(z)
+		copy(sol.terms[k].u, u)
 	}
 	return nil
 }
 
 // sortModulusDesc orders eigenvalues by descending modulus, breaking ties
-// by real part, then imaginary part, both descending, so conjugate pairs
-// sit adjacently with the +imag member first. Because the comparator is a
-// total order on values, the sorted sequence is unique: the roots picked
-// as the s inside the unit disk, and their order, depend only on the
-// eigenvalue set, never on the order QR found them in, even when moduli
-// tie at the unit-disk boundary. slices.SortFunc is also allocation-free,
-// which the worker's zero-allocation invariant relies on.
+// by real part, then imaginary part, both descending. Because the
+// comparator is a total order on values, the sorted sequence is unique:
+// the roots picked as the s inside the unit disk, and their order, depend
+// only on the eigenvalue set, never on the order QR found them in, even
+// when moduli tie at the unit-disk boundary.
 func sortModulusDesc(ws []complex128) {
 	slices.SortFunc(ws, func(a, b complex128) int {
 		aa, ab := cmplx.Abs(a), cmplx.Abs(b)

@@ -603,7 +603,7 @@ func (w *SweepWorker) factoredTerms(lambda float64, sol *SpectralSolution) error
 	for t, r := range roots {
 		fw.branches(f, r.z)
 		sol.terms[t].transient = fw.vector(f, r.m, sol.terms[t].u)
-		sol.terms[t].z = complex(r.z, 0)
+		sol.terms[t].z = r.z
 	}
 	return nil
 }
@@ -615,7 +615,7 @@ func (w *SweepWorker) factoredTerms(lambda float64, sol *SpectralSolution) error
 // product gains one linear factor per step, so step d holds the
 // coefficients of every monomial of degree d. It reports whether the
 // multiset puts a server on a transient phase's branch.
-func (fw *factoredWork) vector(f *factored, mi int, u []complex128) bool {
+func (fw *factoredWork) vector(f *factored, mi int, u []float64) bool {
 	k := f.k
 	cur, next := fw.polyA, fw.polyB
 	cur[0] = 1
@@ -661,7 +661,7 @@ func (fw *factoredWork) vector(f *factored, mi int, u []complex128) bool {
 		mx = math.Max(mx, math.Abs(v))
 	}
 	for j := range u {
-		u[j] = complex(cur[j]/mx, 0)
+		u[j] = cur[j] / mx
 	}
 	return transient
 }

@@ -14,6 +14,7 @@ type MGSolution struct {
 	boundary [][]float64 // v_0..v_{N−1}
 	vN       []float64
 	r        *linalg.Matrix
+	imr      *linalg.Matrix // (I−R)⁻¹
 	n        int
 	s        int
 
@@ -29,9 +30,10 @@ type MGOptions struct {
 	// ratio of the last two steps. Near load 1 this needs many more steps
 	// than a bound on δ alone.
 	Tol float64
-	// MaxIter bounds the iteration count (default 200000).
-	MaxIter int
 }
+
+// mgMaxIter bounds the R-matrix iteration count.
+const mgMaxIter = 200000
 
 // SolveMatrixGeometric computes the stationary distribution by the
 // matrix-geometric method of Neuts — the comparator of Mitrani & Chakka [6].
@@ -47,9 +49,6 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 	}
 	if opts.Tol == 0 {
 		opts.Tol = 1e-13
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 200000
 	}
 	s := p.Size()
 	n := p.Threshold()
@@ -68,7 +67,7 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 	r := linalg.NewMatrix(s, s)
 	iters := 0
 	var prev float64 // the previous step; 0 until there is one
-	for ; iters < opts.MaxIter; iters++ {
+	for ; iters < mgMaxIter; iters++ {
 		// R' = (B + R²C)·(−Q1)⁻¹ with B = λI.
 		rr := r.Times(r).Times(cdiag)
 		for i := 0; i < s; i++ {
@@ -84,7 +83,7 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 		}
 		prev = step
 	}
-	if iters == opts.MaxIter {
+	if iters == mgMaxIter {
 		return nil, errors.New("qbd: R-matrix iteration did not converge")
 	}
 	stages, err := boundaryStages(p, n)
@@ -135,6 +134,7 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 		boundary:   boundary,
 		vN:         vN,
 		r:          r,
+		imr:        imr,
 		n:          n,
 		s:          s,
 		iterations: iters + 1,
@@ -174,11 +174,7 @@ func (m *MGSolution) MeanQueue() float64 {
 	for j := 0; j < m.n; j++ {
 		l += float64(j) * vecSum(m.boundary[j])
 	}
-	imr, err := linalg.Inverse(linalg.Identity(m.s).Minus(m.r))
-	if err != nil {
-		return math.NaN()
-	}
-	sum := imr.Scaled(float64(m.n)).Plus(m.r.Times(imr).Times(imr))
+	sum := m.imr.Scaled(float64(m.n)).Plus(m.r.Times(m.imr).Times(m.imr))
 	l += vecSum(sum.VecTimes(m.vN))
 	return l
 }
@@ -191,11 +187,7 @@ func (m *MGSolution) ModeMarginals() []float64 {
 			out[i] += v
 		}
 	}
-	imr, err := linalg.Inverse(linalg.Identity(m.s).Minus(m.r))
-	if err != nil {
-		return out
-	}
-	for i, v := range imr.VecTimes(m.vN) {
+	for i, v := range m.imr.VecTimes(m.vN) {
 		out[i] += v
 	}
 	return out

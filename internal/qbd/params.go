@@ -27,7 +27,8 @@
 // solver's oracle, does not: its eigen stage linearises Q(z) in w = 1/z
 // for a standard QR eigensolve and takes each left vector as a null
 // vector of Q(z), so it also solves environments that are not made of
-// identical servers, whose roots come in conjugate pairs.
+// identical servers, as long as their roots inside the unit disk are
+// real; a complex root is an error.
 package qbd
 
 import (

@@ -2,7 +2,7 @@ package qbd
 
 import (
 	"errors"
-	"math/cmplx"
+	"math"
 )
 
 // ErrEigenCount is returned when the number of eigenvalues found strictly
@@ -14,11 +14,11 @@ var ErrEigenCount = errors.New("qbd: wrong number of eigenvalues inside the unit
 // with the rescaled coefficient γ̃_k = γ_k·z_k^N so that levels are computed
 // as v_j = Σ_k γ̃_k·z_k^{j−N}·u_k without underflowing z^N. The assembly
 // solves for γ'_k = γ̃_k/z_k, the level-(N−1) scaling, and stores
-// γ̃_k = γ'_k·z_k; a conjugate pair of roots has conjugate z, u and γ̃.
+// γ̃_k = γ'_k·z_k. Every root is real, and so are u_k and γ̃_k.
 type spectralTerm struct {
-	z     complex128
-	u     []complex128
-	gamma complex128 // γ̃_k = γ_k·z_k^N
+	z     float64
+	u     []float64
+	gamma float64 // γ̃_k = γ_k·z_k^N
 	// transient marks a root whose multiset puts a server on a transient
 	// phase's branch. Such a mode carries no probability, so its γ̃ is 0
 	// and its root is no decay rate of the queue.
@@ -86,8 +86,8 @@ func newWorker(p Params) (*SweepWorker, error) {
 func (s *SpectralSolution) Threshold() int { return s.n }
 
 // Eigenvalues returns the z_k of the expansion, dominant first.
-func (s *SpectralSolution) Eigenvalues() []complex128 {
-	zs := make([]complex128, len(s.terms))
+func (s *SpectralSolution) Eigenvalues() []float64 {
+	zs := make([]float64, len(s.terms))
 	for i, t := range s.terms {
 		zs[i] = t.z
 	}
@@ -103,8 +103,8 @@ func (s *SpectralSolution) Eigenvalues() []complex128 {
 func (s *SpectralSolution) TailDecay() float64 {
 	var best float64
 	for _, t := range s.terms {
-		if !t.transient && imag(t.z) == 0 && real(t.z) > best {
-			best = real(t.z)
+		if !t.transient && t.z > best {
+			best = t.z
 		}
 	}
 	return best
@@ -120,10 +120,9 @@ func (s *SpectralSolution) Level(j int) []float64 {
 	}
 	out := make([]float64, s.s)
 	for _, t := range s.terms {
-		zp := cmplx.Pow(t.z, complex(float64(j-s.n), 0))
-		g := t.gamma * zp
-		for i := range out {
-			out[i] += real(g * t.u[i])
+		g := t.gamma * math.Pow(t.z, float64(j-s.n))
+		for i, u := range t.u {
+			out[i] += g * u
 		}
 	}
 	return out
@@ -139,8 +138,7 @@ func (s *SpectralSolution) LevelProb(j int) float64 {
 	}
 	var pr float64
 	for _, t := range s.terms {
-		zp := cmplx.Pow(t.z, complex(float64(j-s.n), 0))
-		pr += real(t.gamma * zp * cvecSum(t.u))
+		pr += t.gamma * math.Pow(t.z, float64(j-s.n)) * vecSum(t.u)
 	}
 	return pr
 }
@@ -161,15 +159,14 @@ func (s *SpectralSolution) TailProb(j int) float64 {
 			tail += vecSum(s.boundary[l])
 		}
 		for _, t := range s.terms {
-			tail += real(t.gamma * cvecSum(t.u) / (1 - t.z))
+			tail += t.gamma * vecSum(t.u) / (1 - t.z)
 		}
 		return tail
 	}
 	// j > N: geometric partial sum Σ_{l≥j} z^{l−N} = z^{j−N}/(1−z).
 	var tail float64
 	for _, t := range s.terms {
-		zp := cmplx.Pow(t.z, complex(float64(j-s.n), 0))
-		tail += real(t.gamma * cvecSum(t.u) * zp / (1 - t.z))
+		tail += t.gamma * vecSum(t.u) * math.Pow(t.z, float64(j-s.n)) / (1 - t.z)
 	}
 	return tail
 }
@@ -181,10 +178,10 @@ func (s *SpectralSolution) MeanQueue() float64 {
 	for j := 0; j < s.n; j++ {
 		l += float64(j) * vecSum(s.boundary[j])
 	}
-	nn := complex(float64(s.n), 0)
+	nn := float64(s.n)
 	for _, t := range s.terms {
 		om := 1 - t.z
-		l += real(t.gamma * cvecSum(t.u) * (nn/om + t.z/(om*om)))
+		l += t.gamma * vecSum(t.u) * (nn/om + t.z/(om*om))
 	}
 	return l
 }
@@ -201,8 +198,8 @@ func (s *SpectralSolution) ModeMarginals() []float64 {
 	}
 	for _, t := range s.terms {
 		g := t.gamma / (1 - t.z)
-		for i := range out {
-			out[i] += real(g * t.u[i])
+		for i, u := range t.u {
+			out[i] += g * u
 		}
 	}
 	return out

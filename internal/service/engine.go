@@ -20,11 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs/trace"
+	"repro/internal/qbd"
 )
 
 // Config tunes an Engine. The zero value selects a worker per CPU, a
@@ -408,9 +410,12 @@ func (e *Engine) SweepLambda(ctx context.Context, base core.System, lambdas []fl
 	return e.SweepSystems(ctx, systems, m)
 }
 
-// SweepServers mirrors core.SweepServers — per-N performance and cost for
-// every stable N in [minN, maxN], ascending — but runs on the engine's
-// pool and cache, so repeated and overlapping sweeps reuse solves.
+// SweepServers returns the performance and cost of every stable N in
+// [minN, maxN], ascending, solved on the engine's pool and cache, so
+// repeated and overlapping sweeps reuse solves. It skips an N that
+// core.System.Stable rejects or whose solve returns qbd.ErrUnstable, as
+// core.Provision does: core's closed-form load and the solver's own
+// capacity can disagree in the last bit at the stability boundary.
 func (e *Engine) SweepServers(ctx context.Context, base core.System, cm core.CostModel, minN, maxN int, m core.Method) ([]core.ServerSweepPoint, error) {
 	if minN < 1 || maxN < minN {
 		return nil, fmt.Errorf("service: invalid server range [%d, %d]", minN, maxN)
@@ -424,10 +429,10 @@ func (e *Engine) SweepServers(ctx context.Context, base core.System, cm core.Cos
 		}
 		jobs = append(jobs, Job{System: sys, Method: m})
 	}
-	if len(jobs) == 0 {
+	results := slices.DeleteFunc(e.EvaluateBatch(ctx, jobs), func(r Result) bool { return errors.Is(r.Err, qbd.ErrUnstable) })
+	if len(results) == 0 {
 		return nil, errors.New("service: no stable configuration in the requested range")
 	}
-	results := e.EvaluateBatch(ctx, jobs)
 	if err := FirstError(results); err != nil {
 		return nil, err
 	}

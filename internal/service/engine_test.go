@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/qbd"
 )
 
 var (
@@ -271,6 +273,8 @@ func TestConcurrentIdenticalEvaluationsShareOneSolve(t *testing.T) {
 	}
 }
 
+// TestSweepServersMatchesCore: every point of an engine N-sweep is the
+// one-off core solve of its N.
 func TestSweepServersMatchesCore(t *testing.T) {
 	eng := NewEngine(Config{})
 	base := testSystem(0, 8)
@@ -279,23 +283,70 @@ func TestSweepServersMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.SweepServers(base, cm, 9, 17, core.Spectral)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != 9 {
+		t.Fatalf("engine sweep has %d points, want N = 9..17", len(got))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("engine sweep has %d points, core has %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Servers != want[i].Servers {
-			t.Errorf("point %d: N = %d vs %d", i, got[i].Servers, want[i].Servers)
+	for i, pt := range got {
+		sys := base
+		sys.Servers = 9 + i
+		want, err := sys.Solve()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(got[i].Cost-want[i].Cost) > 1e-9 {
-			t.Errorf("N=%d: cost %v vs %v", got[i].Servers, got[i].Cost, want[i].Cost)
+		if pt.Servers != sys.Servers || !identicalF64(pt.Perf.MeanJobs, want.MeanJobs) || pt.Cost != cm.Cost(pt.Perf.MeanJobs, pt.Servers) {
+			t.Errorf("point %d: N = %d, L = %v, cost %v; one-off N = %d, L = %v", i, pt.Servers, pt.Perf.MeanJobs, pt.Cost, sys.Servers, want.MeanJobs)
 		}
 	}
 	if _, err := eng.SweepServers(context.Background(), base, cm, 5, 3, core.Spectral); err == nil {
 		t.Error("inverted range accepted")
+	}
+}
+
+// TestSweepServersSkipsUnstable: λ = 8 needs at least N = 9 for stability
+// (capacity 0.99885·N), so a sweep over [5, 12] holds no smaller N, and
+// one over [0, 3] is rejected.
+func TestSweepServersSkipsUnstable(t *testing.T) {
+	eng := NewEngine(Config{})
+	cm := core.CostModel{HoldingCost: 4, ServerCost: 1}
+	sweep, err := eng.SweepServers(context.Background(), testSystem(0, 8), cm, 5, 12, core.Spectral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range sweep {
+		if pt.Servers < 9 {
+			t.Errorf("unstable N = %d included", pt.Servers)
+		}
+	}
+	if _, err := eng.SweepServers(context.Background(), testSystem(0, 8), cm, 0, 3, core.Spectral); err == nil {
+		t.Error("invalid/unstable range should fail")
+	}
+}
+
+// TestSweepServersSkipsSolverUnstable sweeps at the largest λ that core
+// calls stable at N = 8, one ulp below 8·A: the solver's capacity, from
+// the environment's stationary vector, puts that load at 1 and rejects
+// N = 8 with qbd.ErrUnstable. The sweep skips it and answers N = 9..12.
+func TestSweepServersSkipsSolverUnstable(t *testing.T) {
+	base := testSystem(8, 0)
+	base.ArrivalRate = math.Nextafter(8*base.Availability(), 0)
+	if !base.Stable() {
+		t.Fatalf("λ = %v: core calls N = 8 unstable; the boundary case is gone", base.ArrivalRate)
+	}
+	if _, err := base.Solve(); !errors.Is(err, qbd.ErrUnstable) {
+		t.Fatalf("λ = %v, N = 8: solve %v, want qbd.ErrUnstable; the boundary case is gone", base.ArrivalRate, err)
+	}
+	eng := NewEngine(Config{})
+	cm := core.CostModel{HoldingCost: 4, ServerCost: 1}
+	sweep, err := eng.SweepServers(context.Background(), base, cm, 8, 12, core.Spectral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, pt := range sweep {
+		got = append(got, pt.Servers)
+	}
+	if !slices.Equal(got, []int{9, 10, 11, 12}) {
+		t.Errorf("swept N = %v, want [9 10 11 12]", got)
 	}
 }
 
