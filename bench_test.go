@@ -16,7 +16,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/figures"
 	"repro/internal/linalg"
-	"repro/internal/markov"
 	"repro/internal/obs/trace"
 	"repro/internal/qbd"
 	"repro/internal/service"
@@ -289,17 +288,19 @@ func BenchmarkKolmogorovSmirnov(b *testing.B) {
 	}
 }
 
-// BenchmarkEnvEnumeration measures mode-space construction (eq. 12) as N
-// grows toward the paper's reported numerical limit (N ≈ 24).
+// BenchmarkEnvEnumeration measures what the served path builds per
+// environment before it hoists: System.Params, the mode-space enumeration
+// (eq. 12) with the server description and the service diagonals, as N
+// grows toward the paper's reported numerical limit (N ≈ 24). No dense A
+// is built; qbd lumps the description itself.
 func BenchmarkEnvEnumeration(b *testing.B) {
 	for _, n := range []int{10, 24} {
+		sys := core.System{Servers: n, ArrivalRate: 1, ServiceRate: 1, Operative: benchOps, Repair: benchRepair}
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				env, err := markov.NewEnv(n, benchOps, benchRepair)
-				if err != nil {
+				if _, err := sys.Params(); err != nil {
 					b.Fatal(err)
 				}
-				_ = env.AMatrix()
 			}
 		})
 	}
@@ -467,8 +468,9 @@ func BenchmarkSpectralKernels(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := p.A.Rows
-	da := p.A.RowSums()
+	a := p.EnvMatrix()
+	s := a.Rows
+	da := a.RowSums()
 	c := p.ServiceDiag[len(p.ServiceDiag)-1]
 	// Companion of the polynomial in w = 1/z: [[0, I], [−Q2ᵀ/λ, −Q1ᵀ/λ]].
 	companion := linalg.NewMatrix(2*s, 2*s)
@@ -476,7 +478,7 @@ func BenchmarkSpectralKernels(b *testing.B) {
 		companion.Set(i, s+i, 1)
 		companion.Set(s+i, i, -c[i]/lambda)
 		for j := 0; j < s; j++ {
-			v := p.A.At(j, i)
+			v := a.At(j, i)
 			if i == j {
 				v -= da[i] + lambda + c[i]
 			}
@@ -561,12 +563,13 @@ func BenchmarkSpectralKernels(b *testing.B) {
 // transposed: Mᵀ with M[t][·] = u_t·(K_{N−1} − z_t·C_N).
 func boundaryKernelInputs(b *testing.B, p qbd.Params, sol *qbd.SpectralSolution) (kLast, matching *linalg.Matrix) {
 	b.Helper()
-	s := p.A.Rows
-	da := p.A.RowSums()
+	a := p.EnvMatrix()
+	s := a.Rows
+	da := a.RowSums()
 	c := p.ServiceDiag[len(p.ServiceDiag)-1]
 	var k, stage *linalg.Matrix
 	for j := 0; j+1 < len(p.ServiceDiag); j++ {
-		k = p.A.Scaled(-1)
+		k = a.Scaled(-1)
 		for i := 0; i < s; i++ {
 			k.Add(i, i, da[i]+p.Lambda+p.ServiceDiag[j][i])
 		}

@@ -72,11 +72,12 @@ func (s System) Env() (*markov.Env, error) {
 	return markov.NewEnv(s.Servers, s.Operative, s.Repair)
 }
 
-// Params assembles the queueing parameters for the qbd solvers, with the
-// description of the environment as N identical servers that the
-// spectral and approximate solvers require (qbd.Params.Servers). A phase
-// of zero weight is never entered; the description carries it all the
-// same, and qbd's factored stage solves it as a transient phase.
+// Params assembles the queueing parameters for the qbd solvers. The
+// environment is described as N identical servers (qbd.Params.Servers),
+// its only format: qbd lumps it into transitions itself, so no dense A is
+// built here. A phase of zero weight is never entered; the description
+// carries it all the same, and qbd's factored stage solves it as a
+// transient phase.
 func (s System) Params() (qbd.Params, error) {
 	_, p, err := s.envParams()
 	return p, err
@@ -89,7 +90,6 @@ func (s System) envParams() (*markov.Env, qbd.Params, error) {
 	}
 	p := qbd.Params{
 		Lambda:      s.ArrivalRate,
-		A:           env.AMatrix(),
 		ServiceDiag: env.ServiceDiag(s.ServiceRate),
 		Servers: &qbd.Servers{
 			G:      env.ServerRates(),

@@ -3,13 +3,14 @@
 // (n phases, weights α, rates ξ) and hyperexponential inoperative periods
 // (m phases, weights β, rates η). The environment state — the "operational
 // mode" — records how many servers sit in each phase; this package
-// enumerates the modes and assembles the transition-rate matrix A and the
-// per-level service-rate diagonals C_j of eq. (9).
+// enumerates the modes and describes them as qbd takes them: one server's
+// phase-change rates, each phase's service rate and each mode's phase
+// counts, from which qbd lumps the transition-rate matrix A of eq. (9),
+// and the per-level service-rate diagonals C_j.
 package markov
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/dist"
 	"repro/internal/linalg"
@@ -31,36 +32,6 @@ func (m Mode) Operative() int {
 	return x
 }
 
-// Inoperative returns the number of inoperative servers y = Σ Y[k].
-func (m Mode) Inoperative() int {
-	var y int
-	for _, v := range m.Y {
-		y += v
-	}
-	return y
-}
-
-// String renders the mode like "op[2 0] rep[1]".
-func (m Mode) String() string {
-	var sb strings.Builder
-	sb.WriteString("op[")
-	for i, v := range m.X {
-		if i > 0 {
-			sb.WriteString(" ")
-		}
-		fmt.Fprintf(&sb, "%d", v)
-	}
-	sb.WriteString("] rep[")
-	for i, v := range m.Y {
-		if i > 0 {
-			sb.WriteString(" ")
-		}
-		fmt.Fprintf(&sb, "%d", v)
-	}
-	sb.WriteString("]")
-	return sb.String()
-}
-
 // Env is the enumerated environment for N unreliable servers.
 type Env struct {
 	N   int
@@ -68,7 +39,6 @@ type Env struct {
 	Rep *dist.HyperExp // inoperative-period distribution (β, η)
 
 	modes []Mode
-	index map[string]int
 }
 
 // NewEnv enumerates the operational modes for N servers with the given
@@ -84,16 +54,14 @@ func NewEnv(n int, op, rep *dist.HyperExp) (*Env, error) {
 	if op == nil || rep == nil {
 		return nil, fmt.Errorf("markov: nil distribution")
 	}
-	e := &Env{N: n, Op: op, Rep: rep, index: make(map[string]int)}
+	e := &Env{N: n, Op: op, Rep: rep}
 	nOp, nRep := op.Phases(), rep.Phases()
 	for x := 0; x <= n; x++ {
 		xParts := compositionsDesc(x, nOp)
 		yParts := compositionsDesc(n-x, nRep)
 		for _, xs := range xParts {
 			for _, ys := range yParts {
-				m := Mode{X: xs, Y: ys}
-				e.index[m.String()] = len(e.modes)
-				e.modes = append(e.modes, m)
+				e.modes = append(e.modes, Mode{X: xs, Y: ys})
 			}
 		}
 	}
@@ -118,14 +86,6 @@ func (e *Env) Mode(i int) Mode { return e.modes[i] }
 // Modes returns the full mode list (shared slice; do not mutate).
 func (e *Env) Modes() []Mode { return e.modes }
 
-// IndexOf returns the index of a mode, or −1 if it is not a valid mode.
-func (e *Env) IndexOf(m Mode) int {
-	if i, ok := e.index[m.String()]; ok {
-		return i
-	}
-	return -1
-}
-
 // OperativeCounts returns x_i, the number of operative servers in each mode.
 func (e *Env) OperativeCounts() []int {
 	xs := make([]int, len(e.modes))
@@ -135,40 +95,6 @@ func (e *Env) OperativeCounts() []int {
 	return xs
 }
 
-// AMatrix assembles the s×s environment transition matrix A of eq. (9):
-// a breakdown moves a server from operative phase j to inoperative phase k
-// at rate x_j·ξ_j·β_k, and a repair moves one from inoperative phase k to
-// operative phase j at rate y_k·η_k·α_j. The main diagonal is zero.
-func (e *Env) AMatrix() *linalg.Matrix {
-	s := len(e.modes)
-	a := linalg.NewMatrix(s, s)
-	for i, m := range e.modes {
-		// Breakdowns: operative phase j → inoperative phase k.
-		for j, xj := range m.X {
-			if xj == 0 {
-				continue
-			}
-			for k := range m.Y {
-				to := e.neighbour(m, j, k, -1)
-				rate := float64(xj) * e.Op.Rates[j] * e.Rep.Weights[k]
-				a.Add(i, to, rate)
-			}
-		}
-		// Repairs: inoperative phase k → operative phase j.
-		for k, yk := range m.Y {
-			if yk == 0 {
-				continue
-			}
-			for j := range m.X {
-				to := e.neighbour(m, j, k, +1)
-				rate := float64(yk) * e.Rep.Rates[k] * e.Op.Weights[j]
-				a.Add(i, to, rate)
-			}
-		}
-	}
-	return a
-}
-
 // phases returns k = n + m, the number of phases one server moves
 // through: its operative phases first, then its inoperative ones — the
 // order ServerRates, PhaseServiceRates and PhaseCounts share.
@@ -176,8 +102,8 @@ func (e *Env) phases() int { return e.Op.Phases() + e.Rep.Phases() }
 
 // ServerRates returns one server's k×k phase-change rate matrix: from
 // operative phase j to inoperative phase l at ξ_j·β_l, and back at
-// η_l·α_j. Its diagonal is zero, as in AMatrix, which is the sum of N
-// copies of it lumped by phase counts.
+// η_l·α_j. Its diagonal is zero. A is the sum of N copies of it lumped by
+// phase counts (qbd.Servers).
 func (e *Env) ServerRates() *linalg.Matrix {
 	nOp, k := e.Op.Phases(), e.phases()
 	g := linalg.NewMatrix(k, k)
@@ -208,21 +134,6 @@ func (e *Env) PhaseCounts() [][]int {
 		out[i] = append(append(make([]int, 0, len(m.X)+len(m.Y)), m.X...), m.Y...)
 	}
 	return out
-}
-
-// neighbour returns the index of the mode reached from m by moving one
-// server between operative phase j and inoperative phase k; dir = −1 for a
-// breakdown (j → k), +1 for a repair (k → j).
-func (e *Env) neighbour(m Mode, j, k, dir int) int {
-	x := append([]int(nil), m.X...)
-	y := append([]int(nil), m.Y...)
-	x[j] += dir
-	y[k] -= dir
-	idx := e.IndexOf(Mode{X: x, Y: y})
-	if idx < 0 {
-		panic(fmt.Sprintf("markov: neighbour of %v (j=%d k=%d dir=%d) not found", m, j, k, dir))
-	}
-	return idx
 }
 
 // ServiceDiag returns the diagonal of C_j for levels j = 0..N as a slice of

@@ -6,12 +6,28 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/linalg"
+	"repro/internal/qbd"
 )
 
 var (
 	paperOps    = dist.MustHyperExp([]float64{0.7246, 0.2754}, []float64{0.1663, 0.0091})
 	paperRepair = dist.Exp(25)
 )
+
+// lumpedA returns the environment's transition matrix A as qbd lumps env's
+// server description, the way core.System.Params hands it over.
+func lumpedA(t *testing.T, env *Env) *linalg.Matrix {
+	t.Helper()
+	p := qbd.Params{
+		Lambda:      1,
+		ServiceDiag: env.ServiceDiag(1),
+		Servers:     &qbd.Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(1), Counts: env.PhaseCounts()},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p.EnvMatrix()
+}
 
 func TestNumModesFormula(t *testing.T) {
 	cases := []struct {
@@ -69,7 +85,8 @@ func TestEnvEnumerationMatchesPaperExample(t *testing.T) {
 
 func TestAMatrixMatchesPaperExample(t *testing.T) {
 	// The displayed A matrix for N=2, n=2, m=1 (paper §3.1), with
-	// ξ1, ξ2 the operative rates, η the repair rate, α1, α2 the weights.
+	// ξ1, ξ2 the operative rates, η the repair rate, α1, α2 the weights,
+	// as qbd lumps the example's server description.
 	a1, a2 := 0.7246, 0.2754
 	x1, x2 := 0.1663, 0.0091
 	eta := 25.0
@@ -77,7 +94,7 @@ func TestAMatrixMatchesPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := env.AMatrix()
+	got := lumpedA(t, env)
 	want := linalg.FromRows([][]float64{
 		{0, 2 * eta * a1, 2 * eta * a2, 0, 0, 0},
 		{x1, 0, 0, eta * a1, eta * a2, 0},
@@ -126,7 +143,7 @@ func TestAMatrixRowSumsAreExitRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := env.AMatrix().RowSums()
+	rows := lumpedA(t, env).RowSums()
 	for i, m := range env.Modes() {
 		var want float64
 		for j, xj := range m.X {
@@ -146,26 +163,11 @@ func TestAMatrixDiagonalZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := env.AMatrix()
+	a := lumpedA(t, env)
 	for i := 0; i < a.Rows; i++ {
 		if a.At(i, i) != 0 {
 			t.Errorf("A[%d][%d] = %v, want 0", i, i, a.At(i, i))
 		}
-	}
-}
-
-func TestIndexOfRoundtrip(t *testing.T) {
-	env, err := NewEnv(4, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < env.NumModes(); i++ {
-		if got := env.IndexOf(env.Mode(i)); got != i {
-			t.Errorf("IndexOf(Mode(%d)) = %d", i, got)
-		}
-	}
-	if env.IndexOf(Mode{X: []int{9, 0}, Y: []int{0}}) != -1 {
-		t.Error("invalid mode should map to -1")
 	}
 }
 

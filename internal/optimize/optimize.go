@@ -1,8 +1,6 @@
 // Package optimize provides the small numerical-optimisation toolkit used by
-// the distribution-fitting procedures (paper §2) and the cost-optimisation
-// experiments (paper §4): bisection and Brent root finding, golden-section
-// line search, Nelder–Mead simplex minimisation and a damped Newton solver
-// for nonlinear systems.
+// the distribution-fitting procedures (paper §2): Nelder–Mead simplex
+// minimisation and a damped Newton solver for nonlinear systems.
 package optimize
 
 import (
@@ -11,122 +9,8 @@ import (
 	"math"
 )
 
-// ErrNoBracket is returned when a root finder is given an interval whose
-// endpoints do not bracket a sign change.
-var ErrNoBracket = errors.New("optimize: interval does not bracket a root")
-
 // ErrNoConvergence is returned when an iteration exceeds its budget.
 var ErrNoConvergence = errors.New("optimize: iteration did not converge")
-
-// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
-// opposite signs. The result is within tol of a true root.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%v)=%v, f(%v)=%v", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 200 && math.Abs(b-a) > tol; i++ {
-		m := a + (b-a)/2
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return a + (b-a)/2, nil
-}
-
-// Brent finds a root of f in a bracketing interval [a, b] using Brent's
-// method (inverse quadratic interpolation with bisection fallback).
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%v)=%v, f(%v)=%v", ErrNoBracket, a, fa, b, fb)
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < 200; i++ {
-		if fb == 0 || math.Abs(b-a) < tol {
-			return b, nil
-		}
-		var s float64
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = (a + b) / 2
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if math.Signbit(fa) != math.Signbit(fs) {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-	}
-	return b, ErrNoConvergence
-}
-
-// GoldenSection minimises a unimodal f on [a, b] to within tol and returns
-// the minimiser.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for math.Abs(b-a) > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return (a + b) / 2
-}
 
 // NelderMeadOptions configures the simplex minimiser. The zero value selects
 // sensible defaults.

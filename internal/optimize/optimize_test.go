@@ -1,88 +1,9 @@
 package optimize
 
 import (
-	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestBisectKnownRoot(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-10 {
-		t.Fatalf("root = %v, want √2", root)
-	}
-}
-
-func TestBisectEndpointRoots(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if r, err := Bisect(f, 0, 1, 1e-12); err != nil || r != 0 {
-		t.Fatalf("r=%v err=%v, want exact endpoint 0", r, err)
-	}
-	if r, err := Bisect(f, -1, 0, 1e-12); err != nil || r != 0 {
-		t.Fatalf("r=%v err=%v, want exact endpoint 0", r, err)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	_, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12)
-	if !errors.Is(err, ErrNoBracket) {
-		t.Fatalf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-func TestBrentKnownRoots(t *testing.T) {
-	cases := []struct {
-		f    func(float64) float64
-		a, b float64
-		want float64
-	}{
-		{func(x float64) float64 { return x*x*x - x - 2 }, 1, 2, 1.5213797068045676},
-		{func(x float64) float64 { return math.Cos(x) - x }, 0, 1, 0.7390851332151607},
-		{func(x float64) float64 { return math.Exp(x) - 5 }, 0, 3, math.Log(5)},
-	}
-	for i, c := range cases {
-		r, err := Brent(c.f, c.a, c.b, 1e-13)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if math.Abs(r-c.want) > 1e-9 {
-			t.Errorf("case %d: root = %v, want %v", i, r, c.want)
-		}
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	if _, err := Brent(func(x float64) float64 { return 1 + x*x }, -1, 1, 1e-12); !errors.Is(err, ErrNoBracket) {
-		t.Fatalf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-func TestBrentMatchesBisectProperty(t *testing.T) {
-	f := func(shift float64) bool {
-		s := math.Mod(math.Abs(shift), 10) // root location in (0, 10)
-		fn := func(x float64) float64 { return math.Tanh(x - s) }
-		rb, err1 := Bisect(fn, -1, 11, 1e-12)
-		rr, err2 := Brent(fn, -1, 11, 1e-12)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(rb-s) < 1e-9 && math.Abs(rr-s) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	min := GoldenSection(func(x float64) float64 { return (x - 3) * (x - 3) }, -10, 10, 1e-10)
-	if math.Abs(min-3) > 1e-8 {
-		t.Fatalf("min = %v, want 3", min)
-	}
-}
 
 func TestNelderMeadRosenbrock(t *testing.T) {
 	rosen := func(x []float64) float64 {

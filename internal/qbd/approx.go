@@ -27,8 +27,7 @@ type ApproxSolution struct {
 // zero-weight phases it is the root and vector the spectral solver finds
 // for its all-Perron multiset, on a fresh worker, so it costs one scalar
 // root, not s of them, and agrees with SolveSpectral's TailDecay bit for
-// bit. Params without a server description are rejected with
-// ErrNoServers.
+// bit.
 func SolveApprox(p Params) (*ApproxSolution, error) {
 	w, err := newWorker(p)
 	if err != nil {

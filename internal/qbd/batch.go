@@ -13,14 +13,14 @@ import (
 // solution across a batch of arrival rates that share one
 // breakdown/repair environment — the shape of every λ-sweep in the paper's
 // Figures 4–9 — and SolveSpectral is its batch of one. Construction hoists
-// all λ-independent work (structural validation, the environment's
-// stationary distribution and service capacity, Dᴬ row sums, the top
-// service diagonal, the −A image every K_j build copies from, and the
-// checked server description's factored stage: one server's symmetrised
-// generator, the multisets and the composition tables of their
-// closed-form vectors); each Solve then runs the per-point remainder of
-// the spectral expansion — the roots and left vectors, N−1 boundary
-// inverses and one real s×s matching system at level N−1 — inside a
+// all λ-independent work from the server description (validation, the
+// lumping into each mode's moves and their Dᴬ row sums, the capacity
+// N·Σ_p π_p·r_p from one server's stationary π, and the factored stage:
+// one server's symmetrised generator, the multisets and the composition
+// tables of their closed-form vectors), and holds no s×s matrix; each
+// Solve then runs the per-point remainder of the spectral expansion — the
+// roots and left vectors, N−1 boundary inverses of K_j built from the
+// moves, and one real s×s matching system at level N−1 — inside a
 // reusable worker workspace, allocation-free once warm.
 //
 // Equivalence contract: a point solved on a reused or pooled worker is the
@@ -39,10 +39,10 @@ import (
 type SweepSolver struct {
 	p        Params // base parameters; p.Lambda is ignored
 	s, n     int
-	da, c    []float64
-	negA     *linalg.Matrix // −A, the seed of every K_j build
-	capacity float64        // Σ_i π_i·C_N[i]; ≤ 0 means every λ is unstable
-	fac      *factored      // the eigen stage, hoisted from p.Servers
+	c        []float64
+	env      *lumping  // each mode's moves and Dᴬ, for every K_j
+	capacity float64   // N·Σ_p π_p·r_p; ≤ 0 means every λ is unstable
+	fac      *factored // the eigen stage, hoisted from p.Servers
 
 	pool sync.Pool // *SweepWorker
 }
@@ -51,39 +51,25 @@ type SweepSolver struct {
 // shared state. p.Lambda is ignored (each Solve supplies its own rate);
 // validation errors are those SolveSpectral would report for any point of
 // the batch, so a failed construction means every point would fail. A
-// missing server description is such an error, as is one that does not
-// reproduce A and C_N or whose server's entered phases are not
-// irreducible and reversible.
+// description whose server's entered phases are not irreducible and
+// reversible is such an error.
 func NewSweepSolver(p Params) (*SweepSolver, error) {
 	probe := p
 	if !(probe.Lambda > 0) || math.IsInf(probe.Lambda, 0) {
 		probe.Lambda = 1 // structural validation only; per-point rates replace it
 	}
-	if err := probe.Validate(); err != nil {
-		return nil, err
-	}
-	if probe.Servers == nil {
-		return nil, ErrNoServers
-	}
-	pi, err := probe.EnvStationary()
+	l, err := probe.validate()
 	if err != nil {
 		return nil, err
 	}
-	c := probe.cTop()
-	var capacity float64
-	for i, v := range pi {
-		capacity += v * c[i]
-	}
 	sv := &SweepSolver{
-		p:        probe,
-		s:        probe.Size(),
-		n:        probe.Threshold(),
-		da:       probe.dA(),
-		c:        c,
-		negA:     probe.A.Scaled(-1),
-		capacity: capacity,
+		p:   probe,
+		s:   probe.Size(),
+		n:   probe.Threshold(),
+		c:   probe.cTop(),
+		env: l,
 	}
-	if sv.fac, err = newFactored(probe); err != nil {
+	if sv.fac, sv.capacity, err = newFactored(probe.Servers, l); err != nil {
 		return nil, err
 	}
 	sv.pool.New = func() any { return sv.NewWorker() }
@@ -237,11 +223,14 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	}
 	var kj *linalg.Matrix
 	for j := 0; j < n; j++ {
-		kj = w.ar.MatUninit(s, s)
-		copy(kj.Data, sv.negA.Data)
+		kj = w.ar.Mat(s, s)
 		cj := sv.p.serviceAt(j)
 		for i := 0; i < s; i++ {
-			kj.Data[i*s+i] += sv.da[i] + lambda + cj[i]
+			row := kj.Data[i*s : (i+1)*s]
+			for _, m := range sv.env.row(i) {
+				row[m.to] = -m.rate
+			}
+			row[i] = sv.env.da[i] + lambda + cj[i]
 		}
 		if j > 0 {
 			linalg.Axpy(-lambda, w.stages[j-1].Data, kj.Data)
@@ -253,21 +242,7 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 		if err != nil {
 			return fmt.Errorf("qbd: boundary stage %d is singular: %w", j, err)
 		}
-		// S_j = diag(C_{j+1})·K_j⁻¹ row by row in place. Times accumulates
-		// into a zeroed product, so an entry is +0 + c_i·k_ij (which turns
-		// a −0 product into +0) and a zero c_i leaves a zero row.
-		cnext := sv.p.serviceAt(j + 1)
-		for i := 0; i < s; i++ {
-			row := st.Data[i*s : (i+1)*s]
-			ci := cnext[i]
-			if ci == 0 {
-				clear(row)
-				continue
-			}
-			for j2, kv := range row {
-				row[j2] = 0 + ci*kv
-			}
-		}
+		scaleRows(st, sv.p.serviceAt(j+1)) // S_j = C_{j+1}·K_j⁻¹
 		w.stages[j] = st
 	}
 	// The matching system is built transposed,

@@ -97,7 +97,7 @@ func sweepGrid(low, high float64, g int) []float64 {
 // workspace changes nothing.
 func TestSweepSolverMatchesSolveSpectral(t *testing.T) {
 	p := paramsFor(t, 4, 1, 1, paperOps, paperRepair)
-	load1, err := Params{Lambda: 1, A: p.A, ServiceDiag: p.ServiceDiag}.Load()
+	load1, err := p.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,6 +390,29 @@ func TestSweepWorkerMemoryBounded(t *testing.T) {
 		if held > bound {
 			t.Errorf("N=%d s=%d: warm worker holds %d bytes, want ≤ 16·(2N+16)·s² = %d", n, s, held, bound)
 		}
+	}
+}
+
+// TestSweepSolverHoldsNoDenseMatrix: the hoist keeps the environment as
+// the description's moves, so an N = 32 SweepSolver (s = 561), not
+// counting its pooled workers, retains under 1 MB; one dense s×s matrix
+// alone takes 2.5 MB there.
+func TestSweepSolverHoldsNoDenseMatrix(t *testing.T) {
+	p := paramsFor(t, 32, 1, 1, paperOps, paperRepair)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sv, err := NewSweepSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(sv)
+	t.Logf("N=32 s=%d: the hoist holds %.2f MB", sv.Size(), float64(held)/1e6)
+	if held > 1<<20 {
+		t.Errorf("N=32 s=%d: the hoist holds %d bytes, want < 1 MiB", sv.Size(), held)
 	}
 }
 

@@ -40,7 +40,8 @@ func SolveSpectralDense(p Params) (*SpectralSolution, error) {
 		return nil, err
 	}
 	terms := sol.terms
-	da := p.dA()
+	a := p.EnvMatrix()
+	da := a.RowSums()
 	dim := (n + 1) * s
 	// Unknown vector x = (v_0, ..., v_{N−1}, γ̃) of length (N+1)s. Row-vector
 	// equations x·M = rhs are assembled transposed: M is dim×dim with
@@ -84,7 +85,7 @@ func SolveSpectralDense(p Params) (*SpectralSolution, error) {
 	for j := 0; j <= n; j++ {
 		jj := j
 		addLevel(j, j, func(i, c int) float64 {
-			v := -p.A.At(i, c)
+			v := -a.At(i, c)
 			if i == c {
 				v += da[i] + p.Lambda + cLevel(jj)[i]
 			}
@@ -146,7 +147,8 @@ func SolveSpectralDense(p Params) (*SpectralSolution, error) {
 func companionTerms(p Params, sol *SpectralSolution) error {
 	s := p.Size()
 	lambda := p.Lambda
-	da, c, aT := p.dA(), p.cTop(), p.A.T() // aT[i][j] = A[j][i]
+	a := p.EnvMatrix()
+	da, c, aT := a.RowSums(), p.cTop(), a.T() // aT[i][j] = A[j][i]
 	var ar linalg.Arena
 	n2 := 2 * s
 	cm := ar.Mat(n2, n2)

@@ -44,11 +44,6 @@ import (
 // left eigenvector is e_j + G[j][R]·(θ_j − M_RR)⁻¹, R being the entered
 // phases, read off the entered block's eigendecomposition.
 
-// describeTol bounds the relative difference NewSweepSolver accepts
-// between an entry of A or C_N and the one Params.Servers implies: a few
-// roundings of the products and sums that form them, nothing more.
-const describeTol = 1e-14
-
 // maxRootIter bounds the safeguarded Newton iteration for one multiset's
 // root; bisection alone reaches rounding level in about 60 steps.
 const maxRootIter = 200
@@ -81,110 +76,55 @@ type factored struct {
 // multiset returns multiset mi's branch counts.
 func (f *factored) multiset(mi int) []int { return f.multisets[mi*f.k : (mi+1)*f.k] }
 
-// newFactored checks p.Servers against A and C_N and hoists the factored
-// stage. A description that does not reproduce them, or whose server's
-// entered phases are not irreducible and reversible, is an error.
-func newFactored(p Params) (*factored, error) {
-	d := p.Servers
-	s := p.Size()
-	if d.G == nil || d.G.Rows != d.G.Cols || d.G.Rows == 0 {
-		return nil, errors.New("qbd: server description: G must be square and non-empty")
+// newFactored hoists the factored stage of a validated description and
+// its lumping, and returns it with the service capacity
+// N·Σ_p π_p·Rates[p], π being one server's stationary distribution. A
+// server whose entered phases are not irreducible and reversible is an
+// error.
+func newFactored(d *Servers, l *lumping) (*factored, float64, error) {
+	pi, reversible, err := stationary(d)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !reversible {
+		return nil, 0, errors.New("qbd: server description is not reversible, so its eigen-branches need not be real")
 	}
 	k := d.G.Rows
-	if len(d.Rates) != k {
-		return nil, fmt.Errorf("qbd: server description: %d service rates for %d phases", len(d.Rates), k)
-	}
-	for p2 := 0; p2 < k; p2++ {
-		if r := d.Rates[p2]; !(r >= 0) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("qbd: server description: service rate %v of phase %d must be finite and non-negative", r, p2)
-		}
-		for q := 0; q < k; q++ {
-			g := d.G.At(p2, q)
-			if !(g >= 0) || math.IsInf(g, 0) || (p2 == q && g != 0) {
-				return nil, fmt.Errorf("qbd: server description: G[%d][%d] = %v must be finite, non-negative and off the diagonal", p2, q, g)
-			}
-		}
-	}
-	if len(d.Counts) != s {
-		return nil, fmt.Errorf("qbd: server description has %d modes, A has %d", len(d.Counts), s)
-	}
-	servers := 0
-	if s > 0 && len(d.Counts[0]) == k {
-		for _, c := range d.Counts[0] {
-			servers += c
-		}
-	}
-	if servers < 1 {
-		return nil, errors.New("qbd: server description: mode 0 must count at least one server in k phases")
-	}
-	if want := binomial(servers+k-1, k-1); want != s {
-		return nil, fmt.Errorf("qbd: server description: %d servers in %d phases make %d modes, A has %d", servers, k, want, s)
-	}
-	keys, err := newMonoKeys(servers, k)
-	if err != nil {
-		return nil, err
-	}
-	index := make(map[uint64]int32, s)
-	for i, n := range d.Counts {
-		if len(n) != k {
-			return nil, fmt.Errorf("qbd: server description: mode %d has %d phase counts, want %d", i, len(n), k)
-		}
-		total := 0
-		for _, c := range n {
-			if c < 0 {
-				return nil, fmt.Errorf("qbd: server description: mode %d has a negative phase count", i)
-			}
-			total += c
-		}
-		if total != servers {
-			return nil, fmt.Errorf("qbd: server description: mode %d counts %d servers, want %d", i, total, servers)
-		}
-		key := keys.of(n)
-		if _, dup := index[key]; dup {
-			return nil, fmt.Errorf("qbd: server description: mode %d repeats phase counts %v", i, n)
-		}
-		index[key] = int32(i)
-	}
-	if err := checkDescription(p, keys, index); err != nil {
-		return nil, err
-	}
-	sqrtPi, err := sqrtStationary(d)
-	if err != nil {
-		return nil, err
-	}
 	f := &factored{
 		k:       k,
-		servers: servers,
+		servers: l.servers,
 		sym:     make([]float64, k*k),
 		rates:   append([]float64(nil), d.Rates...),
-		sqrtPi:  sqrtPi,
+		sqrtPi:  make([]float64, k),
 		g:       append([]float64(nil), d.G.Data...),
 	}
-	for p2, sp := range sqrtPi {
-		if sp == 0 {
-			f.transient = append(f.transient, p2)
+	for p, v := range pi {
+		f.sqrtPi[p] = math.Sqrt(v)
+		if v == 0 {
+			f.transient = append(f.transient, p)
 		}
 	}
-	for p2 := 0; p2 < k; p2++ {
+	for p := 0; p < k; p++ {
 		var out float64
 		for q := 0; q < k; q++ {
-			if q != p2 {
-				g := d.G.At(p2, q)
+			if q != p {
+				g := d.G.At(p, q)
 				out += g
-				f.sym[p2*k+q] = math.Sqrt(g * d.G.At(q, p2))
+				f.sym[p*k+q] = math.Sqrt(g * d.G.At(q, p))
 			}
 		}
-		f.sym[p2*k+p2] = -out
+		f.sym[p*k+p] = -out
 	}
-	f.multisets = compositions(servers, k)
+	s := len(d.Counts)
+	f.multisets = compositions(l.servers, k)
 	var ws factoredWork
 	ws.init(f, s)
 	ws.branches(f, 0)
 	f.t0 = f.branchSums(ws.theta)
 	ws.branches(f, 1)
 	f.t1 = f.branchSums(ws.theta)
-	f.buildTables(d.Counts, keys)
-	return f, nil
+	f.buildTables(d.Counts, l.keys)
+	return f, d.capacity(l.servers, pi), nil
 }
 
 // branchSums returns Σ_i m_i·θ_i for every multiset m.
@@ -224,62 +164,22 @@ func (mk monoKeys) of(n []int) uint64 {
 	return key
 }
 
-// checkDescription verifies that p.Servers reproduces A entry by entry —
-// every transition moving one server from phase p to phase q at
-// n_p·G[p][q], and no other — and C_N as Σ_p n_p·Rates[p].
-func checkDescription(p Params, keys monoKeys, index map[uint64]int32) error {
-	d := p.Servers
-	s, k := p.Size(), d.G.Rows
-	c := p.cTop()
-	near := func(got, want float64) bool { return math.Abs(got-want) <= describeTol*math.Abs(want) }
-	for i, n := range d.Counts {
-		key := keys.of(n)
-		row := p.A.Data[i*s : (i+1)*s]
-		moves := 0
-		var service float64
-		for from, cnt := range n {
-			service += float64(cnt) * d.Rates[from]
-			if cnt == 0 {
-				continue
-			}
-			for to := 0; to < k; to++ {
-				g := d.G.At(from, to)
-				if to == from || g == 0 {
-					continue
-				}
-				j, ok := index[key-keys.pow[from]+keys.pow[to]]
-				want := float64(cnt) * g
-				if !ok || !near(row[j], want) {
-					return fmt.Errorf("qbd: server description does not reproduce A: mode %d moving a server from phase %d to %d", i, from, to)
-				}
-				moves++
-			}
-		}
-		nonzero := 0
-		for _, v := range row {
-			if v != 0 {
-				nonzero++
-			}
-		}
-		if nonzero != moves {
-			return fmt.Errorf("qbd: server description does not reproduce A: mode %d has %d transitions, the description %d", i, nonzero, moves)
-		}
-		if !near(c[i], service) {
-			return fmt.Errorf("qbd: server description does not reproduce C_N: mode %d serves at %v, the description at %v", i, c[i], service)
-		}
-	}
-	return nil
-}
-
-// sqrtStationary returns √π for one server's stationary distribution π,
-// found along a spanning tree by detailed balance. A transient phase, one
-// that no rate enters but that leaves to another, has π = 0. It fails
-// unless the other phases form one irreducible class in which every cycle
-// balances (Kolmogorov's criterion), the reversibility that makes M(z)'s
-// eigen-branches real.
-func sqrtStationary(d *Servers) ([]float64, error) {
+// stationary returns one server's stationary distribution π and whether
+// its phase process is reversible, the property that makes M(z)'s
+// eigen-branches real. A transient phase, one that no rate enters but
+// that leaves to another, has π = 0. It fails unless the other phases
+// form one irreducible class. π is found along a spanning tree by
+// detailed balance; if a phase reaches another but not back, or a pair
+// does not balance (every cycle must, by Kolmogorov's criterion), the
+// server is not reversible and π is the null vector of its k×k
+// generator instead.
+func stationary(d *Servers) (pi []float64, reversible bool, err error) {
 	k := d.G.Rows
 	g := func(p, q int) float64 { return d.G.At(p, q) }
+	irreversible := func() ([]float64, bool, error) {
+		pi, err := generatorStationary(d.G)
+		return pi, false, err
+	}
 	entered := make([]bool, k)
 	leaves := make([]bool, k)
 	for p := 0; p < k; p++ {
@@ -289,7 +189,7 @@ func sqrtStationary(d *Servers) ([]float64, error) {
 			}
 		}
 	}
-	pi := make([]float64, k)
+	pi = make([]float64, k)
 	seen := make([]bool, k)
 	root := -1
 	for p := 0; p < k; p++ {
@@ -311,7 +211,7 @@ func sqrtStationary(d *Servers) ([]float64, error) {
 				continue
 			}
 			if g(q, p) == 0 {
-				return nil, fmt.Errorf("qbd: server description is not reversible: phase %d reaches %d but not back", p, q)
+				return irreversible()
 			}
 			if !seen[q] {
 				seen[q] = true
@@ -323,7 +223,7 @@ func sqrtStationary(d *Servers) ([]float64, error) {
 	var sum float64
 	for p, ok := range seen {
 		if !ok {
-			return nil, fmt.Errorf("qbd: server description: phase %d is never reached", p)
+			return nil, false, fmt.Errorf("qbd: server description: phase %d is never reached", p)
 		}
 		sum += pi[p]
 	}
@@ -331,14 +231,24 @@ func sqrtStationary(d *Servers) ([]float64, error) {
 		for q := p + 1; q < k; q++ {
 			a, b := pi[p]*g(p, q), pi[q]*g(q, p)
 			if math.Abs(a-b) > 1e-10*math.Max(a, b) {
-				return nil, fmt.Errorf("qbd: server description is not reversible: phases %d and %d do not balance", p, q)
+				return irreversible()
 			}
 		}
 	}
 	for p := range pi {
-		pi[p] = math.Sqrt(pi[p] / sum)
+		pi[p] /= sum
 	}
-	return pi, nil
+	return pi, true, nil
+}
+
+// capacity returns the service capacity N·Σ_p π_p·Rates[p] of n servers
+// described by d, π being one server's stationary distribution.
+func (d *Servers) capacity(n int, pi []float64) float64 {
+	var perServer float64
+	for p, v := range pi {
+		perServer += v * d.Rates[p]
+	}
+	return float64(n) * perServer
 }
 
 // buildTables hoists the composition tables of the closed-form vectors:

@@ -9,10 +9,10 @@ import (
 )
 
 // fuzzParams turns the fuzzer's raw inputs into solver parameters. When
-// single is set it builds the smallest legal environment — a 1×1 zero
-// transition matrix (s = 1, a single always-operative mode) with level-0
-// service the environment builder never produces — described as one
-// server with one phase.
+// single is set it builds the smallest legal environment — one server
+// with one phase (s = 1, a single always-operative mode, a 1×1 zero
+// transition matrix) with level-0 service the environment builder never
+// produces.
 func fuzzParams(seed int64, single bool) (Params, bool) {
 	rng := rand.New(rand.NewSource(seed))
 	if single {
@@ -20,7 +20,6 @@ func fuzzParams(seed int64, single bool) (Params, bool) {
 		mu1 := mu0 * (1 + rng.Float64())
 		return Params{
 			Lambda:      1,
-			A:           linalg.NewMatrix(1, 1),
 			ServiceDiag: [][]float64{{mu0}, {mu1}},
 			Servers:     &Servers{G: linalg.NewMatrix(1, 1), Rates: []float64{mu1}, Counts: [][]int{{1}}},
 		}, true

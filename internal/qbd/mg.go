@@ -52,10 +52,11 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 	}
 	s := p.Size()
 	n := p.Threshold()
-	da := p.dA()
+	a := p.EnvMatrix()
+	da := a.RowSums()
 	c := p.cTop()
 	// Q1 = A − Dᴬ − λI − C.
-	q1 := p.A.Clone()
+	q1 := a.Clone()
 	for i := 0; i < s; i++ {
 		q1.Add(i, i, -(da[i] + p.Lambda + c[i]))
 	}
@@ -86,12 +87,12 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 	if iters == mgMaxIter {
 		return nil, errors.New("qbd: R-matrix iteration did not converge")
 	}
-	stages, err := boundaryStages(p, n)
+	stages, err := boundaryStages(p, a, n)
 	if err != nil {
 		return nil, err
 	}
 	// Level-N balance: v_N(Dᴬ + B + C − A − λS_{N−1} − R·C) = 0.
-	w := p.A.Scaled(-1)
+	w := a.Scaled(-1)
 	for i := 0; i < s; i++ {
 		w.Add(i, i, da[i]+p.Lambda+c[i])
 	}

@@ -1,0 +1,95 @@
+package qbd
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+)
+
+// TestLumpingMatchesReference: the one lumping of a server description,
+// Servers.lump, must give exactly the A that referenceA builds on its own,
+// entry by entry and bit for bit, on every factoredEnvs model at
+// N ∈ {1, 2, 3, 6, 10} and on productFormParams' draws for seeds 1–10.
+// Each mode's moves must be in ascending target order, and the hoist's
+// Dᴬ, summed from them, must equal the reference's RowSums bit for bit.
+func TestLumpingMatchesReference(t *testing.T) {
+	type model struct {
+		name string
+		p    Params
+	}
+	var models []model
+	for _, e := range factoredEnvs {
+		for _, n := range []int{1, 2, 3, 6, 10} {
+			models = append(models, model{fmt.Sprintf("%s N=%d", e.name, n), paramsFor(t, n, 1, 1, e.op, e.rep)})
+		}
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		p, _, _ := productFormParams(seed)
+		models = append(models, model{fmt.Sprintf("productFormParams(%d)", seed), p})
+	}
+	for _, m := range models {
+		want := referenceA(m.p.Servers)
+		got := m.p.EnvMatrix()
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("%s: A is %d×%d, reference %d×%d", m.name, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: A[%d][%d] = %v, reference %v", m.name, i/want.Cols, i%want.Cols, got.Data[i], v)
+			}
+		}
+		sv, err := NewSweepSolver(m.p)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		for i := 0; i < sv.s; i++ {
+			row := sv.env.row(i)
+			if !slices.IsSortedFunc(row, func(a, b move) int { return a.to - b.to }) {
+				t.Fatalf("%s: mode %d's moves are not in ascending target order: %v", m.name, i, row)
+			}
+		}
+		for i, v := range want.RowSums() {
+			if math.Float64bits(sv.env.da[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: Dᴬ[%d] = %v, reference row sum %v", m.name, i, sv.env.da[i], v)
+			}
+		}
+	}
+}
+
+// TestCapacityMatchesEnvStationary: the hoist's capacity N·Σ_p π_p·r_p,
+// from one server's stationary distribution, must agree with
+// Σ_i π_i·C_N[i] from EnvStationary's dense null vector of the same
+// lumped A to 1e-14 relative, on every factoredEnvs model at each N up to
+// its maxN (at most 20). Params.Load must take the same capacity bit for
+// bit, so the spectral solvers and those that check Load (MG, the dense
+// oracle) draw the stability boundary at one λ.
+func TestCapacityMatchesEnvStationary(t *testing.T) {
+	var worst float64
+	for _, e := range factoredEnvs {
+		for n := 1; n <= min(e.maxN, 20); n++ {
+			p := paramsFor(t, n, 1, 1, e.op, e.rep)
+			sv, err := NewSweepSolver(p)
+			if err != nil {
+				t.Fatalf("%s N=%d: %v", e.name, n, err)
+			}
+			pi, err := p.EnvStationary()
+			if err != nil {
+				t.Fatalf("%s N=%d: %v", e.name, n, err)
+			}
+			var dense float64
+			for i, c := range p.cTop() {
+				dense += pi[i] * c
+			}
+			if load, err := p.Load(); err != nil || load != p.Lambda/sv.capacity {
+				t.Fatalf("%s N=%d: Load = %v, %v; the hoist's capacity gives %v", e.name, n, load, err, p.Lambda/sv.capacity)
+			}
+			d := math.Abs(sv.capacity-dense) / dense
+			if d > 1e-14 {
+				t.Errorf("%s N=%d: capacity %v, EnvStationary's %v (rel %.1e)", e.name, n, sv.capacity, dense, d)
+			}
+			worst = math.Max(worst, d)
+		}
+	}
+	t.Logf("largest relative difference: %.1e", worst)
+}

@@ -2,6 +2,7 @@ package qbd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -28,12 +29,11 @@ func paramsFor(t testing.TB, n int, lambda, mu float64, op, rep *dist.HyperExp) 
 }
 
 // envParams builds the queue of env's servers at arrival rate lambda and
-// service rate mu with the server description core.System.Params
-// attaches, as every spectral and approximate solve needs.
+// service rate mu described as core.System.Params describes it: as
+// identical servers, the environment's only format on the served path.
 func envParams(env *markov.Env, lambda, mu float64) Params {
 	return Params{
 		Lambda:      lambda,
-		A:           env.AMatrix(),
 		ServiceDiag: env.ServiceDiag(mu),
 		Servers:     &Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
 	}
@@ -54,15 +54,37 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for single-level service diag")
 	}
-	bad = p
-	bad.A = p.A.Clone()
-	bad.A.Set(0, 0, 1)
-	if err := bad.Validate(); err == nil {
-		t.Error("expected error for nonzero diagonal")
+	// sameError requires Validate's error, containing want, from every
+	// entry point, so the solvers report a bad input at once.
+	sameError := func(name string, bad Params, want string) {
+		t.Helper()
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Validate returned %v, want %q", name, err, want)
+		}
+		if _, got := SolveSpectral(bad); got == nil || got.Error() != err.Error() {
+			t.Fatalf("%s: SolveSpectral returned %v, want %v", name, got, err)
+		}
+		if _, got := NewSweepSolver(bad); got == nil || got.Error() != err.Error() {
+			t.Fatalf("%s: NewSweepSolver returned %v, want %v", name, got, err)
+		}
 	}
-	// Non-finite rates must fail validation, so the solvers report them
-	// at once: an infinite service rate used to hang the eigensolver's
-	// balancing loop.
+	// withServers returns p with a copy of its description changed by m.
+	withServers := func(m func(d *Servers)) Params {
+		d := *p.Servers
+		d.G = d.G.Clone()
+		d.Rates = append([]float64(nil), d.Rates...)
+		m(&d)
+		bad := p
+		bad.Servers = &d
+		return bad
+	}
+	bad = p
+	bad.Servers = nil
+	sameError("no description", bad, "Params.Servers")
+	sameError("nonzero G diagonal", withServers(func(d *Servers) { d.G.Set(0, 0, 1) }), "off the diagonal")
+	// Non-finite rates must fail validation: an infinite service rate used
+	// to hang the eigensolver's balancing loop.
 	for _, v := range []float64{math.Inf(1), math.NaN()} {
 		bad = p
 		bad.ServiceDiag = make([][]float64, len(p.ServiceDiag))
@@ -70,22 +92,11 @@ func TestValidate(t *testing.T) {
 			bad.ServiceDiag[j] = append([]float64(nil), d...)
 		}
 		bad.ServiceDiag[len(bad.ServiceDiag)-1][1] = v
-		want := bad.Validate()
-		if want == nil || !strings.Contains(want.Error(), "must be finite") {
-			t.Fatalf("service rate %v: Validate returned %v", v, want)
-		}
-		if _, err := SolveSpectral(bad); err == nil || err.Error() != want.Error() {
-			t.Fatalf("service rate %v: SolveSpectral returned %v, want %v", v, err, want)
-		}
-		if _, err := NewSweepSolver(bad); err == nil || err.Error() != want.Error() {
-			t.Fatalf("service rate %v: NewSweepSolver returned %v, want %v", v, err, want)
-		}
-		bad = p
-		bad.A = p.A.Clone()
-		bad.A.Set(0, 1, v)
-		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "must be finite") {
-			t.Fatalf("A entry %v: Validate returned %v", v, err)
-		}
+		sameError(fmt.Sprintf("service rate %v", v), bad, "must be finite")
+		sameError(fmt.Sprintf("phase service rate %v", v), withServers(func(d *Servers) { d.Rates[0] = v }), "must be finite")
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -1} {
+		sameError(fmt.Sprintf("G entry %v", v), withServers(func(d *Servers) { d.G.Set(0, 1, v) }), "must be finite, non-negative")
 	}
 }
 

@@ -35,7 +35,8 @@ var (
 // every level; the test suite uses it as the definitive correctness check.
 func BalanceResidual(p Params, sol Solution, maxLevel int) float64 {
 	s := p.Size()
-	da := p.dA()
+	a := p.EnvMatrix()
+	da := a.RowSums()
 	var worst float64
 	prev := make([]float64, s) // v_{−1} = 0
 	cur := sol.Level(0)
@@ -43,7 +44,7 @@ func BalanceResidual(p Params, sol Solution, maxLevel int) float64 {
 		next := sol.Level(j + 1)
 		cj := p.serviceAt(j)
 		cnext := p.serviceAt(j + 1)
-		through := p.A.VecTimes(cur) // (v_j·A)
+		through := a.VecTimes(cur) // (v_j·A)
 		for i := 0; i < s; i++ {
 			res := cur[i]*(da[i]+p.Lambda+cj[i]) -
 				prev[i]*p.Lambda -

@@ -67,14 +67,10 @@ func SolveSpectral(p Params) (*SpectralSolution, error) {
 	return sol, nil
 }
 
-// newWorker validates p and returns a fresh worker bound to its hoisted
-// environment. Errors keep SolveSpectral's precedence: validation, then
-// the environment's stationary vector; instability is left to the
-// worker's per-point check.
+// newWorker returns a fresh worker bound to p's hoisted environment.
+// NewSweepSolver validates all of p but λ, which the worker's per-point
+// check validates along with stability.
 func newWorker(p Params) (*SweepWorker, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	sv, err := NewSweepSolver(p)
 	if err != nil {
 		return nil, err

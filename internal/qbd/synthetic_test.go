@@ -9,26 +9,29 @@ import (
 	"repro/internal/linalg"
 )
 
-// cyclicParams builds a queue modulated by a non-reversible, cyclic 3-state
-// environment. Cyclic generators have complex eigenvalues, which drive the
-// characteristic polynomial's roots off the real axis. No server
-// description fits it, so the spectral solver rejects it, and the dense
-// oracle, which takes real roots only, returns an error; the
-// matrix-geometric and truncated solvers, which need neither, still solve
-// it.
+// cyclicParams builds a queue modulated by a non-reversible environment:
+// one server cycling through three phases (0 → 1 → 2 → 0), served at rate
+// p+1 in phase p. Cyclic generators have complex eigenvalues, which drive
+// the characteristic polynomial's roots off the real axis. The spectral
+// solver rejects the server as not reversible, and the dense oracle,
+// which takes real roots only, returns an error; the matrix-geometric and
+// truncated solvers, which need neither, still solve it.
 func cyclicParams(lambda float64) Params {
-	a := linalg.FromRows([][]float64{
-		{0, 1.3, 0},
-		{0, 0, 0.7},
-		{2.1, 0, 0},
-	})
 	return Params{
 		Lambda: lambda,
-		A:      a,
 		ServiceDiag: [][]float64{
 			{0, 0, 0},
 			{0.5, 1.0, 1.5},
 			{1.0, 2.0, 3.0},
+		},
+		Servers: &Servers{
+			G: linalg.FromRows([][]float64{
+				{0, 1.3, 0},
+				{0, 0, 0.7},
+				{2.1, 0, 0},
+			}),
+			Rates:  []float64{1, 2, 3},
+			Counts: [][]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}},
 		},
 	}
 }
@@ -41,8 +44,9 @@ func TestCyclicEnvironmentHasComplexEigenvalues(t *testing.T) {
 	if err := p.CheckStable(); err != nil {
 		t.Fatalf("test setup not stable: %v", err)
 	}
-	gen := p.A.Clone()
-	for i, d := range p.dA() {
+	a := p.EnvMatrix()
+	gen := a.Clone()
+	for i, d := range a.RowSums() {
 		gen.Add(i, i, -d)
 	}
 	ev, err := linalg.Eigenvalues(gen)
@@ -58,9 +62,33 @@ func TestCyclicEnvironmentHasComplexEigenvalues(t *testing.T) {
 	}
 }
 
-// TestCyclicCrossMethodAgreement: the two solvers that take raw Params,
-// matrix-geometric and the truncated chain, agree on the non-reversible
-// cyclic environment, on L and on every level up to 20.
+// TestCyclicLoad: a non-reversible server's stationary π is the null
+// vector of its k×k generator, so Load and CheckStable, which the
+// matrix-geometric solver and the dense oracle check, still work on it;
+// with one server it is EnvStationary's π, and Load must match that
+// capacity.
+func TestCyclicLoad(t *testing.T) {
+	p := cyclicParams(1.0)
+	load, err := p.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := p.EnvStationary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var capacity float64
+	for i, c := range p.cTop() {
+		capacity += pi[i] * c
+	}
+	if want := p.Lambda / capacity; math.Abs(load-want) > 1e-14*want {
+		t.Errorf("Load = %v, EnvStationary's capacity gives %v", load, want)
+	}
+}
+
+// TestCyclicCrossMethodAgreement: the two exact solvers that take a
+// non-reversible server, matrix-geometric and the truncated chain, agree
+// on the cyclic environment, on L and on every level up to 20.
 func TestCyclicCrossMethodAgreement(t *testing.T) {
 	for _, lambda := range []float64{0.4, 1.0, 1.6} {
 		p := cyclicParams(lambda)
@@ -88,7 +116,7 @@ func TestCyclicCrossMethodAgreement(t *testing.T) {
 
 // TestCyclicApproximation checks the approximation's accessors on the Sun
 // model at load 0.95, the geometric regime: the approximation needs a
-// server description, which the cyclic environment has none of.
+// reversible server, which the cyclic environment's is not.
 func TestCyclicApproximation(t *testing.T) {
 	p := atLoad(t, paramsFor(t, 3, 1, 1, paperOps, paperRepair), 0.95)
 	ex, err := SolveSpectral(p)

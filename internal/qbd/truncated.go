@@ -29,15 +29,16 @@ func SolveTruncated(p Params, maxLevel int) (*TruncatedSolution, error) {
 		return nil, fmt.Errorf("qbd: truncation level %d < 1", maxLevel)
 	}
 	s := p.Size()
-	stages, err := boundaryStages(p, maxLevel)
+	a := p.EnvMatrix()
+	stages, err := boundaryStages(p, a, maxLevel)
 	if err != nil {
 		return nil, err
 	}
 	// Balance at the truncation level J (no λ outflow):
 	// v_J(Dᴬ + C_J − A − λS_{J−1}) = 0.
-	da := p.dA()
+	da := a.RowSums()
 	cj := p.serviceAt(maxLevel)
-	w := p.A.Scaled(-1)
+	w := a.Scaled(-1)
 	for i := 0; i < s; i++ {
 		w.Add(i, i, da[i]+cj[i])
 	}

@@ -1,9 +1,9 @@
 package service
 
-// This file is the engine's hoisted-solver cache. Most of a cold spectral
-// solve is λ-independent — environment enumeration, the environment's
-// stationary distribution and service capacity, the −A and Aᵀ images the
-// per-point matrix builds copy from — and every configuration that
+// This file is the engine's hoisted-solver cache. Part of a cold spectral
+// solve is λ-independent — environment enumeration, the server
+// description's lumping into each mode's moves, the service capacity and
+// the factored eigen stage's tables — and every configuration that
 // differs from another in at most λ shares it. The engine therefore keeps
 // one LRU of core.BatchSolvers keyed by core.System.EnvFingerprint, and
 // every spectral cache miss — a lone Evaluate, a sweep or job point, an
@@ -24,15 +24,16 @@ import (
 )
 
 // hoistCacheSize bounds the hoisted-solver cache. An entry for an
-// environment of s modes retains about 16·s² bytes (chiefly A and its −A
-// image) plus the factored eigen stage's composition tables, O(s·(N+k))
-// integers for k phases per server: 53 and 112 KB for the paper's H2/exp
-// model at N = 8 and 10, 1.9 MB at N = 24. Each pooled per-point worker
-// adds an O(N·s²) workspace while it solves and until the next GC drops
-// it — chiefly the N−1 boundary stages: 0.28, 0.67 and 6.5 MB at N = 8,
-// 10 and 16, about 15 MB at N = 20 (qbd's TestSweepWorkerMemoryBounded).
-// 32 entries cover the environments of a figure run or a planner's
-// working set at a bounded cost.
+// environment of s modes holds no s×s matrix: the modes, the service
+// diagonals, each mode's moves and the factored eigen stage's composition
+// tables, O(s·(N+k²)) numbers for k phases per server. Measured for the
+// paper's H2/exp model: 22 and 31 KB at N = 8 and 10, 189 KB at N = 24,
+// 396 KB at N = 32. Each pooled per-point worker adds an O(N·s²)
+// workspace while it solves and until the next GC drops it — chiefly the
+// N−1 boundary stages: 0.28, 0.67 and 6.5 MB at N = 8, 10 and 16, about
+// 15 MB at N = 20 (qbd's TestSweepWorkerMemoryBounded). 32 entries cover
+// the environments of a figure run or a planner's working set at a
+// bounded cost.
 const hoistCacheSize = 32
 
 // hoist is one environment's shared solver. The first miss to reach it

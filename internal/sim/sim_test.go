@@ -99,7 +99,6 @@ func TestAvailabilityMatchesTheory(t *testing.T) {
 func spectralParams(env *markov.Env, lambda, mu float64) qbd.Params {
 	return qbd.Params{
 		Lambda:      lambda,
-		A:           env.AMatrix(),
 		ServiceDiag: env.ServiceDiag(mu),
 		Servers:     &qbd.Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
 	}

@@ -70,7 +70,8 @@ func (sv *Solver) idx(level, mode int) int { return level*sv.s + mode }
 func (sv *Solver) build() {
 	p := sv.p
 	s := sv.s
-	da := p.A.RowSums()
+	a := p.EnvMatrix()
+	da := a.RowSums()
 	// Uniformization rate: a bound on total outflow of any state.
 	maxC := 0.0
 	top := p.ServiceDiag[len(p.ServiceDiag)-1]
@@ -105,7 +106,7 @@ func (sv *Solver) build() {
 			}
 			// Mode changes.
 			for to := 0; to < s; to++ {
-				if r := p.A.At(mode, to); r > 0 {
+				if r := a.At(mode, to); r > 0 {
 					row = append(row, entry{sv.idx(level, to), r / sv.rate})
 					out += r
 				}

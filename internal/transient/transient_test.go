@@ -22,7 +22,6 @@ func solverFor(t *testing.T, n int, lambda, mu float64, opts Options) (*Solver, 
 	}
 	p := qbd.Params{
 		Lambda:      lambda,
-		A:           env.AMatrix(),
 		ServiceDiag: env.ServiceDiag(mu),
 		Servers:     &qbd.Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
 	}
