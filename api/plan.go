@@ -141,6 +141,7 @@ type PlanResponse struct {
 	// Availability is η/(ξ+η) of the planned system.
 	Availability float64 `json:"availability"`
 	// MinStable is the smallest N satisfying the ergodicity condition
-	// (eq. 11) — the floor under any recommendation.
+	// (eq. 11) by the one rule the solvers apply, λ below qbd's capacity
+	// (core.MinServersForStability) — the floor under any recommendation.
 	MinStable int `json:"min_stable"`
 }

@@ -153,7 +153,7 @@ func BenchmarkSolverComparison(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("matrixgeometric/N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := qbd.SolveMatrixGeometric(p, qbd.MGOptions{}); err != nil {
+				if _, err := qbd.SolveMatrixGeometric(p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -289,10 +289,10 @@ func BenchmarkKolmogorovSmirnov(b *testing.B) {
 }
 
 // BenchmarkEnvEnumeration measures what the served path builds per
-// environment before it hoists: System.Params, the mode-space enumeration
-// (eq. 12) with the server description and the service diagonals, as N
-// grows toward the paper's reported numerical limit (N ≈ 24). No dense A
-// is built; qbd lumps the description itself.
+// environment before it hoists: System.Params, one server's description,
+// qbd's enumeration of its modes (eq. 12) and the service diagonals over
+// them, as N grows toward the paper's reported numerical limit (N ≈ 24).
+// No dense A is built; qbd lumps the description itself.
 func BenchmarkEnvEnumeration(b *testing.B) {
 	for _, n := range []int{10, 24} {
 		sys := core.System{Servers: n, ArrivalRate: 1, ServiceRate: 1, Operative: benchOps, Repair: benchRepair}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -393,10 +394,10 @@ func TestProvisionTargetAtServiceTimeFloor(t *testing.T) {
 	}
 }
 
-// TestPlanAtStabilityBoundary pins λ one ulp below 8·A for the Sun model,
-// where core's closed-form load calls N = 8 stable but the solver's own
-// capacity rejects it: a plan whose range starts below the boundary must
-// skip that N and answer, in cost and in SLA mode.
+// TestPlanAtStabilityBoundary pins λ one ulp below eq. 11's 8·A for the
+// Sun model, where the one stability rule that core and the solvers share
+// rejects N = 8: a plan whose range starts below the boundary reports
+// min_stable 9 and answers from N = 9 up, in cost and in SLA mode.
 func TestPlanAtStabilityBoundary(t *testing.T) {
 	ts := testServer(t)
 	c := client.New(ts.URL)
@@ -413,8 +414,26 @@ func TestPlanAtStabilityBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
-		if resp.Servers < 8 || resp.Perf.MeanJobs <= 0 {
+		if resp.MinStable != 9 {
+			t.Errorf("%s: min_stable = %d, want 9", resp.Objective, resp.MinStable)
+		}
+		if resp.Servers < 9 || resp.Perf.MeanJobs <= 0 {
 			t.Errorf("%s: N = %d, L = %v", resp.Objective, resp.Servers, resp.Perf.MeanJobs)
 		}
+	}
+}
+
+// TestSolveAtStabilityBoundary: at N = 8 and λ one ulp below eq. 11's
+// 8·A for the Sun model, POST /v1/solve answers 422 unstable_system
+// naming the 9 servers that stabilise it, by the same rule the solver
+// applies, rather than passing the system to a solver that rejects it.
+func TestSolveAtStabilityBoundary(t *testing.T) {
+	ts := testServer(t)
+	status, env := postForError(t, ts.URL+"/v1/solve", `{"servers": 8, "lambda": 7.9907677008900535}`)
+	if status != http.StatusUnprocessableEntity || env.Error == nil || env.Error.Code != api.CodeUnstableSystem {
+		t.Fatalf("status %d, envelope %+v; want 422 %s", status, env.Error, api.CodeUnstableSystem)
+	}
+	if !strings.Contains(env.Error.Message, "need at least 9 servers") {
+		t.Errorf("message %q does not name 9 servers", env.Error.Message)
 	}
 }

@@ -39,10 +39,13 @@
 //     failover — same fingerprint, same node, so each node's solver
 //     cache holds its shard of the keyspace instead of a copy of all of
 //     it;
-//   - internal/qbd — the spectral-expansion solver (paper §3.1), the
-//     geometric heavy-traffic approximation (§3.2), a matrix-geometric
-//     baseline and a truncated-chain oracle;
-//   - internal/markov — the operational-mode state space (eq. 9, 12);
+//   - internal/qbd — the server model, from one server's description:
+//     the operational modes (eq. 12), their transitions (eq. 9) and the
+//     capacity that decides stability (eq. 11); and the spectral-expansion
+//     solver (paper §3.1), the geometric heavy-traffic approximation
+//     (§3.2), a matrix-geometric baseline and a truncated-chain oracle;
+//   - internal/markov — the paper's server as that one-server description
+//     (eq. 9);
 //   - internal/dist, internal/stats, internal/optimize — the §2 statistics
 //     (hyperexponential fitting, histograms, Kolmogorov–Smirnov) plus the
 //     Student-t confidence intervals behind the replicated simulator;

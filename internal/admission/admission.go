@@ -101,8 +101,8 @@ type Model struct {
 	MeanJobs float64
 	// MeanWait is Ŵ, the predicted steady-state response time.
 	MeanWait float64
-	// Capacity is N·µ̂·availability — the tier's predicted drain rate in
-	// jobs per second.
+	// Capacity is the fitted system's core.System.Capacity, N·µ̂·η̂/(ξ̂+η̂)
+	// — the tier's predicted drain rate in jobs per second.
 	Capacity float64
 	// Limit is the admission backlog bound: the largest backlog that can
 	// clear within the target wait at the predicted capacity.
@@ -318,7 +318,7 @@ func (c *Controller) Refit(ctx context.Context) error {
 		FittedAt: now,
 		System:   sys,
 		Rates:    Rates{Arrival: lam, Service: mu, Failure: xi, Repair: eta},
-		Capacity: float64(servers) * mu * sys.Availability(),
+		Capacity: sys.Capacity(),
 		Backlog:  f.Backlog,
 	}
 	m.Limit = math.Max(m.Capacity*c.targetWait.Seconds(), 1)

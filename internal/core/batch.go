@@ -4,15 +4,14 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/markov"
 	"repro/internal/qbd"
 )
 
 // BatchSolver evaluates one System's spectral solution across a batch of
 // arrival rates — the shape of every λ-sweep behind Figures 4–9. It is the
-// core-level face of qbd.SweepSolver: construction enumerates the Markov
-// environment, assembles the solver parameters and hoists every
-// λ-independent piece once; each Solve then reuses pooled workspaces, so a
+// core-level face of qbd.SweepSolver: construction assembles the solver
+// parameters and hoists every λ-independent piece once, the capacity
+// included; each Solve then reuses pooled workspaces, so a
 // G-point sweep costs one environment build plus G allocation-light point
 // evaluations, where G separate System.Solve calls would pay G environment
 // builds, hoists and fresh workspaces.
@@ -24,7 +23,6 @@ import (
 // BatchSolver is safe for concurrent use.
 type BatchSolver struct {
 	base     System
-	env      *markov.Env
 	opCounts []int
 	sv       *qbd.SweepSolver
 	steady   sync.Pool // *steadyWork, for SolveSteady
@@ -46,7 +44,7 @@ func NewBatchSolver(base System) (*BatchSolver, error) {
 	if !(probe.ArrivalRate > 0) || math.IsInf(probe.ArrivalRate, 0) {
 		probe.ArrivalRate = 1 // structural validation only; Solve rates replace it
 	}
-	env, p, err := probe.envParams()
+	p, xs, err := probe.params()
 	if err != nil {
 		return nil, err
 	}
@@ -54,18 +52,13 @@ func NewBatchSolver(base System) (*BatchSolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BatchSolver{
-		base:     base,
-		env:      env,
-		opCounts: env.OperativeCounts(),
-		sv:       sv,
-	}
+	b := &BatchSolver{base: base, opCounts: xs, sv: sv}
 	b.steady.New = func() any { return &steadyWork{w: sv.NewWorker()} }
 	return b, nil
 }
 
 // Modes returns s, the number of environment modes.
-func (b *BatchSolver) Modes() int { return b.env.NumModes() }
+func (b *BatchSolver) Modes() int { return b.sv.Size() }
 
 // Solve evaluates one arrival rate, mirroring System.Solve exactly: the
 // same validation precedence, the same solver errors, and on success a
@@ -88,7 +81,7 @@ func (b *BatchSolver) Solve(lambda float64) (*Performance, error) {
 		MeanJobs:     l,
 		MeanResponse: l / lambda,
 		TailDecay:    sol.TailDecay(),
-		Load:         sys.Load(),
+		Load:         lambda / b.sv.Capacity(),
 		sol:          sol,
 		opCounts:     b.opCounts,
 	}, nil
@@ -115,6 +108,6 @@ func (b *BatchSolver) SolveSteady(lambda float64) (*Performance, error) {
 		MeanJobs:     l,
 		MeanResponse: l / lambda,
 		TailDecay:    sw.sol.TailDecay(),
-		Load:         sys.Load(),
+		Load:         lambda / b.sv.Capacity(),
 	}, nil
 }

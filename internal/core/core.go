@@ -64,60 +64,71 @@ func (s System) Validate() error {
 	return nil
 }
 
-// Env enumerates the Markovian environment for this system.
-func (s System) Env() (*markov.Env, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return markov.NewEnv(s.Servers, s.Operative, s.Repair)
-}
-
-// Params assembles the queueing parameters for the qbd solvers. The
-// environment is described as N identical servers (qbd.Params.Servers),
-// its only format: qbd lumps it into transitions itself, so no dense A is
-// built here. A phase of zero weight is never entered; the description
-// carries it all the same, and qbd's factored stage solves it as a
-// transient phase.
+// Params assembles the queueing parameters for the qbd solvers: one
+// server's description (qbd.Params.Servers), from which qbd derives the
+// modes, the transitions and the capacity, and the service diagonals C_j
+// over qbd's modes. A phase of zero weight is never entered; the
+// description carries it all the same, and qbd's factored stage solves
+// it as a transient phase.
 func (s System) Params() (qbd.Params, error) {
-	_, p, err := s.envParams()
+	p, _, err := s.params()
 	return p, err
 }
 
-func (s System) envParams() (*markov.Env, qbd.Params, error) {
-	env, err := s.Env()
-	if err != nil {
-		return nil, qbd.Params{}, err
+// params is Params, returning each mode's number of operative servers
+// as well.
+func (s System) params() (qbd.Params, []int, error) {
+	if err := s.Validate(); err != nil {
+		return qbd.Params{}, nil, err
 	}
-	p := qbd.Params{
+	d := s.servers()
+	xs := markov.Operative(d.Modes(), s.Operative.Phases())
+	return qbd.Params{
 		Lambda:      s.ArrivalRate,
-		ServiceDiag: env.ServiceDiag(s.ServiceRate),
-		Servers: &qbd.Servers{
-			G:      env.ServerRates(),
-			Rates:  env.PhaseServiceRates(s.ServiceRate),
-			Counts: env.PhaseCounts(),
-		},
+		ServiceDiag: markov.ServiceDiag(xs, s.Servers, s.ServiceRate),
+		Servers:     d,
+	}, xs, nil
+}
+
+// servers describes the N servers by one server, as qbd takes them.
+func (s System) servers() *qbd.Servers {
+	return &qbd.Servers{
+		G:     markov.ServerRates(s.Operative, s.Repair),
+		Rates: markov.PhaseServiceRates(s.Operative, s.Repair, s.ServiceRate),
+		N:     s.Servers,
 	}
-	return env, p, nil
 }
 
 // Modes returns s, the number of operational modes (paper eq. 12).
 func (s System) Modes() int {
-	return markov.NumModes(s.Servers, s.Operative.Phases(), s.Repair.Phases())
+	return qbd.NumModes(s.Servers, s.Operative.Phases()+s.Repair.Phases())
 }
 
 // Availability returns η/(ξ+η), the long-run fraction of time one server is
-// operative; it depends only on the mean period lengths (paper §3).
+// operative; it depends only on the mean period lengths (paper §3). It is
+// for display and for λ grids defined by it; Capacity decides stability.
 func (s System) Availability() float64 {
 	xi := s.Operative.Rate()
 	eta := s.Repair.Rate()
 	return eta / (xi + eta)
 }
 
-// Load returns the offered load relative to capacity,
-// (λ/µ) / (N·η/(ξ+η)); the system is stable iff Load < 1 (paper eq. 11).
-func (s System) Load() float64 {
-	return s.ArrivalRate / s.ServiceRate / (float64(s.Servers) * s.Availability())
+// Capacity returns qbd's service capacity of the N servers,
+// N·Σ_p π_p·r_p, π being one server's stationary distribution over its
+// phases and r_p its service rate in phase p: eq. 11's N·µ·η/(ξ+η), as
+// every solver computes it. It is 0 for a system qbd cannot describe.
+func (s System) Capacity() float64 {
+	c, err := s.servers().Capacity()
+	if err != nil {
+		return 0
+	}
+	return c
 }
+
+// Load returns the offered load relative to capacity, λ/Capacity; the
+// system is stable iff Load < 1 (paper eq. 11), the rule every solver
+// applies.
+func (s System) Load() float64 { return s.ArrivalRate / s.Capacity() }
 
 // Stable reports whether the ergodicity condition (eq. 11) holds.
 func (s System) Stable() bool { return s.Load() < 1 }
@@ -222,7 +233,7 @@ func (p *Performance) SteadyState() *Performance {
 	}
 }
 
-func (s System) wrap(env *markov.Env, sol qbd.Solution) *Performance {
+func (s System) wrap(opCounts []int, sol qbd.Solution) *Performance {
 	l := sol.MeanQueue()
 	return &Performance{
 		MeanJobs:     l,
@@ -230,13 +241,13 @@ func (s System) wrap(env *markov.Env, sol qbd.Solution) *Performance {
 		TailDecay:    sol.TailDecay(),
 		Load:         s.Load(),
 		sol:          sol,
-		opCounts:     env.OperativeCounts(),
+		opCounts:     opCounts,
 	}
 }
 
 // Solve computes the exact steady state by spectral expansion (paper §3.1).
 func (s System) Solve() (*Performance, error) {
-	env, p, err := s.envParams()
+	p, xs, err := s.params()
 	if err != nil {
 		return nil, err
 	}
@@ -244,14 +255,14 @@ func (s System) Solve() (*Performance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.wrap(env, sol), nil
+	return s.wrap(xs, sol), nil
 }
 
 // SolveApprox computes the geometric approximation (paper §3.2), which is
 // cheap, numerically robust for large N, and asymptotically exact under
 // heavy load.
 func (s System) SolveApprox() (*Performance, error) {
-	env, p, err := s.envParams()
+	p, xs, err := s.params()
 	if err != nil {
 		return nil, err
 	}
@@ -259,22 +270,22 @@ func (s System) SolveApprox() (*Performance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.wrap(env, sol), nil
+	return s.wrap(xs, sol), nil
 }
 
 // SolveMatrixGeometric computes the exact steady state by the R-matrix
 // method — the classical alternative the spectral expansion is usually
 // compared against.
 func (s System) SolveMatrixGeometric() (*Performance, error) {
-	env, p, err := s.envParams()
+	p, xs, err := s.params()
 	if err != nil {
 		return nil, err
 	}
-	sol, err := qbd.SolveMatrixGeometric(p, qbd.MGOptions{})
+	sol, err := qbd.SolveMatrixGeometric(p)
 	if err != nil {
 		return nil, err
 	}
-	return s.wrap(env, sol), nil
+	return s.wrap(xs, sol), nil
 }
 
 // SimOptions tunes Simulate. The zero value picks defaults suited to the

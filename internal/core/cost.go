@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/qbd"
 )
 
 // CostModel is the paper's linear trade-off (eq. 22): holding a job costs
@@ -93,11 +91,9 @@ func solveEach(systems []System, m Method) ([]*Performance, []error) {
 	return perfs, errs
 }
 
-// Provision answers obj over N ∈ [minN, maxN]. It solves stable N in
-// ascending waves of up to width systems through eval, skipping an N that
-// Stable rejects or whose solve returns qbd.ErrUnstable: core's closed-form
-// load and the solver's own capacity can disagree in the last bit at the
-// stability boundary.
+// Provision answers obj over N ∈ [minN, maxN]. It solves N from
+// max(minN, MinServersForStability) up, the stable ones, in ascending
+// waves of up to width systems through eval.
 //
 // Both modes rest on an exact bound. A busy server completes jobs at rate
 // µ, so in steady state λ = µ·E[min(J, operative servers)] ≤ µL, that is
@@ -132,9 +128,13 @@ func Provision(base System, obj Objective, minN, maxN int, m Method, width int, 
 	if sla && lmin > 0 && obj.Target <= 1/base.ServiceRate {
 		return ServerSweepPoint{}, fmt.Errorf("core: no N achieves W ≤ %v: W ≥ 1/µ = %v at every N", obj.Target, 1/base.ServiceRate)
 	}
+	lo, err := MinServersForStability(base)
+	if err != nil || lo > maxN {
+		return ServerSweepPoint{}, errors.New("core: no stable configuration in the requested range")
+	}
 	var best ServerSweepPoint
 	found := false
-	for n := minN; n <= maxN; {
+	for n := max(minN, lo); n <= maxN; {
 		size := max(width, 1)
 		if !sla && !found {
 			size = 1
@@ -147,18 +147,13 @@ func Provision(base System, obj Objective, minN, maxN int, m Method, width int, 
 			}
 			sys := base
 			sys.Servers = n
-			if sys.Stable() {
-				wave = append(wave, sys)
-			}
+			wave = append(wave, sys)
 		}
 		if len(wave) == 0 {
 			break
 		}
 		perfs, errs := eval(wave, m)
 		for i, sys := range wave {
-			if errors.Is(errs[i], qbd.ErrUnstable) {
-				continue
-			}
 			if errs[i] != nil {
 				return ServerSweepPoint{}, fmt.Errorf("core: N = %d: %w", sys.Servers, errs[i])
 			}
@@ -171,14 +166,10 @@ func Provision(base System, obj Objective, minN, maxN int, m Method, width int, 
 			}
 		}
 	}
-	switch {
-	case found:
-		return best, nil
-	case sla:
+	if sla {
 		return ServerSweepPoint{}, fmt.Errorf("core: no N in [%d, %d] achieves W ≤ %v", minN, maxN, obj.Target)
-	default:
-		return ServerSweepPoint{}, errors.New("core: no stable configuration in the requested range")
 	}
+	return best, nil
 }
 
 // OptimizeServers returns the N in [minN, maxN] minimising C = c₁L + c₂N —
@@ -196,28 +187,34 @@ func MinServersForResponseTime(base System, target float64, maxN int, m Method) 
 	return Provision(base, Objective{Target: target}, 1, maxN, m, 1, solveEach)
 }
 
-// MinServersForStability returns the smallest N satisfying eq. (11),
-// ⌈(λ/µ)·(ξ+η)/η⌉ (+1 when the load is exactly 1). The rates must be
-// usable: a non-positive arrival or service rate, a missing distribution,
-// or zero availability (repairs that never complete) admits no stabilising
-// N at all and returns an error instead of ⌈NaN⌉ garbage.
+// MinServersForStability returns the smallest N that Stable accepts:
+// the first at which λ falls below the capacity (eq. 11). The verdict
+// only improves with N, since the capacity N·c rounds monotonically in N
+// and λ over it falls, so the search starts at ⌈λ/c⌉, c being one
+// server's capacity, and steps to the boundary. The rates must be usable:
+// a non-positive arrival or service rate, a missing distribution, or a
+// server that is never operative (repairs that never complete) admits no
+// stabilising N at all and returns an error instead of ⌈NaN⌉ garbage.
 func MinServersForStability(base System) (int, error) {
-	if !(base.ArrivalRate > 0) || math.IsInf(base.ArrivalRate, 0) {
-		return 0, fmt.Errorf("core: arrival rate %v must be positive and finite", base.ArrivalRate)
+	sys := base
+	sys.Servers = 1
+	if err := sys.Validate(); err != nil {
+		return 0, err
 	}
-	if !(base.ServiceRate > 0) || math.IsInf(base.ServiceRate, 0) {
-		return 0, fmt.Errorf("core: service rate %v must be positive and finite", base.ServiceRate)
+	c := sys.Capacity()
+	need := base.ArrivalRate / c
+	if !(need < math.MaxInt32) {
+		return 0, fmt.Errorf("core: no N below 2³¹ carries λ = %v at one server's capacity %v (zero repair rate?)", base.ArrivalRate, c)
 	}
-	if base.Operative == nil || base.Repair == nil {
-		return 0, errors.New("core: operative and repair distributions are required")
+	stable := func(n int) bool {
+		sys.Servers = n
+		return sys.Stable()
 	}
-	avail := base.Availability()
-	if !(avail > 0) {
-		return 0, fmt.Errorf("core: availability %v must be positive (zero repair rate?)", avail)
+	n := max(int(math.Ceil(need)), 1)
+	for n > 1 && stable(n-1) {
+		n--
 	}
-	needed := base.ArrivalRate / base.ServiceRate / avail
-	n := int(math.Ceil(needed))
-	if float64(n) <= needed {
+	for !stable(n) {
 		n++
 	}
 	return n, nil

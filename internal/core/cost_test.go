@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -135,12 +136,11 @@ func TestProvisionNonUnimodalCost(t *testing.T) {
 	}
 }
 
-// TestProvisionSkipsSolverUnstableBoundary pins λ one ulp below 8·A for
-// the Sun model. core's closed-form load calls N = 8 stable there, but the
-// solver's own capacity puts its load at 1 and returns qbd.ErrUnstable (on
-// amd64 with AVX2 and FMA). The search must skip that N, as it skips one
-// Stable rejects, and answer in both modes.
-func TestProvisionSkipsSolverUnstableBoundary(t *testing.T) {
+// TestProvisionAtStabilityBoundary pins λ one ulp below eq. 11's 8·A for
+// the Sun model. N = 8 is unstable there by the one rule core and the
+// solvers share, so MinServersForStability says 9, and both modes answer
+// from N = 9 up without solving N = 8.
+func TestProvisionAtStabilityBoundary(t *testing.T) {
 	base := fig5System(0, 1)
 	base.ArrivalRate = math.Nextafter(8*base.Availability(), 0)
 	if base.ArrivalRate != 7.9907677008900535 {
@@ -148,22 +148,35 @@ func TestProvisionSkipsSolverUnstableBoundary(t *testing.T) {
 	}
 	boundary := base
 	boundary.Servers = 8
-	if _, err := boundary.Solve(); !boundary.Stable() || !errors.Is(err, qbd.ErrUnstable) {
-		t.Logf("N = 8 is off the boundary on this host (stable %v, solve error %v); the searches are checked all the same", boundary.Stable(), err)
+	if _, err := boundary.Solve(); boundary.Stable() || !errors.Is(err, qbd.ErrUnstable) {
+		t.Fatalf("N = 8: Stable() = %v and solve error %v, want unstable by both", boundary.Stable(), err)
 	}
-	best, err := OptimizeServers(base, CostModel{HoldingCost: 1, ServerCost: 1}, 1, 20, Spectral)
+	if n, err := MinServersForStability(base); n != 9 || err != nil {
+		t.Fatalf("MinServersForStability = %d, %v; want 9", n, err)
+	}
+	var solved []int
+	eval := func(systems []System, m Method) ([]*Performance, []error) {
+		for _, sys := range systems {
+			solved = append(solved, sys.Servers)
+		}
+		return solveEach(systems, m)
+	}
+	best, err := Provision(base, Objective{Cost: CostModel{HoldingCost: 1, ServerCost: 1}}, 1, 20, Spectral, 1, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Servers < 8 || best.Perf == nil {
+	if best.Servers < 9 || best.Perf == nil {
 		t.Errorf("cost mode answered N = %d (perf %v)", best.Servers, best.Perf)
 	}
-	pt, err := MinServersForResponseTime(base, 2, 20, Spectral)
+	pt, err := Provision(base, Objective{Target: 2}, 1, 20, Spectral, 4, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Servers < 8 || pt.Perf.MeanResponse > 2 {
+	if pt.Servers < 9 || pt.Perf.MeanResponse > 2 {
 		t.Errorf("SLA mode answered N = %d with W = %v", pt.Servers, pt.Perf.MeanResponse)
+	}
+	if slices.Min(solved) != 9 {
+		t.Errorf("solved N = %v, want 9 first", solved)
 	}
 }
 
@@ -231,7 +244,7 @@ func TestProvisionMatchesExhaustiveProperty(t *testing.T) {
 			}
 			return perfs, errs
 		}
-		// exhaustive visits every stable, solvable N in [lo, hi] in order.
+		// exhaustive visits every stable N in [lo, hi] in order.
 		exhaustive := func(visit func(n int, perf *Performance) bool) {
 			for n := lo; n <= hi; n++ {
 				sys := base
@@ -240,9 +253,6 @@ func TestProvisionMatchesExhaustiveProperty(t *testing.T) {
 					continue
 				}
 				perf, err := solve(n)
-				if errors.Is(err, qbd.ErrUnstable) {
-					continue
-				}
 				if err != nil {
 					t.Fatalf("%s: N = %d: %v", name, n, err)
 				}

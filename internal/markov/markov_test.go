@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -14,19 +15,36 @@ var (
 	paperRepair = dist.Exp(25)
 )
 
-// lumpedA returns the environment's transition matrix A as qbd lumps env's
-// server description, the way core.System.Params hands it over.
-func lumpedA(t *testing.T, env *Env) *linalg.Matrix {
+// servers describes n servers with operative periods op and repairs rep,
+// served at mu, the way core.System.Params hands them to qbd.
+func servers(n int, op, rep *dist.HyperExp, mu float64) *qbd.Servers {
+	return &qbd.Servers{G: ServerRates(op, rep), Rates: PhaseServiceRates(op, rep, mu), N: n}
+}
+
+// lumpedA returns the environment's transition matrix A as qbd lumps the
+// description of n servers.
+func lumpedA(t *testing.T, n int, op, rep *dist.HyperExp) *linalg.Matrix {
 	t.Helper()
+	d := servers(n, op, rep, 1)
 	p := qbd.Params{
 		Lambda:      1,
-		ServiceDiag: env.ServiceDiag(1),
-		Servers:     &qbd.Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(1), Counts: env.PhaseCounts()},
+		ServiceDiag: ServiceDiag(Operative(d.Modes(), op.Phases()), n, 1),
+		Servers:     d,
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return p.EnvMatrix()
+}
+
+// hyper returns a hyperexponential of the given number of phases with
+// equal weights and distinct rates.
+func hyper(phases int) *dist.HyperExp {
+	w, r := make([]float64, phases), make([]float64, phases)
+	for i := range w {
+		w[i], r[i] = 1/float64(phases), float64(i+1)
+	}
+	return dist.MustHyperExp(w, r)
 }
 
 func TestNumModesFormula(t *testing.T) {
@@ -42,42 +60,36 @@ func TestNumModesFormula(t *testing.T) {
 		{24, 2, 1, 325}, // the paper's reported numerical limit region
 	}
 	for _, c := range cases {
-		if got := NumModes(c.n, c.op, c.rep); got != c.want {
-			t.Errorf("NumModes(%d,%d,%d) = %d, want %d", c.n, c.op, c.rep, got, c.want)
+		d := servers(c.n, hyper(c.op), hyper(c.rep), 1)
+		if got := len(d.Modes()); got != c.want {
+			t.Errorf("%d servers, %d+%d phases: %d modes, want %d", c.n, c.op, c.rep, got, c.want)
+		}
+		if got := qbd.NumModes(c.n, c.op+c.rep); got != c.want {
+			t.Errorf("NumModes(%d, %d) = %d, want %d", c.n, c.op+c.rep, got, c.want)
 		}
 	}
 }
 
 func TestEnvEnumerationMatchesPaperExample(t *testing.T) {
-	// Paper §3.1: N=2, n=2, m=1 gives 6 modes in this exact order.
-	env, err := NewEnv(2, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
+	// Paper §3.1: N=2, n=2, m=1 gives 6 modes in this exact order, each
+	// the operative phase counts followed by the inoperative ones.
+	want := [][]int{
+		{0, 0, 2}, // i=0: 2 inoperative
+		{1, 0, 1}, // i=1: 1 op phase 1, 1 inoperative
+		{0, 1, 1}, // i=2: 1 op phase 2, 1 inoperative
+		{2, 0, 0}, // i=3: 2 op phase 1
+		{1, 1, 0}, // i=4: 1 op phase 1, 1 op phase 2
+		{0, 2, 0}, // i=5: 2 op phase 2
 	}
-	if env.NumModes() != 6 {
-		t.Fatalf("s = %d, want 6", env.NumModes())
+	modes := servers(2, paperOps, paperRepair, 1).Modes()
+	if len(modes) != len(want) {
+		t.Fatalf("s = %d, want %d", len(modes), len(want))
 	}
-	wantOrder := []struct {
-		x []int
-		y []int
-	}{
-		{[]int{0, 0}, []int{2}}, // i=0: 2 inoperative
-		{[]int{1, 0}, []int{1}}, // i=1: 1 op phase 1, 1 inoperative
-		{[]int{0, 1}, []int{1}}, // i=2: 1 op phase 2, 1 inoperative
-		{[]int{2, 0}, []int{0}}, // i=3: 2 op phase 1
-		{[]int{1, 1}, []int{0}}, // i=4: 1 op phase 1, 1 op phase 2
-		{[]int{0, 2}, []int{0}}, // i=5: 2 op phase 2
-	}
-	for i, w := range wantOrder {
-		m := env.Mode(i)
-		for j := range w.x {
-			if m.X[j] != w.x[j] {
-				t.Errorf("mode %d: X = %v, want %v", i, m.X, w.x)
-			}
-		}
-		for k := range w.y {
-			if m.Y[k] != w.y[k] {
-				t.Errorf("mode %d: Y = %v, want %v", i, m.Y, w.y)
+	for i, w := range want {
+		for p := range w {
+			if modes[i][p] != w[p] {
+				t.Errorf("mode %d: %v, want %v", i, modes[i], w)
+				break
 			}
 		}
 	}
@@ -90,11 +102,7 @@ func TestAMatrixMatchesPaperExample(t *testing.T) {
 	a1, a2 := 0.7246, 0.2754
 	x1, x2 := 0.1663, 0.0091
 	eta := 25.0
-	env, err := NewEnv(2, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := lumpedA(t, env)
+	got := lumpedA(t, 2, paperOps, paperRepair)
 	want := linalg.FromRows([][]float64{
 		{0, 2 * eta * a1, 2 * eta * a2, 0, 0, 0},
 		{x1, 0, 0, eta * a1, eta * a2, 0},
@@ -111,12 +119,9 @@ func TestAMatrixMatchesPaperExample(t *testing.T) {
 func TestServiceDiagMatchesPaperExample(t *testing.T) {
 	// The displayed C_j for the example: diag(µ_{0,j}, µ_{1,j}, µ_{1,j},
 	// µ_{2,j}, µ_{2,j}, µ_{2,j}) with µ_{i,j} = min(i,j)µ.
-	env, err := NewEnv(2, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mu := 1.5
-	sd := env.ServiceDiag(mu)
+	xs := Operative(servers(2, paperOps, paperRepair, mu).Modes(), paperOps.Phases())
+	sd := ServiceDiag(xs, 2, mu)
 	if len(sd) != 3 {
 		t.Fatalf("levels = %d, want 3", len(sd))
 	}
@@ -139,17 +144,14 @@ func TestServiceDiagMatchesPaperExample(t *testing.T) {
 
 func TestAMatrixRowSumsAreExitRates(t *testing.T) {
 	// Every mode's total outgoing rate is Σ x_j·ξ_j + Σ y_k·η_k.
-	env, err := NewEnv(4, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := lumpedA(t, env).RowSums()
-	for i, m := range env.Modes() {
+	rows := lumpedA(t, 4, paperOps, paperRepair).RowSums()
+	nOp := paperOps.Phases()
+	for i, m := range servers(4, paperOps, paperRepair, 1).Modes() {
 		var want float64
-		for j, xj := range m.X {
+		for j, xj := range m[:nOp] {
 			want += float64(xj) * paperOps.Rates[j]
 		}
-		for k, yk := range m.Y {
+		for k, yk := range m[nOp:] {
 			want += float64(yk) * paperRepair.Rates[k]
 		}
 		if math.Abs(rows[i]-want) > 1e-10 {
@@ -159,11 +161,7 @@ func TestAMatrixRowSumsAreExitRates(t *testing.T) {
 }
 
 func TestAMatrixDiagonalZero(t *testing.T) {
-	env, err := NewEnv(5, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := lumpedA(t, env)
+	a := lumpedA(t, 5, paperOps, paperRepair)
 	for i := 0; i < a.Rows; i++ {
 		if a.At(i, i) != 0 {
 			t.Errorf("A[%d][%d] = %v, want 0", i, i, a.At(i, i))
@@ -171,11 +169,48 @@ func TestAMatrixDiagonalZero(t *testing.T) {
 	}
 }
 
-func TestNewEnvValidation(t *testing.T) {
-	if _, err := NewEnv(0, paperOps, paperRepair); err == nil {
+// TestServerDescriptionValidation: qbd accepts the paper's server and
+// rejects the same server with no servers in the system.
+func TestServerDescriptionValidation(t *testing.T) {
+	if _, err := servers(2, paperOps, paperRepair, 1).Capacity(); err != nil {
+		t.Errorf("paper server rejected: %v", err)
+	}
+	if _, err := servers(0, paperOps, paperRepair, 1).Capacity(); err == nil {
 		t.Error("expected error for N = 0")
 	}
-	if _, err := NewEnv(2, nil, paperRepair); err == nil {
-		t.Error("expected error for nil distribution")
+}
+
+// TestModesFollowPaperOrder: for 1–3 operative × 1–3 repair phases and
+// N = 1..12, qbd's modes are every vector of phase counts summing to N,
+// in §3's order — ascending number of operative servers, then descending
+// lexicographic order. Consecutive modes strictly in that order are
+// distinct, so C(N+k−1, k−1) of them summing to N are all the modes.
+func TestModesFollowPaperOrder(t *testing.T) {
+	for nOp := 1; nOp <= 3; nOp++ {
+		for nRep := 1; nRep <= 3; nRep++ {
+			op, rep := hyper(nOp), hyper(nRep)
+			for n := 1; n <= 12; n++ {
+				modes := servers(n, op, rep, 1).Modes()
+				if want := qbd.NumModes(n, nOp+nRep); len(modes) != want {
+					t.Fatalf("%d+%d phases, N=%d: %d modes, want %d", nOp, nRep, n, len(modes), want)
+				}
+				xs := Operative(modes, nOp)
+				for i, m := range modes {
+					total := 0
+					for _, c := range m {
+						if c < 0 {
+							t.Fatalf("%d+%d phases, N=%d: mode %d = %v", nOp, nRep, n, i, m)
+						}
+						total += c
+					}
+					if total != n {
+						t.Fatalf("%d+%d phases, N=%d: mode %d = %v counts %d servers", nOp, nRep, n, i, m, total)
+					}
+					if i > 0 && !(xs[i-1] < xs[i] || xs[i-1] == xs[i] && slices.Compare(modes[i-1], m) > 0) {
+						t.Fatalf("%d+%d phases, N=%d: mode %d = %v follows %v", nOp, nRep, n, i, m, modes[i-1])
+					}
+				}
+			}
+		}
 	}
 }

@@ -41,7 +41,7 @@ type SweepSolver struct {
 	s, n     int
 	c        []float64
 	env      *lumping  // each mode's moves and Dᴬ, for every K_j
-	capacity float64   // N·Σ_p π_p·r_p; ≤ 0 means every λ is unstable
+	capacity float64   // N·Σ_p π_p·r_p; 0 means every λ is unstable
 	fac      *factored // the eigen stage, hoisted from p.Servers
 
 	pool sync.Pool // *SweepWorker
@@ -58,7 +58,7 @@ func NewSweepSolver(p Params) (*SweepSolver, error) {
 	if !(probe.Lambda > 0) || math.IsInf(probe.Lambda, 0) {
 		probe.Lambda = 1 // structural validation only; per-point rates replace it
 	}
-	l, err := probe.validate()
+	l, modes, err := probe.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func NewSweepSolver(p Params) (*SweepSolver, error) {
 		c:   probe.cTop(),
 		env: l,
 	}
-	if sv.fac, sv.capacity, err = newFactored(probe.Servers, l); err != nil {
+	if sv.fac, sv.capacity, err = newFactored(probe.Servers, l, modes); err != nil {
 		return nil, err
 	}
 	sv.pool.New = func() any { return sv.NewWorker() }
@@ -81,6 +81,10 @@ func (sv *SweepSolver) Size() int { return sv.s }
 
 // Threshold returns N, the first level at which the expansion applies.
 func (sv *SweepSolver) Threshold() int { return sv.n }
+
+// Capacity returns the hoisted Servers.Capacity, bit for bit: a point is
+// stable iff its λ is below it.
+func (sv *SweepSolver) Capacity() float64 { return sv.capacity }
 
 // Solve evaluates one grid point on a pooled worker and returns a freshly
 // allocated, caller-owned solution.
@@ -151,14 +155,7 @@ func (sv *SweepSolver) checkPoint(lambda float64) error {
 	if !(lambda > 0) || math.IsInf(lambda, 0) {
 		return fmt.Errorf("qbd: arrival rate %v must be positive and finite", lambda)
 	}
-	load := math.Inf(1)
-	if sv.capacity > 0 {
-		load = lambda / sv.capacity
-	}
-	if load >= 1 {
-		return fmt.Errorf("%w: load = %v", ErrUnstable, load)
-	}
-	return nil
+	return checkLoad(lambda / sv.capacity)
 }
 
 // reshape resizes sol to n boundary levels over s modes, reusing backing

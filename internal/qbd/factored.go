@@ -76,12 +76,11 @@ type factored struct {
 // multiset returns multiset mi's branch counts.
 func (f *factored) multiset(mi int) []int { return f.multisets[mi*f.k : (mi+1)*f.k] }
 
-// newFactored hoists the factored stage of a validated description and
-// its lumping, and returns it with the service capacity
-// N·Σ_p π_p·Rates[p], π being one server's stationary distribution. A
-// server whose entered phases are not irreducible and reversible is an
-// error.
-func newFactored(d *Servers, l *lumping) (*factored, float64, error) {
+// newFactored hoists the factored stage of a validated description, its
+// modes and their lumping, and returns it with the description's
+// Capacity. A server whose entered phases are not irreducible and
+// reversible is an error.
+func newFactored(d *Servers, l *lumping, modes [][]int) (*factored, float64, error) {
 	pi, reversible, err := stationary(d)
 	if err != nil {
 		return nil, 0, err
@@ -92,7 +91,7 @@ func newFactored(d *Servers, l *lumping) (*factored, float64, error) {
 	k := d.G.Rows
 	f := &factored{
 		k:       k,
-		servers: l.servers,
+		servers: d.N,
 		sym:     make([]float64, k*k),
 		rates:   append([]float64(nil), d.Rates...),
 		sqrtPi:  make([]float64, k),
@@ -115,16 +114,15 @@ func newFactored(d *Servers, l *lumping) (*factored, float64, error) {
 		}
 		f.sym[p*k+p] = -out
 	}
-	s := len(d.Counts)
-	f.multisets = compositions(l.servers, k)
+	f.multisets = compositions(d.N, k)
 	var ws factoredWork
-	ws.init(f, s)
+	ws.init(f, len(f.multisets)/k)
 	ws.branches(f, 0)
 	f.t0 = f.branchSums(ws.theta)
 	ws.branches(f, 1)
 	f.t1 = f.branchSums(ws.theta)
-	f.buildTables(d.Counts, l.keys)
-	return f, d.capacity(l.servers, pi), nil
+	f.buildTables(modes, l.keys)
+	return f, d.capacity(pi), nil
 }
 
 // branchSums returns Σ_i m_i·θ_i for every multiset m.
@@ -241,21 +239,21 @@ func stationary(d *Servers) (pi []float64, reversible bool, err error) {
 	return pi, true, nil
 }
 
-// capacity returns the service capacity N·Σ_p π_p·Rates[p] of n servers
-// described by d, π being one server's stationary distribution.
-func (d *Servers) capacity(n int, pi []float64) float64 {
+// capacity returns N·Σ_p π_p·Rates[p], π being one server's stationary
+// distribution.
+func (d *Servers) capacity(pi []float64) float64 {
 	var perServer float64
 	for p, v := range pi {
 		perServer += v * d.Rates[p]
 	}
-	return float64(n) * perServer
+	return float64(d.N) * perServer
 }
 
 // buildTables hoists the composition tables of the closed-form vectors:
 // the monomials of each degree below N in compositions order, those of
 // degree N in mode order, and for each monomial the index of every
 // monomial one degree lower that a factor y·t multiplies into it.
-func (f *factored) buildTables(counts [][]int, keys monoKeys) {
+func (f *factored) buildTables(modes [][]int, keys monoKeys) {
 	k, n := f.k, f.servers
 	f.monos = make([]int, n+1)
 	f.parent = make([][]int32, n+1)
@@ -266,10 +264,7 @@ func (f *factored) buildTables(counts [][]int, keys monoKeys) {
 		if d < n {
 			list = compositions(d, k)
 		} else {
-			list = make([]int, 0, len(counts)*k)
-			for _, c := range counts {
-				list = append(list, c...)
-			}
+			list = slices.Concat(modes...)
 		}
 		m := len(list) / k
 		f.monos[d] = m

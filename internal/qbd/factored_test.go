@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/linalg"
-	"repro/internal/markov"
 )
 
 // factoredEnvs are the server models the factored stage is checked on:
@@ -405,12 +404,11 @@ func TestNewSweepSolverRejectsWrongDescription(t *testing.T) {
 		t.Fatalf("valid description rejected: %v", err)
 	}
 	mutate := map[string]func(d *Servers){
-		"modes out of order": func(d *Servers) { d.Counts[0], d.Counts[1] = d.Counts[1], d.Counts[0] },
 		"wrong service rate": func(d *Servers) { d.Rates[0] *= 2 },
 		"missing phase":      func(d *Servers) { d.G = linalg.NewMatrix(2, 2); d.Rates = d.Rates[:2] },
 		"not reversible":     func(d *Servers) { d.G.Set(0, 1, 0.01) },
-		"too few modes":      func(d *Servers) { d.Counts = d.Counts[:len(d.Counts)-1] },
-		"negative count":     func(d *Servers) { d.Counts[0] = []int{4, -1, 0} },
+		"other server count": func(d *Servers) { d.N-- },
+		"no servers":         func(d *Servers) { d.N = 0 },
 	}
 	// A cyclic server (0 → 1 → 2 → 0) is described exactly, but is not
 	// reversible: its eigen-branches are complex.
@@ -421,10 +419,7 @@ func TestNewSweepSolverRejectsWrongDescription(t *testing.T) {
 	}
 	for name, m := range mutate {
 		p := good
-		d := &Servers{G: good.Servers.G.Clone(), Rates: slices.Clone(good.Servers.Rates)}
-		for _, c := range good.Servers.Counts {
-			d.Counts = append(d.Counts, slices.Clone(c))
-		}
+		d := &Servers{G: good.Servers.G.Clone(), Rates: slices.Clone(good.Servers.Rates), N: good.Servers.N}
 		m(d)
 		p.Servers = d
 		if _, err := NewSweepSolver(p); err == nil {
@@ -440,10 +435,10 @@ func TestNewSweepSolverRejectsWrongDescription(t *testing.T) {
 // N = 22 and 24 at load 0.7 are the values on which SolveMatrixGeometric
 // (balance residual 6.0e-13 and 5.6e-13) and SolveTruncated(p, 400) agree
 // to 1.5e-12 and 2.5e-12 relative. N = 24 at load 0.99 is
-// SolveMatrixGeometric's with MGOptions{Tol: 1e-15} (balance residual
-// 9.9e-14, ten minutes; at the default 1e-13 it stops 3.7e-9 short), which
-// the companion path meets to 8.9e-11; the truncated chain would need
-// ~3000 levels, 2.5 GB of stages. No oracle runs at test time.
+// SolveMatrixGeometric's with its stopping tolerance lowered to 1e-15
+// (balance residual 9.9e-14, ten minutes; at its 1e-13 it stops 3.7e-9
+// short), which the companion path meets to 8.9e-11; the truncated chain
+// would need ~3000 levels, 2.5 GB of stages. No oracle runs at test time.
 func TestLargeNRegression(t *testing.T) {
 	for _, c := range []struct {
 		n          int
@@ -491,7 +486,7 @@ func productFormParams(seed int64) (Params, float64, *Params) {
 	}
 	op, rep := draw(1+rng.Intn(3), 0.05), draw(1+rng.Intn(2), 2)
 	n := 1 + rng.Intn(12)
-	for markov.NumModes(n, len(op.w), len(rep.w)) > 120 {
+	for NumModes(n, len(op.w)+len(rep.w)) > 120 {
 		n--
 	}
 	mu := 0.5 + rng.Float64()
@@ -518,11 +513,7 @@ func productFormParams(seed int64) (Params, float64, *Params) {
 		return dist.MustHyperExp(ph.w, ph.r)
 	}
 	opD, repD := hyper(op), hyper(rep)
-	env, err := markov.NewEnv(n, opD, repD)
-	if err != nil {
-		panic(err)
-	}
-	p := envParams(env, 1, mu)
+	p := envParams(n, 1, mu, opD, repD)
 	l1, err := p.Load()
 	if err != nil {
 		panic(err)
@@ -531,11 +522,7 @@ func productFormParams(seed int64) (Params, float64, *Params) {
 	if !zeroed {
 		return p, load, nil
 	}
-	renv, err := markov.NewEnv(n, withoutZeroWeights(opD), withoutZeroWeights(repD))
-	if err != nil {
-		panic(err)
-	}
-	reduced := envParams(renv, p.Lambda, mu)
+	reduced := envParams(n, p.Lambda, mu, withoutZeroWeights(opD), withoutZeroWeights(repD))
 	return p, load, &reduced
 }
 
@@ -630,31 +617,27 @@ func FuzzFactoredStage(f *testing.F) {
 // g and service rates r, described as identical servers, with service at
 // Σ_p n_p·r_p from level 1 on.
 func lumpedParams(g *linalg.Matrix, r []float64, n int) Params {
-	k := g.Rows
-	counts := make([][]int, 0)
-	flat := compositions(n, k)
-	for i := 0; i < len(flat); i += k {
-		counts = append(counts, flat[i:i+k])
-	}
-	top := make([]float64, len(counts))
-	for i, c := range counts {
+	d := &Servers{G: g, Rates: r, N: n}
+	modes := d.Modes()
+	top := make([]float64, len(modes))
+	for i, c := range modes {
 		for p, cnt := range c {
 			top[i] += float64(cnt) * r[p]
 		}
 	}
-	return Params{Lambda: 1, ServiceDiag: [][]float64{top, top}, Servers: &Servers{G: g, Rates: r, Counts: counts}}
+	return Params{Lambda: 1, ServiceDiag: [][]float64{top, top}, Servers: d}
 }
 
 // referenceA lumps d into A independently of Servers.lump: every mode's
 // transition to the mode with one server moved from phase p to phase q,
-// found by a linear search of d.Counts, at n_p·G[p][q].
+// found by a linear search of d.Modes, at n_p·G[p][q].
 func referenceA(d *Servers) *linalg.Matrix {
-	s, k := len(d.Counts), d.G.Rows
+	modes, k := d.Modes(), d.G.Rows
 	index := func(c []int) int {
-		return slices.IndexFunc(d.Counts, func(o []int) bool { return slices.Equal(o, c) })
+		return slices.IndexFunc(modes, func(o []int) bool { return slices.Equal(o, c) })
 	}
-	a := linalg.NewMatrix(s, s)
-	for i, c := range d.Counts {
+	a := linalg.NewMatrix(len(modes), len(modes))
+	for i, c := range modes {
 		for p, cnt := range c {
 			for q := 0; q < k; q++ {
 				if cnt == 0 || q == p || d.G.At(p, q) == 0 {

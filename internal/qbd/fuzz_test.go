@@ -21,7 +21,7 @@ func fuzzParams(seed int64, single bool) (Params, bool) {
 		return Params{
 			Lambda:      1,
 			ServiceDiag: [][]float64{{mu0}, {mu1}},
-			Servers:     &Servers{G: linalg.NewMatrix(1, 1), Rates: []float64{mu1}, Counts: [][]int{{1}}},
+			Servers:     &Servers{G: linalg.NewMatrix(1, 1), Rates: []float64{mu1}, N: 1},
 		}, true
 	}
 	return randomStableParams(rng)

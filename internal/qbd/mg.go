@@ -21,16 +21,11 @@ type MGSolution struct {
 	iterations int
 }
 
-// MGOptions tunes the R-matrix fixed-point iteration. The zero value picks
-// sensible defaults.
-type MGOptions struct {
-	// Tol bounds the estimated entrywise distance from R to its limit
-	// (default 1e-13). The fixed point contracts at a rate ρ ≈ z_s, so a
-	// step of size δ leaves about δ·ρ/(1−ρ) to go; ρ is estimated as the
-	// ratio of the last two steps. Near load 1 this needs many more steps
-	// than a bound on δ alone.
-	Tol float64
-}
+// mgTol bounds the estimated entrywise distance from R to its limit. The
+// fixed point contracts at a rate ρ ≈ z_s, so a step of size δ leaves
+// about δ·ρ/(1−ρ) to go; ρ is estimated as the ratio of the last two
+// steps. Near load 1 this needs many more steps than a bound on δ alone.
+const mgTol = 1e-13
 
 // mgMaxIter bounds the R-matrix iteration count.
 const mgMaxIter = 200000
@@ -40,15 +35,12 @@ const mgMaxIter = 200000
 // R is the minimal non-negative solution of B + R·Q1 + R²·C = 0, obtained by
 // the classical fixed point R ← −(B + R²C)·Q1⁻¹; the boundary reuses the
 // same S_j elimination as the spectral solver, entirely in real arithmetic.
-func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
+func SolveMatrixGeometric(p Params) (*MGSolution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if err := p.CheckStable(); err != nil {
 		return nil, err
-	}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-13
 	}
 	s := p.Size()
 	n := p.Threshold()
@@ -78,8 +70,8 @@ func SolveMatrixGeometric(p Params, opts MGOptions) (*MGSolution, error) {
 		step := next.Minus(r).MaxAbs()
 		r = next
 		// Stop once the error left, about step·ρ/(1−ρ) with ρ estimated by
-		// step/prev, is below Tol; the first step has no estimate.
-		if rho := step / prev; step == 0 || (rho < 1 && step*rho/(1-rho) < opts.Tol) {
+		// step/prev, is below mgTol; the first step has no estimate.
+		if rho := step / prev; step == 0 || (rho < 1 && step*rho/(1-rho) < mgTol) {
 			break
 		}
 		prev = step

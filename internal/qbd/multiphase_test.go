@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/markov"
 )
 
 // The paper's model allows m-phase hyperexponential repairs (§3) even
@@ -17,7 +16,7 @@ var paperOutageH2 = dist.MustHyperExp([]float64{0.9303, 0.0697}, []float64{25.00
 
 func TestTwoPhaseRepairSolves(t *testing.T) {
 	p := paramsFor(t, 3, 1.8, 1.0, paperOps, paperOutageH2)
-	if got, want := p.Size(), markov.NumModes(3, 2, 2); got != want {
+	if got, want := len(p.Servers.Modes()), 20; got != want { // C(3+3, 3), eq. 12
 		t.Fatalf("s = %d, want %d", got, want)
 	}
 	sol, err := SolveSpectral(p)
@@ -33,7 +32,7 @@ func TestTwoPhaseRepairCrossMethodAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := SolveMatrixGeometric(p, MGOptions{})
+	mg, err := SolveMatrixGeometric(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestThreePhaseOperativeSolves(t *testing.T) {
 	// n = 3 operative phases (what the paper's brute-force fit explored).
 	op3 := dist.MustHyperExp([]float64{0.5, 0.3, 0.2}, []float64{0.2, 0.02, 0.005})
 	p := paramsFor(t, 2, 0.9, 1.0, op3, paperRepair)
-	if got, want := p.Size(), markov.NumModes(2, 3, 1); got != want {
+	if got, want := len(p.Servers.Modes()), 10; got != want { // C(2+3, 3), eq. 12
 		t.Fatalf("s = %d, want %d", got, want)
 	}
 	sol, err := SolveSpectral(p)
@@ -80,7 +79,7 @@ func TestThreePhaseOperativeSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStationaryInvariants(t, p, sol, 1e-9)
-	mg, err := SolveMatrixGeometric(p, MGOptions{})
+	mg, err := SolveMatrixGeometric(p)
 	if err != nil {
 		t.Fatal(err)
 	}

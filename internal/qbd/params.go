@@ -22,9 +22,12 @@
 //   - SolveTruncated: direct block-tridiagonal solution of the chain
 //     truncated at a finite level, used as a validation oracle.
 //
-// Every environment is described as identical servers (Params.Servers),
-// which qbd lumps into transitions itself; the solvers that work on the
-// s×s transition matrix A as a dense matrix read it through
+// Every environment is described by one server (Params.Servers): its
+// phase-change rates, its service rate in each phase and the number of
+// servers N. qbd derives everything else from it — the modes and their
+// order (Servers.Modes), the lumping into transitions, and the capacity
+// that decides stability (Servers.Capacity) — and the solvers that work on
+// the s×s transition matrix A as a dense matrix read it through
 // Params.EnvMatrix. Only SolveSpectral and SolveApprox need the server to
 // be reversible. SolveSpectralDense, the spectral solver's oracle,
 // linearises Q(z) in w = 1/z for a standard QR eigensolve and takes each
@@ -42,8 +45,8 @@ import (
 	"repro/internal/linalg"
 )
 
-// ErrUnstable is returned when the offered load reaches the available
-// service capacity (paper eq. 11 violated).
+// ErrUnstable is returned when the offered load reaches the servers'
+// capacity (paper eq. 11 violated; see Servers.Capacity).
 var ErrUnstable = errors.New("qbd: queue is not ergodic (offered load ≥ capacity)")
 
 // serviceTol bounds the relative difference Validate accepts between an
@@ -53,39 +56,108 @@ const serviceTol = 1e-14
 
 // Params specifies a Markov-modulated queue with Poisson arrivals of rate
 // Lambda, an environment of s modes, and level-dependent service captured
-// by the diagonals of C_j: ServiceDiag[j] for levels j = 0..N, with
-// C_j = C_N for all j ≥ N (the homogeneous threshold). Servers describes
-// the environment as identical, independent servers; Validate rejects
-// Params without it.
+// by the diagonals of C_j: ServiceDiag[j] for levels j = 0..N, each
+// indexed by Servers.Modes, with C_j = C_N for all j ≥ N (the homogeneous
+// threshold). Servers describes the environment; Validate rejects Params
+// without it.
 type Params struct {
 	Lambda      float64
 	ServiceDiag [][]float64
 	Servers     *Servers
 }
 
-// Servers describes an environment made of identical, independent
-// servers, each moving through k phases (Palmer & Mitrani §3): a mode is
-// a vector of phase counts, and A is the sum of one server's rates lumped
+// Servers describes an environment of N identical, independent servers,
+// each moving through k phases (Palmer & Mitrani §3), by one server: it is
+// the only model of the server qbd takes. A mode is a vector of phase
+// counts summing to N (Modes), A is the sum of one server's rates lumped
 // by those counts (eq. 9), a mode moving one server from phase p to phase
-// q at n_p·G[p][q]. Validate checks that C_N serves each mode at
-// Σ_p n_p·Rates[p], and NewSweepSolver that one server's phase process is
-// reversible on one irreducible class of phases, which makes every
-// eigen-branch real. Any other phase must be transient: no rate enters
-// it, as with a phase of zero weight, and it leaves to the class.
+// q at n_p·G[p][q], and the queue is ergodic iff λ is below Capacity
+// (eq. 11). Validate checks that C_N serves each mode at Σ_p n_p·Rates[p],
+// and NewSweepSolver that one server's phase process is reversible on one
+// irreducible class of phases, which makes every eigen-branch real. Any
+// other phase must be transient: no rate enters it, as with a phase of
+// zero weight, and it leaves to the class.
 type Servers struct {
 	// G holds one server's k×k phase-change rates, with a zero diagonal.
 	G *linalg.Matrix
 	// Rates[p] is one server's service rate in phase p: µ in an operative
 	// phase, 0 in an inoperative one.
 	Rates []float64
-	// Counts[i][p] is the number of servers in phase p in mode i. Every
-	// row sums to the same number of servers, and every such count vector
-	// is a mode.
-	Counts [][]int
+	// N is the number of servers, at least 1.
+	N int
 }
 
+// check validates d on its own: G square and non-empty with a finite,
+// non-negative off-diagonal and a zero diagonal, one finite, non-negative
+// service rate per phase, and at least one server.
+func (d *Servers) check() error {
+	if d.G == nil || d.G.Rows != d.G.Cols || d.G.Rows == 0 {
+		return errors.New("qbd: server description: G must be square and non-empty")
+	}
+	k := d.G.Rows
+	if len(d.Rates) != k {
+		return fmt.Errorf("qbd: server description: %d service rates for %d phases", len(d.Rates), k)
+	}
+	for p := 0; p < k; p++ {
+		if r := d.Rates[p]; !(r >= 0) || math.IsInf(r, 0) {
+			return fmt.Errorf("qbd: server description: service rate %v of phase %d must be finite and non-negative", r, p)
+		}
+		for q := 0; q < k; q++ {
+			g := d.G.At(p, q)
+			if !(g >= 0) || math.IsInf(g, 0) || (p == q && g != 0) {
+				return fmt.Errorf("qbd: server description: G[%d][%d] = %v must be finite, non-negative and off the diagonal", p, q, g)
+			}
+		}
+	}
+	if d.N < 1 {
+		return fmt.Errorf("qbd: server description: %d servers, need at least 1", d.N)
+	}
+	return nil
+}
+
+// Modes returns the environment's modes: every vector of k phase counts
+// summing to N, s = C(N+k−1, k−1) of them (paper eq. 12), in one canonical
+// order — ascending number of servers in phases with a positive service
+// rate, ties in descending lexicographic order. For the paper's server,
+// operative phases first, that is §3's numbering. d must be valid.
+func (d *Servers) Modes() [][]int {
+	k := d.G.Rows
+	flat := compositions(d.N, k)
+	byBusy := make([][][]int, d.N+1)
+	for i := 0; i < len(flat); i += k {
+		n := flat[i : i+k : i+k]
+		busy := 0
+		for p, c := range n {
+			if d.Rates[p] > 0 {
+				busy += c
+			}
+		}
+		byBusy[busy] = append(byBusy[busy], n)
+	}
+	return slices.Concat(byBusy...)
+}
+
+// Capacity returns the servers' service capacity N·Σ_p π_p·Rates[p], π
+// being one server's stationary distribution over its phases: the queue
+// is ergodic iff λ is below it (paper eq. 11 in matrix form). Every
+// solver's stability check takes this one number.
+func (d *Servers) Capacity() (float64, error) {
+	if err := d.check(); err != nil {
+		return 0, err
+	}
+	pi, _, err := stationary(d)
+	if err != nil {
+		return 0, err
+	}
+	return d.capacity(pi), nil
+}
+
+// NumModes returns s = C(n+k−1, k−1), the number of modes of n servers
+// of k phases each (paper eq. 12).
+func NumModes(n, k int) int { return binomial(n+k-1, k-1) }
+
 // Size returns the number of environment modes s.
-func (p Params) Size() int { return len(p.Servers.Counts) }
+func (p Params) Size() int { return NumModes(p.Servers.N, p.Servers.G.Rows) }
 
 // Threshold returns N, the level beyond which the service diagonal is
 // constant.
@@ -95,36 +167,41 @@ func (p Params) Threshold() int { return len(p.ServiceDiag) - 1 }
 // infinite one would never let the eigensolver's balancing terminate, and
 // a NaN one would leave QR iterating until its budget runs out.
 func (p Params) Validate() error {
-	_, err := p.validate()
+	_, _, err := p.validate()
 	return err
 }
 
-// validate is Validate, returning the lumped description.
-func (p Params) validate() (*lumping, error) {
+// validate is Validate, returning the modes and their lumping.
+func (p Params) validate() (*lumping, [][]int, error) {
 	if p.Servers == nil {
-		return nil, errors.New("qbd: Params.Servers must describe the environment")
+		return nil, nil, errors.New("qbd: Params.Servers must describe the environment")
 	}
 	if !(p.Lambda > 0) || math.IsInf(p.Lambda, 0) {
-		return nil, fmt.Errorf("qbd: arrival rate %v must be positive and finite", p.Lambda)
+		return nil, nil, fmt.Errorf("qbd: arrival rate %v must be positive and finite", p.Lambda)
 	}
 	if len(p.ServiceDiag) < 2 {
-		return nil, errors.New("qbd: need service diagonals for at least levels 0 and 1")
+		return nil, nil, errors.New("qbd: need service diagonals for at least levels 0 and 1")
+	}
+	if err := p.Servers.check(); err != nil {
+		return nil, nil, err
 	}
 	s := p.Size()
 	for j, d := range p.ServiceDiag {
 		if len(d) != s {
-			return nil, fmt.Errorf("qbd: ServiceDiag[%d] has %d entries, want %d", j, len(d), s)
+			return nil, nil, fmt.Errorf("qbd: ServiceDiag[%d] has %d entries, want %d", j, len(d), s)
 		}
 		for i, v := range d {
 			if v < 0 {
-				return nil, fmt.Errorf("qbd: negative service rate %v at level %d mode %d", v, j, i)
+				return nil, nil, fmt.Errorf("qbd: negative service rate %v at level %d mode %d", v, j, i)
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("qbd: service rate %v at level %d mode %d must be finite", v, j, i)
+				return nil, nil, fmt.Errorf("qbd: service rate %v at level %d mode %d must be finite", v, j, i)
 			}
 		}
 	}
-	return p.Servers.lump(p.cTop())
+	modes := p.Servers.Modes()
+	l, err := p.Servers.lump(modes, p.cTop())
+	return l, modes, err
 }
 
 // move is one transition of a lumped mode: to mode to, at rate.
@@ -138,85 +215,36 @@ type move struct {
 // ascending target order, and da[i] is their total rate, Dᴬ's diagonal,
 // summed in that order as linalg.Matrix.RowSums sums A's row i.
 type lumping struct {
-	servers int
-	keys    monoKeys
-	start   []int
-	moves   []move
-	da      []float64
+	keys  monoKeys
+	start []int
+	moves []move
+	da    []float64
 }
 
-// lump validates d against the top service diagonal c and lumps it by
-// phase counts: in mode n, each of the n_p servers in phase p moves to
-// phase q at G[p][q], so the mode moves to n − e_p + e_q at n_p·G[p][q].
-// G must be square with a finite, non-negative off-diagonal and a zero
-// diagonal, Rates finite and non-negative, Counts every vector of k phase
-// counts summing to one number of servers, each once, and c[i] the
-// service rate Σ_p n_p·Rates[p] of mode i.
-func (d *Servers) lump(c []float64) (*lumping, error) {
-	if d.G == nil || d.G.Rows != d.G.Cols || d.G.Rows == 0 {
-		return nil, errors.New("qbd: server description: G must be square and non-empty")
-	}
+// lump lumps the checked description d by its modes' phase counts,
+// checking it against the top service diagonal c: in mode n, each of the
+// n_p servers in phase p moves to phase q at G[p][q], so the mode moves
+// to n − e_p + e_q at n_p·G[p][q]. c[i] must be the service rate
+// Σ_p n_p·Rates[p] of mode i.
+func (d *Servers) lump(modes [][]int, c []float64) (*lumping, error) {
 	k := d.G.Rows
-	if len(d.Rates) != k {
-		return nil, fmt.Errorf("qbd: server description: %d service rates for %d phases", len(d.Rates), k)
-	}
-	for p := 0; p < k; p++ {
-		if r := d.Rates[p]; !(r >= 0) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("qbd: server description: service rate %v of phase %d must be finite and non-negative", r, p)
-		}
-		for q := 0; q < k; q++ {
-			g := d.G.At(p, q)
-			if !(g >= 0) || math.IsInf(g, 0) || (p == q && g != 0) {
-				return nil, fmt.Errorf("qbd: server description: G[%d][%d] = %v must be finite, non-negative and off the diagonal", p, q, g)
-			}
-		}
-	}
-	s := len(d.Counts)
-	servers := 0
-	if s > 0 && len(d.Counts[0]) == k {
-		for _, n := range d.Counts[0] {
-			servers += n
-		}
-	}
-	if servers < 1 {
-		return nil, errors.New("qbd: server description: mode 0 must count at least one server in k phases")
-	}
-	if want := binomial(servers+k-1, k-1); want != s {
-		return nil, fmt.Errorf("qbd: server description: %d servers in %d phases make %d modes, the description has %d", servers, k, want, s)
-	}
-	keys, err := newMonoKeys(servers, k)
+	keys, err := newMonoKeys(d.N, k)
 	if err != nil {
 		return nil, err
 	}
-	index := make(map[uint64]int, s)
-	for i, n := range d.Counts {
-		if len(n) != k {
-			return nil, fmt.Errorf("qbd: server description: mode %d has %d phase counts, want %d", i, len(n), k)
-		}
-		total, service := 0, 0.0
+	index := make(map[uint64]int, len(modes))
+	for i, n := range modes {
+		var service float64
 		for p, cnt := range n {
-			if cnt < 0 {
-				return nil, fmt.Errorf("qbd: server description: mode %d has a negative phase count", i)
-			}
-			total += cnt
 			service += float64(cnt) * d.Rates[p]
-		}
-		if total != servers {
-			return nil, fmt.Errorf("qbd: server description: mode %d counts %d servers, want %d", i, total, servers)
 		}
 		if math.Abs(c[i]-service) > serviceTol*math.Abs(service) {
 			return nil, fmt.Errorf("qbd: server description does not reproduce C_N: mode %d serves at %v, the description at %v", i, c[i], service)
 		}
-		key := keys.of(n)
-		if _, dup := index[key]; dup {
-			return nil, fmt.Errorf("qbd: server description: mode %d repeats phase counts %v", i, n)
-		}
-		index[key] = i
+		index[keys.of(n)] = i
 	}
-	// s distinct count vectors of the right size are every mode, so each
-	// move's target is one.
-	l := &lumping{servers: servers, keys: keys, start: make([]int, s+1), da: make([]float64, s)}
-	for i, n := range d.Counts {
+	l := &lumping{keys: keys, start: make([]int, len(modes)+1), da: make([]float64, len(modes))}
+	for i, n := range modes {
 		key := keys.of(n)
 		for p, cnt := range n {
 			for q := 0; q < k; q++ {
@@ -242,7 +270,7 @@ func (l *lumping) row(i int) []move { return l.moves[l.start[i]:l.start[i+1]] }
 // matrix. p must be valid; it panics on a server description that
 // Validate rejects.
 func (p Params) EnvMatrix() *linalg.Matrix {
-	l, err := p.Servers.lump(p.cTop())
+	l, err := p.Servers.lump(p.Servers.Modes(), p.cTop())
 	if err != nil {
 		panic(err)
 	}
@@ -313,22 +341,15 @@ func generatorStationary(a *linalg.Matrix) ([]float64, error) {
 	return pi, nil
 }
 
-// Load returns the offered load relative to capacity: λ / (N·Σ_p π_p·r_p),
-// π being one server's stationary distribution and r_p its service rate
-// in phase p, the capacity the spectral solvers take. The queue is ergodic
-// iff Load < 1 (paper eq. 11 in matrix form).
+// Load returns the offered load relative to capacity, λ/Servers.Capacity.
+// The queue is ergodic iff Load < 1 (paper eq. 11 in matrix form).
 func (p Params) Load() (float64, error) {
-	l, err := p.validate()
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	pi, _, err := stationary(p.Servers)
+	capacity, err := p.Servers.Capacity()
 	if err != nil {
 		return 0, err
-	}
-	capacity := p.Servers.capacity(l.servers, pi)
-	if capacity <= 0 {
-		return math.Inf(1), nil
 	}
 	return p.Lambda / capacity, nil
 }
@@ -339,7 +360,12 @@ func (p Params) CheckStable() error {
 	if err != nil {
 		return err
 	}
-	if load >= 1 {
+	return checkLoad(load)
+}
+
+// checkLoad returns ErrUnstable unless load < 1.
+func checkLoad(load float64) error {
+	if !(load < 1) {
 		return fmt.Errorf("%w: load = %v", ErrUnstable, load)
 	}
 	return nil

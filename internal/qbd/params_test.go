@@ -61,9 +61,10 @@ func TestLumpingMatchesReference(t *testing.T) {
 // from one server's stationary distribution, must agree with
 // Σ_i π_i·C_N[i] from EnvStationary's dense null vector of the same
 // lumped A to 1e-14 relative, on every factoredEnvs model at each N up to
-// its maxN (at most 20). Params.Load must take the same capacity bit for
-// bit, so the spectral solvers and those that check Load (MG, the dense
-// oracle) draw the stability boundary at one λ.
+// its maxN (at most 20). Servers.Capacity and Params.Load must take the
+// same capacity bit for bit, so the spectral solvers, those that check
+// Load (MG, the dense oracle) and core, which asks Servers.Capacity, draw
+// the stability boundary at one λ.
 func TestCapacityMatchesEnvStationary(t *testing.T) {
 	var worst float64
 	for _, e := range factoredEnvs {
@@ -80,6 +81,9 @@ func TestCapacityMatchesEnvStationary(t *testing.T) {
 			var dense float64
 			for i, c := range p.cTop() {
 				dense += pi[i] * c
+			}
+			if c, err := p.Servers.Capacity(); err != nil || c != sv.Capacity() {
+				t.Fatalf("%s N=%d: Servers.Capacity = %v, %v; the hoist's is %v", e.name, n, c, err, sv.Capacity())
 			}
 			if load, err := p.Load(); err != nil || load != p.Lambda/sv.capacity {
 				t.Fatalf("%s N=%d: Load = %v, %v; the hoist's capacity gives %v", e.name, n, load, err, p.Lambda/sv.capacity)

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dist"
-	"repro/internal/markov"
 )
 
 // TestCrossMethodAgreementProperty throws random unreliable-server systems
@@ -25,12 +24,8 @@ func TestCrossMethodAgreementProperty(t *testing.T) {
 		r2 := r1 * (3 + 20*rng.Float64())
 		op := dist.MustHyperExp([]float64{w, 1 - w}, []float64{r1, r2})
 		rep := dist.Exp(math.Exp(rng.NormFloat64() + 1))
-		env, err := markov.NewEnv(n, op, rep)
-		if err != nil {
-			return false
-		}
 		mu := 0.5 + rng.Float64()
-		p := envParams(env, 1, mu)
+		p := envParams(n, 1, mu, op, rep)
 		load, err := p.Load()
 		if err != nil {
 			return false
@@ -43,7 +38,7 @@ func TestCrossMethodAgreementProperty(t *testing.T) {
 			t.Logf("seed %d: spectral failed: %v", seed, err)
 			return false
 		}
-		mg, err := SolveMatrixGeometric(p, MGOptions{})
+		mg, err := SolveMatrixGeometric(p)
 		if err != nil {
 			t.Logf("seed %d: matrix-geometric failed: %v", seed, err)
 			return false
@@ -86,12 +81,8 @@ func randomStableParams(rng *rand.Rand) (p Params, ok bool) {
 	r2 := r1 * (3 + 20*rng.Float64())
 	op := dist.MustHyperExp([]float64{w, 1 - w}, []float64{r1, r2})
 	rep := dist.Exp(math.Exp(rng.NormFloat64() + 1))
-	env, err := markov.NewEnv(n, op, rep)
-	if err != nil {
-		return Params{}, false
-	}
 	mu := 0.5 + rng.Float64()
-	p = envParams(env, 1, mu)
+	p = envParams(n, 1, mu, op, rep)
 	load, err := p.Load()
 	if err != nil {
 		return Params{}, false

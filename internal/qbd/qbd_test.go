@@ -21,21 +21,19 @@ var (
 // paramsFor builds queue parameters for N unreliable servers (envParams).
 func paramsFor(t testing.TB, n int, lambda, mu float64, op, rep *dist.HyperExp) Params {
 	t.Helper()
-	env, err := markov.NewEnv(n, op, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return envParams(env, lambda, mu)
+	return envParams(n, lambda, mu, op, rep)
 }
 
-// envParams builds the queue of env's servers at arrival rate lambda and
-// service rate mu described as core.System.Params describes it: as
-// identical servers, the environment's only format on the served path.
-func envParams(env *markov.Env, lambda, mu float64) Params {
+// envParams builds the queue of n servers with operative periods op and
+// repairs rep, served at mu, at arrival rate lambda, described as
+// core.System.Params describes it: by one server, from which qbd derives
+// the modes.
+func envParams(n int, lambda, mu float64, op, rep *dist.HyperExp) Params {
+	d := &Servers{G: markov.ServerRates(op, rep), Rates: markov.PhaseServiceRates(op, rep, mu), N: n}
 	return Params{
 		Lambda:      lambda,
-		ServiceDiag: env.ServiceDiag(mu),
-		Servers:     &Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
+		ServiceDiag: markov.ServiceDiag(markov.Operative(d.Modes(), op.Phases()), n, mu),
+		Servers:     d,
 	}
 }
 
@@ -121,17 +119,13 @@ func TestEnvStationaryBinomial(t *testing.T) {
 	// two-state chains: the number of operative servers is Binomial(N, p)
 	// with p = η/(ξ+η).
 	xi, eta := 0.5, 2.0
-	env, err := markov.NewEnv(3, dist.Exp(xi), dist.Exp(eta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := envParams(env, 1, 1).EnvStationary()
+	env := envParams(3, 1, 1, dist.Exp(xi), dist.Exp(eta))
+	pi, err := env.EnvStationary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := eta / (xi + eta)
-	for i, m := range env.Modes() {
-		x := m.Operative()
+	for i, x := range markov.Operative(env.Servers.Modes(), 1) {
 		want := float64(binomial(3, x)) * math.Pow(p, float64(x)) * math.Pow(1-p, float64(3-x))
 		if math.Abs(pi[i]-want) > 1e-10 {
 			t.Errorf("mode %d (x=%d): π = %v, want %v", i, x, pi[i], want)
@@ -148,11 +142,7 @@ func TestEnvStationarySumsToOne(t *testing.T) {
 			[]float64{w, 1 - w},
 			[]float64{math.Exp(rng.NormFloat64()), math.Exp(rng.NormFloat64())},
 		)
-		env, err := markov.NewEnv(n, op, dist.Exp(1+rng.Float64()*10))
-		if err != nil {
-			return false
-		}
-		pi, err := envParams(env, 1, 1).EnvStationary()
+		pi, err := envParams(n, 1, 1, op, dist.Exp(1+rng.Float64()*10)).EnvStationary()
 		if err != nil {
 			return false
 		}
@@ -171,21 +161,19 @@ func TestEnvStationarySumsToOne(t *testing.T) {
 }
 
 func TestExpectedOperativeMatchesEnvStationary(t *testing.T) {
-	// E[operative] from the closed form must match Σ_i x_i·π_i even for
-	// hyperexponential periods (it depends only on the means — paper §3).
-	env, err := markov.NewEnv(6, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := envParams(env, 1, 1).EnvStationary()
+	// E[operative] from the closed form N·η/(ξ+η) must match Σ_i x_i·π_i
+	// even for hyperexponential periods (it depends only on the means —
+	// paper §3).
+	env := envParams(6, 1, 1, paperOps, paperRepair)
+	pi, err := env.EnvStationary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mean float64
-	for i, m := range env.Modes() {
-		mean += float64(m.Operative()) * pi[i]
+	for i, x := range markov.Operative(env.Servers.Modes(), paperOps.Phases()) {
+		mean += float64(x) * pi[i]
 	}
-	if want := env.ExpectedOperative(); math.Abs(mean-want) > 1e-8 {
+	if want := 6 * paperRepair.Rate() / (paperOps.Rate() + paperRepair.Rate()); math.Abs(mean-want) > 1e-8 {
 		t.Errorf("Σxπ = %v, closed form %v", mean, want)
 	}
 }
@@ -196,7 +184,7 @@ func TestUnstableRejected(t *testing.T) {
 	if _, err := SolveSpectral(p); !errors.Is(err, ErrUnstable) {
 		t.Errorf("spectral err = %v, want ErrUnstable", err)
 	}
-	if _, err := SolveMatrixGeometric(p, MGOptions{}); !errors.Is(err, ErrUnstable) {
+	if _, err := SolveMatrixGeometric(p); !errors.Is(err, ErrUnstable) {
 		t.Errorf("matrix-geometric err = %v, want ErrUnstable", err)
 	}
 	if _, err := SolveApprox(p); !errors.Is(err, ErrUnstable) {
@@ -231,11 +219,7 @@ func TestSpectralBalanceEquationsHold(t *testing.T) {
 func TestSpectralModeMarginalsMatchEnvironment(t *testing.T) {
 	// Breakdowns are independent of the queue, so Σ_j v_j must equal the
 	// environment's stationary distribution.
-	env, err := markov.NewEnv(3, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := envParams(env, 1.8, 1.0)
+	p := paramsFor(t, 3, 1.8, 1.0, paperOps, paperRepair)
 	sol, err := SolveSpectral(p)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +271,7 @@ func TestSpectralMatchesMatrixGeometric(t *testing.T) {
 		if err != nil {
 			t.Fatalf("N=%d λ=%v: %v", n, lambda, err)
 		}
-		mg, err := SolveMatrixGeometric(p, MGOptions{})
+		mg, err := SolveMatrixGeometric(p)
 		if err != nil {
 			t.Fatalf("N=%d λ=%v: %v", n, lambda, err)
 		}
@@ -515,7 +499,7 @@ func TestAllLevelProbsNonNegative(t *testing.T) {
 
 func TestMGIterationsReported(t *testing.T) {
 	p := paramsFor(t, 2, 1.0, 1.0, paperOps, paperRepair)
-	mg, err := SolveMatrixGeometric(p, MGOptions{})
+	mg, err := SolveMatrixGeometric(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ func cyclicParams(lambda float64) Params {
 				{0, 0, 0.7},
 				{2.1, 0, 0},
 			}),
-			Rates:  []float64{1, 2, 3},
-			Counts: [][]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}},
+			Rates: []float64{1, 2, 3},
+			N:     1,
 		},
 	}
 }
@@ -92,7 +92,7 @@ func TestCyclicLoad(t *testing.T) {
 func TestCyclicCrossMethodAgreement(t *testing.T) {
 	for _, lambda := range []float64{0.4, 1.0, 1.6} {
 		p := cyclicParams(lambda)
-		mg, err := SolveMatrixGeometric(p, MGOptions{})
+		mg, err := SolveMatrixGeometric(p)
 		if err != nil {
 			t.Fatalf("λ=%v: %v", lambda, err)
 		}
@@ -151,7 +151,7 @@ func TestCyclicApproximation(t *testing.T) {
 
 func TestSolutionAccessors(t *testing.T) {
 	p := paramsFor(t, 2, 1.0, 1.0, paperOps, paperRepair)
-	mg, err := SolveMatrixGeometric(p, MGOptions{})
+	mg, err := SolveMatrixGeometric(p)
 	if err != nil {
 		t.Fatal(err)
 	}

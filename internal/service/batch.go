@@ -1,14 +1,14 @@
 package service
 
 // This file is the engine's hoisted-solver cache. Part of a cold spectral
-// solve is λ-independent — environment enumeration, the server
-// description's lumping into each mode's moves, the service capacity and
-// the factored eigen stage's tables — and every configuration that
-// differs from another in at most λ shares it. The engine therefore keeps
-// one LRU of core.BatchSolvers keyed by core.System.EnvFingerprint, and
-// every spectral cache miss — a lone Evaluate, a sweep or job point, an
-// admission refit — solves through its environment's shared solver,
-// building it on first touch.
+// solve is λ-independent — the server description, qbd's enumeration of
+// its modes and their lumping into each mode's moves, the service
+// capacity and the factored eigen stage's tables — and every
+// configuration that differs from another in at most λ shares it. The
+// engine therefore keeps one LRU of core.BatchSolvers keyed by
+// core.System.EnvFingerprint, and every spectral cache miss — a lone
+// Evaluate, a sweep or job point, an admission refit — solves through its
+// environment's shared solver, building it on first touch.
 //
 // A point solved through a shared solver is bit-identical to a one-off
 // System.Solve of the same configuration (on amd64; internal/qbd's
@@ -24,11 +24,11 @@ import (
 )
 
 // hoistCacheSize bounds the hoisted-solver cache. An entry for an
-// environment of s modes holds no s×s matrix: the modes, the service
-// diagonals, each mode's moves and the factored eigen stage's composition
-// tables, O(s·(N+k²)) numbers for k phases per server. Measured for the
-// paper's H2/exp model: 22 and 31 KB at N = 8 and 10, 189 KB at N = 24,
-// 396 KB at N = 32. Each pooled per-point worker adds an O(N·s²)
+// environment of s modes holds no s×s matrix and no mode list: each
+// mode's operative count, the service diagonals, each mode's moves and
+// the factored eigen stage's composition tables, O(s·(N+k²)) numbers for
+// k phases per server. Measured for the paper's H2/exp model: 21 KB at
+// N = 10, 150 KB at N = 24, 326 KB at N = 32. Each pooled per-point worker adds an O(N·s²)
 // workspace while it solves and until the next GC drops it — chiefly the
 // N−1 boundary stages: 0.28, 0.67 and 6.5 MB at N = 8, 10 and 16, about
 // 15 MB at N = 20 (qbd's TestSweepWorkerMemoryBounded). 32 entries cover

@@ -20,13 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs/trace"
-	"repro/internal/qbd"
 )
 
 // Config tunes an Engine. The zero value selects a worker per CPU, a
@@ -412,27 +410,23 @@ func (e *Engine) SweepLambda(ctx context.Context, base core.System, lambdas []fl
 
 // SweepServers returns the performance and cost of every stable N in
 // [minN, maxN], ascending, solved on the engine's pool and cache, so
-// repeated and overlapping sweeps reuse solves. It skips an N that
-// core.System.Stable rejects or whose solve returns qbd.ErrUnstable, as
-// core.Provision does: core's closed-form load and the solver's own
-// capacity can disagree in the last bit at the stability boundary.
+// repeated and overlapping sweeps reuse solves. The stable N are those
+// from core.MinServersForStability up, as in core.Provision.
 func (e *Engine) SweepServers(ctx context.Context, base core.System, cm core.CostModel, minN, maxN int, m core.Method) ([]core.ServerSweepPoint, error) {
 	if minN < 1 || maxN < minN {
 		return nil, fmt.Errorf("service: invalid server range [%d, %d]", minN, maxN)
 	}
-	var jobs []Job
-	for n := minN; n <= maxN; n++ {
-		sys := base
-		sys.Servers = n
-		if !sys.Stable() {
-			continue
-		}
-		jobs = append(jobs, Job{System: sys, Method: m})
-	}
-	results := slices.DeleteFunc(e.EvaluateBatch(ctx, jobs), func(r Result) bool { return errors.Is(r.Err, qbd.ErrUnstable) })
-	if len(results) == 0 {
+	lo, err := core.MinServersForStability(base)
+	if err != nil || lo > maxN {
 		return nil, errors.New("service: no stable configuration in the requested range")
 	}
+	var jobs []Job
+	for n := max(minN, lo); n <= maxN; n++ {
+		sys := base
+		sys.Servers = n
+		jobs = append(jobs, Job{System: sys, Method: m})
+	}
+	results := e.EvaluateBatch(ctx, jobs)
 	if err := FirstError(results); err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/qbd"
 )
 
 var (
@@ -322,18 +321,15 @@ func TestSweepServersSkipsUnstable(t *testing.T) {
 	}
 }
 
-// TestSweepServersSkipsSolverUnstable sweeps at the largest λ that core
-// calls stable at N = 8, one ulp below 8·A: the solver's capacity, from
-// the environment's stationary vector, puts that load at 1 and rejects
-// N = 8 with qbd.ErrUnstable. The sweep skips it and answers N = 9..12.
-func TestSweepServersSkipsSolverUnstable(t *testing.T) {
+// TestSweepServersAtStabilityBoundary sweeps at λ one ulp below eq. 11's
+// 8·A, where the one stability rule core and the solvers share rejects
+// N = 8: the sweep starts at core.MinServersForStability, answers
+// N = 9..12 and solves nothing else.
+func TestSweepServersAtStabilityBoundary(t *testing.T) {
 	base := testSystem(8, 0)
 	base.ArrivalRate = math.Nextafter(8*base.Availability(), 0)
-	if !base.Stable() {
-		t.Fatalf("λ = %v: core calls N = 8 unstable; the boundary case is gone", base.ArrivalRate)
-	}
-	if _, err := base.Solve(); !errors.Is(err, qbd.ErrUnstable) {
-		t.Fatalf("λ = %v, N = 8: solve %v, want qbd.ErrUnstable; the boundary case is gone", base.ArrivalRate, err)
+	if base.Stable() {
+		t.Fatalf("λ = %v: N = 8 is stable; the boundary case is gone", base.ArrivalRate)
 	}
 	eng := NewEngine(Config{})
 	cm := core.CostModel{HoldingCost: 4, ServerCost: 1}
@@ -347,6 +343,9 @@ func TestSweepServersSkipsSolverUnstable(t *testing.T) {
 	}
 	if !slices.Equal(got, []int{9, 10, 11, 12}) {
 		t.Errorf("swept N = %v, want [9 10 11 12]", got)
+	}
+	if st := eng.Stats(); st.Solves != 4 || st.Errors != 0 {
+		t.Errorf("%d solves, %d errors; want 4 and 0", st.Solves, st.Errors)
 	}
 }
 

@@ -94,13 +94,15 @@ func TestAvailabilityMatchesTheory(t *testing.T) {
 	}
 }
 
-// spectralParams builds the queue of env's servers with the server
-// description the spectral solver requires.
-func spectralParams(env *markov.Env, lambda, mu float64) qbd.Params {
+// spectralParams builds the queue of n servers with operative periods op
+// and repairs rep, described by one server as the spectral solver takes
+// it.
+func spectralParams(n int, op, rep *dist.HyperExp, lambda, mu float64) qbd.Params {
+	d := &qbd.Servers{G: markov.ServerRates(op, rep), Rates: markov.PhaseServiceRates(op, rep, mu), N: n}
 	return qbd.Params{
 		Lambda:      lambda,
-		ServiceDiag: env.ServiceDiag(mu),
-		Servers:     &qbd.Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
+		ServiceDiag: markov.ServiceDiag(markov.Operative(d.Modes(), op.Phases()), n, mu),
+		Servers:     d,
 	}
 }
 
@@ -109,11 +111,7 @@ func TestSimulationMatchesSpectralExponential(t *testing.T) {
 	op := dist.Exp(0.0289)
 	rep := dist.Exp(0.2)
 	n, lambda, mu := 4, 2.8, 1.0
-	env, err := markov.NewEnv(n, op, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := qbd.SolveSpectral(spectralParams(env, lambda, mu))
+	sol, err := qbd.SolveSpectral(spectralParams(n, op, rep, lambda, mu))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +133,7 @@ func TestSimulationMatchesSpectralHyperexponential(t *testing.T) {
 	// The paper's fitted H2 operative periods: the simulator must agree with
 	// the spectral expansion, validating both.
 	n, lambda, mu := 3, 1.8, 1.0
-	env, err := markov.NewEnv(n, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := qbd.SolveSpectral(spectralParams(env, lambda, mu))
+	sol, err := qbd.SolveSpectral(spectralParams(n, paperOps, paperRepair, lambda, mu))
 	if err != nil {
 		t.Fatal(err)
 	}

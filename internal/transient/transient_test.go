@@ -16,14 +16,11 @@ var (
 
 func solverFor(t *testing.T, n int, lambda, mu float64, opts Options) (*Solver, qbd.Params) {
 	t.Helper()
-	env, err := markov.NewEnv(n, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := &qbd.Servers{G: markov.ServerRates(paperOps, paperRepair), Rates: markov.PhaseServiceRates(paperOps, paperRepair, mu), N: n}
 	p := qbd.Params{
 		Lambda:      lambda,
-		ServiceDiag: env.ServiceDiag(mu),
-		Servers:     &qbd.Servers{G: env.ServerRates(), Rates: env.PhaseServiceRates(mu), Counts: env.PhaseCounts()},
+		ServiceDiag: markov.ServiceDiag(markov.Operative(d.Modes(), paperOps.Phases()), n, mu),
+		Servers:     d,
 	}
 	sv, err := NewSolver(p, opts)
 	if err != nil {
@@ -216,9 +213,5 @@ func sOperativeMode(p qbd.Params) int {
 
 func sOperativeModeParams(t *testing.T) int {
 	t.Helper()
-	env, err := markov.NewEnv(2, paperOps, paperRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env.NumModes() - 1
+	return qbd.NumModes(2, paperOps.Phases()+paperRepair.Phases()) - 1
 }
