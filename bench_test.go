@@ -289,16 +289,45 @@ func BenchmarkKolmogorovSmirnov(b *testing.B) {
 }
 
 // BenchmarkEnvEnumeration measures what the served path builds per
-// environment before it hoists: System.Params, one server's description,
-// qbd's enumeration of its modes (eq. 12) and the service diagonals over
-// them, as N grows toward the paper's reported numerical limit (N ≈ 24).
-// No dense A is built; qbd lumps the description itself.
+// environment, as N grows past the paper's reported numerical limit
+// (N ≈ 24) to N = 64, where the Sun model has s = 2145 modes: params is
+// System.Params, one server's description, qbd's enumeration of its modes
+// (eq. 12) and the service diagonals over them; hoist is
+// qbd.NewSweepSolver on those Params, the lumping and the factored stage's
+// tables; approx is a whole System.SolveApprox (§3.2), one root and one
+// vector; load is Params.Load, which reads one server's k×k π.
 func BenchmarkEnvEnumeration(b *testing.B) {
-	for _, n := range []int{10, 24} {
-		sys := core.System{Servers: n, ArrivalRate: 1, ServiceRate: 1, Operative: benchOps, Repair: benchRepair}
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+	for _, n := range []int{10, 24, 32, 64} {
+		sys := core.System{Servers: n, ArrivalRate: 0.7 * float64(n) * benchRepair.Rate() / (benchOps.Rate() + benchRepair.Rate()), ServiceRate: 1, Operative: benchOps, Repair: benchRepair}
+		p, err := sys.Params()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("N=%d/params", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sys.Params(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/hoist", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := qbd.NewSweepSolver(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/approx", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.SolveApprox(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/load", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Load(); err != nil {
 					b.Fatal(err)
 				}
 			}

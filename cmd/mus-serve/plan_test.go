@@ -437,3 +437,22 @@ func TestSolveAtStabilityBoundary(t *testing.T) {
 		t.Errorf("message %q does not name 9 servers", env.Error.Message)
 	}
 }
+
+// TestSolvePastModeBound: qbd indexes at most math.MaxInt32 modes, so the
+// Sun model's solvers take at most N = 65534. Past that bound /v1/solve
+// still answers at once: an unstable λ with the N that carries it, and a
+// stable system with the solver's mode-count error, not as unstable.
+func TestSolvePastModeBound(t *testing.T) {
+	ts := testServer(t)
+	status, env := postForError(t, ts.URL+"/v1/solve", `{"servers": 1, "lambda": 70000}`)
+	if status != http.StatusUnprocessableEntity || env.Error == nil || env.Error.Code != api.CodeUnstableSystem {
+		t.Fatalf("λ = 70000 on 1 server: status %d, envelope %+v; want 422 %s", status, env.Error, api.CodeUnstableSystem)
+	}
+	if !strings.Contains(env.Error.Message, "need at least 70081 servers") {
+		t.Errorf("message %q does not name 70081 servers", env.Error.Message)
+	}
+	status, env = postForError(t, ts.URL+"/v1/solve", `{"servers": 70000, "lambda": 1}`)
+	if env.Error == nil || env.Error.Code == api.CodeUnstableSystem || !strings.Contains(env.Error.Message, "more than 2147483647 modes") {
+		t.Fatalf("λ = 1 on 70000 servers: status %d, envelope %+v; want qbd's mode-count error", status, env.Error)
+	}
+}

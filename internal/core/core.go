@@ -82,6 +82,9 @@ func (s System) params() (qbd.Params, []int, error) {
 		return qbd.Params{}, nil, err
 	}
 	d := s.servers()
+	if err := d.Validate(); err != nil {
+		return qbd.Params{}, nil, err
+	}
 	xs := markov.Operative(d.Modes(), s.Operative.Phases())
 	return qbd.Params{
 		Lambda:      s.ArrivalRate,

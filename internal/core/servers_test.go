@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -45,5 +46,20 @@ func TestParamsCarryServerDescription(t *testing.T) {
 				t.Errorf("%s N=%d: batch solver: %v", c.name, n, err)
 			}
 		}
+	}
+}
+
+// TestParamsRejectsTooManyModes: 200 servers of 20 phases have C(219, 19)
+// ≈ 4.6e26 modes, past what qbd indexes. System.Params must return qbd's
+// error naming the limit instead of enumerating them.
+func TestParamsRejectsTooManyModes(t *testing.T) {
+	w, r := make([]float64, 10), make([]float64, 10)
+	for i := range w {
+		w[i], r[i] = 0.1, float64(i+1)
+	}
+	h10 := dist.MustHyperExp(w, r)
+	sys := System{Servers: 200, ArrivalRate: 1, ServiceRate: 1, Operative: h10, Repair: h10}
+	if _, err := sys.Params(); err == nil || !strings.Contains(err.Error(), "more than 2147483647 modes") {
+		t.Fatalf("Params returned %v, want qbd's mode-count error", err)
 	}
 }

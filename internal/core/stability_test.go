@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/qbd"
 )
 
 // stabilitySystem is one model the stability tests sweep over N = 1..maxN.
@@ -15,9 +17,10 @@ type stabilitySystem struct {
 	maxN int
 }
 
-// stabilitySystems returns the Sun model and seeded H2 and H3 systems.
-// Those of four phases stop at N = 24, where qbd's validation of every
-// one of their Params already lumps 2925 modes.
+// stabilitySystems returns the Sun model and seeded H2 and H3 systems,
+// each swept to N = 64: qbd's Params.Load reads one server's k×k π, so
+// the four-phase models' 47905 modes at N = 64 cost only their
+// enumeration and service diagonals in System.Params.
 func stabilitySystems() []stabilitySystem {
 	rng := rand.New(rand.NewSource(2506))
 	draw := func(phases int, scale float64) *dist.HyperExp {
@@ -40,8 +43,8 @@ func stabilitySystems() []stabilitySystem {
 		{"sun", fig5System(0, 1), 64},
 		{"H2/exp", system(draw(2, 0.05), draw(1, 2)), 64},
 		{"exp/H2", system(draw(1, 0.05), draw(2, 2)), 64},
-		{"H3/exp", system(draw(3, 0.05), draw(1, 2)), 24},
-		{"H2/H2", system(draw(2, 0.05), draw(2, 2)), 24},
+		{"H3/exp", system(draw(3, 0.05), draw(1, 2)), 64},
+		{"H2/H2", system(draw(2, 0.05), draw(2, 2)), 64},
 	}
 }
 
@@ -129,4 +132,46 @@ func TestLoadMatchesClosedForm(t *testing.T) {
 		}
 	}
 	t.Logf("largest relative difference: %.1e", worst)
+}
+
+// TestStabilityPastModeBound: qbd indexes at most math.MaxInt32 modes,
+// which on the Sun model (3 phases) means N ≤ 65534. The bound is
+// Params', not the stability rule's: past it, Capacity is still N times
+// one server's and MinServersForStability still returns eq. 11's N, and
+// a stable system's Params and Solve report the bound instead of calling
+// the system unstable.
+func TestStabilityPastModeBound(t *testing.T) {
+	const bound = 65535 // the least N with C(N+2, 2) > math.MaxInt32
+	if qbd.NumModes(bound-1, 3) > math.MaxInt32 || qbd.NumModes(bound, 3) <= math.MaxInt32 {
+		t.Fatalf("NumModes(%d, 3) = %d, NumModes(%d, 3) = %d: the bound has moved", bound-1, qbd.NumModes(bound-1, 3), bound, qbd.NumModes(bound, 3))
+	}
+	one := fig5System(1, 1).Capacity()
+	for _, n := range []int{bound - 1, bound, 70000} {
+		if got, want := fig5System(n, 1).Capacity(), float64(n)*one; got != want {
+			t.Errorf("N=%d: Capacity = %v, want N·%v = %v", n, got, one, want)
+		}
+	}
+	sys := fig5System(1, 70000)
+	need := sys.ArrivalRate / (sys.ServiceRate * sys.Availability())
+	if frac := need - math.Floor(need); frac < 1e-6 || frac > 1-1e-6 {
+		t.Fatalf("λ/(µ·η/(ξ+η)) = %v lies too near an integer to pin N", need)
+	}
+	want := int(need) + 1
+	if want <= bound {
+		t.Fatalf("closed-form N = %d, want one past the bound %d", want, bound)
+	}
+	if got, err := MinServersForStability(sys); err != nil || got != want {
+		t.Fatalf("MinServersForStability(λ = %v) = %d, %v; want eq. 11's %d", sys.ArrivalRate, got, err, want)
+	}
+	big := fig5System(70000, 1)
+	if !big.Stable() {
+		t.Fatalf("N=70000 λ=1: Stable() = false at load %v", big.Load())
+	}
+	_, perr := big.Params()
+	_, serr := big.Solve()
+	for _, err := range []error{perr, serr} {
+		if err == nil || !strings.Contains(err.Error(), "more than 2147483647 modes") {
+			t.Errorf("N=70000 λ=1: got %v, want qbd's mode-count error", err)
+		}
+	}
 }

@@ -21,28 +21,32 @@ type ApproxSolution struct {
 // equation λ(1−z) + z·N·θ_P(z) = 0, θ_P being the largest eigen-branch of
 // one server's matrix M(z) (factored.go) that is not a transient phase's:
 // every other multiset without a transient server has a smaller sum of
-// branches, so its root is smaller too, and a multiset with one carries
-// no probability. u_s is that multiset's closed-form vector, the N-th
-// lumped power of one server's Perron vector, normalised to sum 1. Without
-// zero-weight phases it is the root and vector the spectral solver finds
-// for its all-Perron multiset, on a fresh worker, so it costs one scalar
-// root, not s of them, and agrees with SolveSpectral's TailDecay bit for
-// bit.
+// branches, so its root is smaller too, and a multiset with one carries no
+// probability. u_s is that multiset's closed-form vector, the N-th lumped
+// power of one server's Perron vector, normalised to sum 1. It hoists only
+// the factored stage and runs the spectral solver's code for that multiset,
+// so without zero-weight phases it agrees with SolveSpectral's TailDecay
+// bit for bit; it reports SolveSpectral's errors in its order.
 func SolveApprox(p Params) (*ApproxSolution, error) {
-	w, err := newWorker(p)
+	ms, err := p.validateEnv()
 	if err != nil {
 		return nil, err
 	}
-	if err := w.sv.checkPoint(p.Lambda); err != nil {
-		return nil, err
-	}
-	z, err := w.multisetRoot(p.Lambda, enteredPerron)
+	f, err := newFactored(p.Servers, ms)
 	if err != nil {
 		return nil, err
 	}
-	f, fw := w.sv.fac, &w.fac
+	if err := f.checkPoint(p.Lambda); err != nil {
+		return nil, err
+	}
+	var fw factoredWork
+	fw.init(f, len(ms.modes))
+	z, err := fw.multisetRoot(f, p.Lambda, enteredPerron)
+	if err != nil {
+		return nil, err
+	}
 	fw.branches(f, z)
-	u := make([]float64, w.sv.s)
+	u := make([]float64, len(ms.modes))
 	fw.vector(f, enteredPerron, u)
 	total := vecSum(u)
 	for i := range u {

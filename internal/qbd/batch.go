@@ -3,7 +3,6 @@ package qbd
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/linalg"
@@ -13,15 +12,13 @@ import (
 // solution across a batch of arrival rates that share one
 // breakdown/repair environment — the shape of every λ-sweep in the paper's
 // Figures 4–9 — and SolveSpectral is its batch of one. Construction hoists
-// all λ-independent work from the server description (validation, the
-// lumping into each mode's moves and their Dᴬ row sums, the capacity
-// N·Σ_p π_p·r_p from one server's stationary π, and the factored stage:
-// one server's symmetrised generator, the multisets and the composition
-// tables of their closed-form vectors), and holds no s×s matrix; each
-// Solve then runs the per-point remainder of the spectral expansion — the
-// roots and left vectors, N−1 boundary inverses of K_j built from the
-// moves, and one real s×s matching system at level N−1 — inside a
-// reusable worker workspace, allocation-free once warm.
+// all λ-independent work from the server description (validation, each
+// mode's moves and Dᴬ, the capacity, and the factored stage's multisets
+// and composition tables), and holds no s×s matrix; each Solve then runs
+// the per-point remainder of the spectral expansion — the roots and left
+// vectors, N−1 boundary inverses of K_j built from the moves, and one
+// real s×s matching system at level N−1 — inside a reusable worker
+// workspace, allocation-free once warm.
 //
 // Equivalence contract: a point solved on a reused or pooled worker is the
 // *same computation* as SolveSpectral(p) with p.Lambda set to that point,
@@ -37,12 +34,9 @@ import (
 //
 // A SweepSolver is safe for concurrent use; workers are pooled.
 type SweepSolver struct {
-	p        Params // base parameters; p.Lambda is ignored
-	s, n     int
-	c        []float64
-	env      *lumping  // each mode's moves and Dᴬ, for every K_j
-	capacity float64   // N·Σ_p π_p·r_p; 0 means every λ is unstable
-	fac      *factored // the eigen stage, hoisted from p.Servers
+	p   Params    // base parameters; p.Lambda is ignored
+	env *lumping  // each mode's moves and Dᴬ, for every K_j
+	fac *factored // the eigen stage and the capacity, hoisted from p.Servers
 
 	pool sync.Pool // *SweepWorker
 }
@@ -54,46 +48,36 @@ type SweepSolver struct {
 // description whose server's entered phases are not irreducible and
 // reversible is such an error.
 func NewSweepSolver(p Params) (*SweepSolver, error) {
-	probe := p
-	if !(probe.Lambda > 0) || math.IsInf(probe.Lambda, 0) {
-		probe.Lambda = 1 // structural validation only; per-point rates replace it
-	}
-	l, modes, err := probe.validate()
+	ms, err := p.validateEnv()
 	if err != nil {
 		return nil, err
 	}
-	sv := &SweepSolver{
-		p:   probe,
-		s:   probe.Size(),
-		n:   probe.Threshold(),
-		c:   probe.cTop(),
-		env: l,
-	}
-	if sv.fac, sv.capacity, err = newFactored(probe.Servers, l, modes); err != nil {
+	fac, err := newFactored(p.Servers, ms)
+	if err != nil {
 		return nil, err
 	}
+	sv := &SweepSolver{p: p, env: p.Servers.lump(ms), fac: fac}
 	sv.pool.New = func() any { return sv.NewWorker() }
 	return sv, nil
 }
 
 // Size returns the number of environment modes s.
-func (sv *SweepSolver) Size() int { return sv.s }
+func (sv *SweepSolver) Size() int { return len(sv.env.da) }
 
 // Threshold returns N, the first level at which the expansion applies.
-func (sv *SweepSolver) Threshold() int { return sv.n }
+func (sv *SweepSolver) Threshold() int { return sv.p.Threshold() }
 
 // Capacity returns the hoisted Servers.Capacity, bit for bit: a point is
 // stable iff its λ is below it.
-func (sv *SweepSolver) Capacity() float64 { return sv.capacity }
+func (sv *SweepSolver) Capacity() float64 { return sv.fac.capacity }
 
 // Solve evaluates one grid point on a pooled worker and returns a freshly
 // allocated, caller-owned solution.
 func (sv *SweepSolver) Solve(lambda float64) (*SpectralSolution, error) {
 	w := sv.pool.Get().(*SweepWorker)
+	defer sv.pool.Put(w)
 	sol := new(SpectralSolution)
-	err := w.SolveInto(lambda, sol)
-	sv.pool.Put(w)
-	if err != nil {
+	if err := w.SolveInto(lambda, sol); err != nil {
 		return nil, err
 	}
 	return sol, nil
@@ -115,7 +99,7 @@ type SweepWorker struct {
 // NewWorker returns a fresh workspace bound to the solver's hoisted state.
 func (sv *SweepSolver) NewWorker() *SweepWorker {
 	w := &SweepWorker{sv: sv}
-	w.fac.init(sv.fac, sv.s)
+	w.fac.init(sv.fac, sv.Size())
 	return w
 }
 
@@ -141,21 +125,12 @@ func (w *SweepWorker) SolveInto(lambda float64, sol *SpectralSolution) error {
 // and nothing else. It lets a benchmark time the eigen stage of a point
 // on its own.
 func (w *SweepWorker) EigenStage(lambda float64, sol *SpectralSolution) error {
-	if err := w.sv.checkPoint(lambda); err != nil {
+	if err := w.sv.fac.checkPoint(lambda); err != nil {
 		return err
 	}
 	w.ar.Reset()
-	sol.reshape(w.sv.n, w.sv.s)
+	sol.reshape(w.sv.Threshold(), w.sv.Size())
 	return w.factoredTerms(lambda, sol)
-}
-
-// checkPoint is the per-point validation and stability check, with
-// Params.Validate's and Params.CheckStable's errors.
-func (sv *SweepSolver) checkPoint(lambda float64) error {
-	if !(lambda > 0) || math.IsInf(lambda, 0) {
-		return fmt.Errorf("qbd: arrival rate %v must be positive and finite", lambda)
-	}
-	return checkLoad(lambda / sv.capacity)
 }
 
 // reshape resizes sol to n boundary levels over s modes, reusing backing
@@ -210,7 +185,7 @@ func (sol *SpectralSolution) reshape(n, s int) {
 // inversions' blocked eliminations do.
 func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	sv := w.sv
-	s, n := sv.s, sv.n
+	s, n := sv.Size(), sv.Threshold()
 	// S_j recursion: K_j = Dᴬ + B + C_j − A − λ·S_{j−1}, S_j = C_{j+1}·K_j⁻¹,
 	// for j < N−1; the last pass leaves K_{N−1} in kj.
 	if cap(w.stages) < n-1 {
@@ -247,10 +222,11 @@ func (w *SweepWorker) assemble(lambda float64, sol *SpectralSolution) error {
 	// kernel needs no transpose pass.
 	rt := w.ar.MatUninit(s, s) // rt[i][k] = u_k[i]
 	mt := w.ar.MatUninit(s, s)
+	c := sv.p.cTop()
 	for k, t := range sol.terms {
 		for i, u := range t.u {
 			rt.Data[i*s+k] = u
-			mt.Data[i*s+k] = -sv.c[i] * (t.z * u)
+			mt.Data[i*s+k] = -c[i] * (t.z * u)
 		}
 	}
 	// Row i of Mᵀ adds K_{N−1}[r][i]·(row r of rt) for every r in order,

@@ -67,35 +67,35 @@ type factored struct {
 	sqrtPi     []float64 // √π_p: takes a symmetric eigenvector to M(z)'s left eigenvector; 0 on a transient phase
 	g          []float64 // k×k G₁; a transient phase's row feeds its branch's left eigenvector
 	transient  []int     // the phases no rate enters, ascending
-	multisets  []int     // s×k branch counts; multiset 0 is the all-Perron (N, 0, …, 0)
+	multisets  []int     // s×k branch counts, in rank order; multiset 0 is the all-Perron (N, 0, …, 0)
 	t0, t1     []float64 // Σ_i m_i·θ_i(z) at z = 0 and z = 1, per multiset
-	monos      []int     // number of monomials of each degree 0..N
 	parent     [][]int32 // parent[d][j·k+p]: monomial j of degree d less t_p, in degree d−1; −1 if absent
+	capacity   float64   // N·Σ_p π_p·r_p; a point is stable iff λ is below it
 }
 
 // multiset returns multiset mi's branch counts.
 func (f *factored) multiset(mi int) []int { return f.multisets[mi*f.k : (mi+1)*f.k] }
 
-// newFactored hoists the factored stage of a validated description, its
-// modes and their lumping, and returns it with the description's
-// Capacity. A server whose entered phases are not irreducible and
-// reversible is an error.
-func newFactored(d *Servers, l *lumping, modes [][]int) (*factored, float64, error) {
+// newFactored hoists the factored stage of a validated description and
+// its mode space, with the description's Capacity. A server whose entered
+// phases are not irreducible and reversible is an error.
+func newFactored(d *Servers, ms modeSpace) (*factored, error) {
 	pi, reversible, err := stationary(d)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if !reversible {
-		return nil, 0, errors.New("qbd: server description is not reversible, so its eigen-branches need not be real")
+		return nil, errors.New("qbd: server description is not reversible, so its eigen-branches need not be real")
 	}
 	k := d.G.Rows
 	f := &factored{
-		k:       k,
-		servers: d.N,
-		sym:     make([]float64, k*k),
-		rates:   append([]float64(nil), d.Rates...),
-		sqrtPi:  make([]float64, k),
-		g:       append([]float64(nil), d.G.Data...),
+		k:        k,
+		servers:  d.N,
+		sym:      make([]float64, k*k),
+		rates:    append([]float64(nil), d.Rates...),
+		sqrtPi:   make([]float64, k),
+		g:        append([]float64(nil), d.G.Data...),
+		capacity: d.capacity(pi),
 	}
 	for p, v := range pi {
 		f.sqrtPi[p] = math.Sqrt(v)
@@ -114,15 +114,15 @@ func newFactored(d *Servers, l *lumping, modes [][]int) (*factored, float64, err
 		}
 		f.sym[p*k+p] = -out
 	}
-	f.multisets = compositions(d.N, k)
+	f.multisets = ms.ranked // the multisets of N branches are the modes' vectors
 	var ws factoredWork
 	ws.init(f, len(f.multisets)/k)
 	ws.branches(f, 0)
 	f.t0 = f.branchSums(ws.theta)
 	ws.branches(f, 1)
 	f.t1 = f.branchSums(ws.theta)
-	f.buildTables(modes, l.keys)
-	return f, d.capacity(pi), nil
+	f.buildTables(ms)
+	return f, nil
 }
 
 // branchSums returns Σ_i m_i·θ_i for every multiset m.
@@ -134,32 +134,6 @@ func (f *factored) branchSums(theta []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// monoKeys encodes a vector of k phase counts, each at most N, as one
-// mixed-radix integer.
-type monoKeys struct{ pow []uint64 }
-
-func newMonoKeys(servers, k int) (monoKeys, error) {
-	base := uint64(servers) + 1
-	pow := make([]uint64, k)
-	w := uint64(1)
-	for p := 0; p < k; p++ {
-		pow[p] = w
-		if w > math.MaxUint64/base {
-			return monoKeys{}, fmt.Errorf("qbd: server description: %d servers in %d phases is too large to index", servers, k)
-		}
-		w *= base
-	}
-	return monoKeys{pow}, nil
-}
-
-func (mk monoKeys) of(n []int) uint64 {
-	var key uint64
-	for p, c := range n {
-		key += uint64(c) * mk.pow[p]
-	}
-	return key
 }
 
 // stationary returns one server's stationary distribution π and whether
@@ -250,76 +224,27 @@ func (d *Servers) capacity(pi []float64) float64 {
 }
 
 // buildTables hoists the composition tables of the closed-form vectors:
-// the monomials of each degree below N in compositions order, those of
-// degree N in mode order, and for each monomial the index of every
+// the monomials of each degree below N in rank order (rankTable), those of
+// degree N in mode order, and for each monomial the rank of every
 // monomial one degree lower that a factor y·t multiplies into it.
-func (f *factored) buildTables(modes [][]int, keys monoKeys) {
+func (f *factored) buildTables(ms modeSpace) {
 	k, n := f.k, f.servers
-	f.monos = make([]int, n+1)
 	f.parent = make([][]int32, n+1)
-	prev := map[uint64]int32{0: 0}
-	f.monos[0] = 1
-	for d := 1; d <= n; d++ {
-		var list []int
-		if d < n {
-			list = compositions(d, k)
-		} else {
-			list = slices.Concat(modes...)
-		}
-		m := len(list) / k
-		f.monos[d] = m
-		par := make([]int32, m*k)
-		cur := make(map[uint64]int32, m)
-		for j := 0; j < m; j++ {
-			mono := list[j*k : (j+1)*k]
-			key := keys.of(mono)
-			cur[key] = int32(j)
-			for p, c := range mono {
-				par[j*k+p] = -1
-				if c > 0 {
-					par[j*k+p] = prev[key-keys.pow[p]]
-				}
-			}
+	for d := 1; d < n; d++ {
+		par := make([]int32, ms.ranks[k-1][d]*k)
+		mono := make([]int, k)
+		mono[0] = d
+		for j := 0; j*k < len(par); j++ {
+			ms.ranks.parents(mono, d, j, par[j*k:(j+1)*k])
+			nextComposition(mono)
 		}
 		f.parent[d] = par
-		prev = cur
 	}
-}
-
-// compositions lists every way to write total as an ordered sum of k
-// non-negative parts, flattened, in descending lexicographic order — so
-// the first is (total, 0, …, 0).
-func compositions(total, k int) []int {
-	var out []int
-	cur := make([]int, k)
-	var rec func(rem, idx int)
-	rec = func(rem, idx int) {
-		if idx == k-1 {
-			cur[idx] = rem
-			out = append(out, cur...)
-			return
-		}
-		for v := rem; v >= 0; v-- {
-			cur[idx] = v
-			rec(rem-v, idx+1)
-		}
+	par := make([]int32, len(ms.modes)*k)
+	for j, mode := range ms.modes {
+		ms.ranks.parents(mode, n, ms.ranks.rank(mode), par[j*k:(j+1)*k])
 	}
-	rec(total, 0)
-	return out
-}
-
-func binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	r := 1
-	for i := 1; i <= k; i++ {
-		r = r * (n - k + i) / i
-	}
-	return r
+	f.parent[n] = par
 }
 
 // factoredWork is a worker's scratch for the factored stage, sized once.
@@ -403,6 +328,15 @@ func (fw *factoredWork) g(f *factored, lambda, z float64, mi int) (float64, floa
 	return lambda*(1-z) + z*t, -lambda + t + z*dt
 }
 
+// checkPoint is the per-point validation and stability check, with
+// Params.Validate's and Params.CheckStable's errors.
+func (f *factored) checkPoint(lambda float64) error {
+	if !(lambda > 0) || math.IsInf(lambda, 0) {
+		return fmt.Errorf("qbd: arrival rate %v must be positive and finite", lambda)
+	}
+	return checkLoad(lambda / f.capacity)
+}
+
 // multisetRoot returns the root in (0, 1) of g_m for multiset mi (or
 // enteredPerron), by Newton's method safeguarded by bisection inside a
 // bracket on which g_m changes sign. The start depends only on λ and the
@@ -410,8 +344,7 @@ func (fw *factoredWork) g(f *factored, lambda, z float64, mi int) (float64, floa
 // λ/(λ − Σ_i m_i·θ_i(0)), multiset 0's for enteredPerron. A bracket
 // without a sign change, or an iteration that does not converge, is an
 // error wrapping ErrEigenCount that names the multiset.
-func (w *SweepWorker) multisetRoot(lambda float64, mi int) (float64, error) {
-	f, fw := w.sv.fac, &w.fac
+func (fw *factoredWork) multisetRoot(f *factored, lambda float64, mi int) (float64, error) {
 	lo, hi := 0.0, 1.0
 	if !(lambda > 0) {
 		return 0, f.rootErr(mi, "no sign change", lo, hi)
@@ -421,7 +354,7 @@ func (w *SweepWorker) multisetRoot(lambda float64, mi int) (float64, error) {
 		// just below 1. Step back from 1 until g turns negative; every step
 		// that finds g > 0 lies below the root.
 		found := false
-		eps := (1 - lambda/w.sv.capacity) / 2
+		eps := (1 - lambda/f.capacity) / 2
 		for j := 0; j < 64 && eps > 0 && !found; j++ {
 			b := 1 - eps
 			g, _ := fw.g(f, lambda, b, mi)
@@ -490,7 +423,7 @@ func (w *SweepWorker) factoredTerms(lambda float64, sol *SpectralSolution) error
 	f, fw := w.sv.fac, &w.fac
 	roots := fw.roots
 	for mi := range roots {
-		z, err := w.multisetRoot(lambda, mi)
+		z, err := fw.multisetRoot(f, lambda, mi)
 		if err != nil {
 			return err
 		}
@@ -548,7 +481,7 @@ func (fw *factoredWork) vector(f *factored, mi int, u []float64) bool {
 		for c := 0; c < m; c++ {
 			deg++
 			par := f.parent[deg]
-			out := next[:f.monos[deg]]
+			out := next[:len(par)/k]
 			for j := range out {
 				var acc float64
 				for p, q := range par[j*k : (j+1)*k] {

@@ -104,7 +104,7 @@ func lTol(load float64) float64 { return math.Max(1e-9, 5e-11/(1-load)) }
 // eigen code with the factored stage, whose oracle it is. A complex root
 // is companionTerms' error.
 func companionSolve(p Params) (*SpectralSolution, error) {
-	w, err := newWorker(p)
+	sv, err := NewSweepSolver(p)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func companionSolve(p Params) (*SpectralSolution, error) {
 	if err := companionTerms(p, sol); err != nil {
 		return nil, err
 	}
-	if err := w.assemble(p.Lambda, sol); err != nil {
+	if err := sv.NewWorker().assemble(p.Lambda, sol); err != nil {
 		return nil, err
 	}
 	return sol, nil
@@ -370,8 +370,8 @@ func TestMultisetRootErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := sv.NewWorker()
-	if z, err := w.multisetRoot(0.5*sv.capacity, 0); err != nil || !(z > 0 && z < 1) {
+	f, fw := sv.fac, &sv.NewWorker().fac
+	if z, err := fw.multisetRoot(f, 0.5*f.capacity, 0); err != nil || !(z > 0 && z < 1) {
 		t.Fatalf("stable Perron root: %v, %v", z, err)
 	}
 	cases := []struct {
@@ -379,13 +379,13 @@ func TestMultisetRootErrors(t *testing.T) {
 		mi     int
 		name   string
 	}{
-		{1.2 * sv.capacity, 0, "[3 0 0]"},
-		{sv.capacity, 0, "[3 0 0]"},
+		{1.2 * f.capacity, 0, "[3 0 0]"},
+		{f.capacity, 0, "[3 0 0]"},
 		{-1, 4, "[1 1 1]"},
 		{math.NaN(), 9, "[0 0 3]"},
 	}
 	for _, c := range cases {
-		z, err := w.multisetRoot(c.lambda, c.mi)
+		z, err := fw.multisetRoot(f, c.lambda, c.mi)
 		if !errors.Is(err, ErrEigenCount) {
 			t.Fatalf("λ=%v multiset %d: got %v, %v; want ErrEigenCount", c.lambda, c.mi, z, err)
 		}
@@ -533,13 +533,13 @@ func productFormParams(seed int64) (Params, float64, *Params) {
 // root to 1e-13 relative without any other eigen-solver.
 func certifyRoots(t testing.TB, what string, p Params) {
 	t.Helper()
-	w, err := newWorker(p)
+	sv, err := NewSweepSolver(p)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	f, fw := w.sv.fac, &w.fac
+	f, fw := sv.fac, &sv.NewWorker().fac
 	for mi := range len(f.multisets) / f.k {
-		z, err := w.multisetRoot(p.Lambda, mi)
+		z, err := fw.multisetRoot(f, p.Lambda, mi)
 		if err != nil {
 			t.Fatalf("%s: multiset %v: %v", what, f.multiset(mi), err)
 		}

@@ -3,17 +3,11 @@
 // service capacity — by four methods:
 //
 //   - SolveSpectral: the paper's exact spectral-expansion solution (§3.1).
-//     Params.Servers describes the environment as N identical servers, so
 //     det Q(z) factors into one scalar equation per multiset of one
 //     server's eigen-branches, each with one real root in (0, 1) and a
-//     closed-form left vector; a phase of zero weight adds a transient
-//     branch of its own. The boundary is an O(N·s³) block elimination
-//     rather than a dense (N+1)s system: N−1 in-place Gauss–Jordan
-//     inverses whose row updates are linalg.Axpy, fused multiply-adds on
-//     CPUs with AVX2 and FMA. It is one point of a SweepSolver, which
-//     hoists the λ-independent work once per environment and solves a
-//     λ-sweep allocation-free; a one-off solve and every sweep point run
-//     the same code.
+//     closed-form left vector, and the boundary is an O(N·s³) block
+//     elimination. It is one point of a SweepSolver, which hoists the
+//     λ-independent work once per environment.
 //   - SolveApprox: the geometric approximation (§3.2, eq. 21) that keeps
 //     only the dominant eigenvalue, the all-Perron multiset's root;
 //     asymptotically exact in heavy traffic.
@@ -25,8 +19,9 @@
 // Every environment is described by one server (Params.Servers): its
 // phase-change rates, its service rate in each phase and the number of
 // servers N. qbd derives everything else from it — the modes and their
-// order (Servers.Modes), the lumping into transitions, and the capacity
-// that decides stability (Servers.Capacity) — and the solvers that work on
+// order (Servers.Modes), each found by its rank among the vectors of phase
+// counts, the lumping into transitions, and the capacity that decides
+// stability (Servers.Capacity) — and the solvers that work on
 // the s×s transition matrix A as a dense matrix read it through
 // Params.EnvMatrix. Only SolveSpectral and SolveApprox need the server to
 // be reversible. SolveSpectralDense, the spectral solver's oracle,
@@ -40,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/linalg"
@@ -67,16 +63,15 @@ type Params struct {
 }
 
 // Servers describes an environment of N identical, independent servers,
-// each moving through k phases (Palmer & Mitrani §3), by one server: it is
-// the only model of the server qbd takes. A mode is a vector of phase
-// counts summing to N (Modes), A is the sum of one server's rates lumped
-// by those counts (eq. 9), a mode moving one server from phase p to phase
-// q at n_p·G[p][q], and the queue is ergodic iff λ is below Capacity
-// (eq. 11). Validate checks that C_N serves each mode at Σ_p n_p·Rates[p],
-// and NewSweepSolver that one server's phase process is reversible on one
-// irreducible class of phases, which makes every eigen-branch real. Any
-// other phase must be transient: no rate enters it, as with a phase of
-// zero weight, and it leaves to the class.
+// each moving through k phases (Palmer & Mitrani §3), by one server. A
+// mode is a vector of phase counts summing to N (Modes), A is the sum of
+// one server's rates lumped by those counts (eq. 9), a mode moving one
+// server from phase p to phase q at n_p·G[p][q], and the queue is ergodic
+// iff λ is below Capacity (eq. 11). Params.Validate checks that C_N serves
+// each mode at Σ_p n_p·Rates[p], and NewSweepSolver that one server's
+// phase process is reversible on one irreducible class of phases, which
+// makes every eigen-branch real. Any other phase must be transient: no
+// rate enters it, as with a zero-weight phase, and it leaves to the class.
 type Servers struct {
 	// G holds one server's k×k phase-change rates, with a zero diagonal.
 	G *linalg.Matrix
@@ -89,7 +84,7 @@ type Servers struct {
 
 // check validates d on its own: G square and non-empty with a finite,
 // non-negative off-diagonal and a zero diagonal, one finite, non-negative
-// service rate per phase, and at least one server.
+// service rate per phase, and at least one server: what Capacity reads.
 func (d *Servers) check() error {
 	if d.G == nil || d.G.Rows != d.G.Cols || d.G.Rows == 0 {
 		return errors.New("qbd: server description: G must be square and non-empty")
@@ -115,17 +110,41 @@ func (d *Servers) check() error {
 	return nil
 }
 
+// Validate is check and at most math.MaxInt32 modes, as many as the int32
+// composition tables index: what a solver needs before it enumerates one.
+func (d *Servers) Validate() error {
+	if err := d.check(); err != nil || NumModes(d.N, d.G.Rows) <= math.MaxInt32 {
+		return err
+	}
+	return fmt.Errorf("qbd: server description: %d servers in %d phases make more than %d modes", d.N, d.G.Rows, math.MaxInt32)
+}
+
 // Modes returns the environment's modes: every vector of k phase counts
 // summing to N, s = C(N+k−1, k−1) of them (paper eq. 12), in one canonical
 // order — ascending number of servers in phases with a positive service
 // rate, ties in descending lexicographic order. For the paper's server,
 // operative phases first, that is §3's numbering. d must be valid.
-func (d *Servers) Modes() [][]int {
+func (d *Servers) Modes() [][]int { return d.space().modes }
+
+// modeSpace is every vector of k phase counts summing to N, flattened in
+// rank order (ranked) and in mode order (modes), and their rankTable.
+type modeSpace struct {
+	ranked []int
+	modes  [][]int
+	ranks  rankTable
+}
+
+// space enumerates valid d's modes once for all a solver builds on them.
+func (d *Servers) space() modeSpace {
 	k := d.G.Rows
-	flat := compositions(d.N, k)
+	ms := modeSpace{ranked: make([]int, NumModes(d.N, k)*k), ranks: newRankTable(k, d.N)}
 	byBusy := make([][][]int, d.N+1)
-	for i := 0; i < len(flat); i += k {
-		n := flat[i : i+k : i+k]
+	next := make([]int, k)
+	next[0] = d.N
+	for i := 0; i < len(ms.ranked); i += k {
+		n := ms.ranked[i : i+k : i+k]
+		copy(n, next)
+		nextComposition(next)
 		busy := 0
 		for p, c := range n {
 			if d.Rates[p] > 0 {
@@ -134,7 +153,8 @@ func (d *Servers) Modes() [][]int {
 		}
 		byBusy[busy] = append(byBusy[busy], n)
 	}
-	return slices.Concat(byBusy...)
+	ms.modes = slices.Concat(byBusy...)
+	return ms
 }
 
 // Capacity returns the servers' service capacity N·Σ_p π_p·Rates[p], π
@@ -153,8 +173,76 @@ func (d *Servers) Capacity() (float64, error) {
 }
 
 // NumModes returns s = C(n+k−1, k−1), the number of modes of n servers
-// of k phases each (paper eq. 12).
-func NumModes(n, k int) int { return binomial(n+k-1, k-1) }
+// of k phases each (paper eq. 12), or math.MaxInt if that overflows: s is
+// built up as C(n+b, b) = C(n+b−1, b−1)·(n+b)/b, each at most s.
+func NumModes(n, k int) int {
+	s := uint64(1)
+	for b := 1; b < k; b++ {
+		hi, lo := bits.Mul64(s, uint64(n+b))
+		if hi >= uint64(b) {
+			return math.MaxInt
+		}
+		s, _ = bits.Div64(hi, lo, uint64(b))
+	}
+	return int(min(s, math.MaxInt))
+}
+
+// nextComposition steps n in place to the next vector of its total in
+// rank order, and reports whether there was one.
+func nextComposition(n []int) bool {
+	last := len(n) - 1
+	for i := last - 1; i >= 0; i-- {
+		if n[i] > 0 {
+			n[i]--
+			n[last], n[i+1] = 0, n[last]+1
+			return true
+		}
+	}
+	return false
+}
+
+// rankTable ranks the vectors of k counts with one total in descending
+// lexicographic order, by the combinatorial number system (Knuth, TAOCP
+// 4A, §7.2.1.3): n sits at Σ_{p=1}^{k−1} C(r_p+k−p−1, k−p), with
+// r_p = n_p + … + n_{k−1}. t[b][m] = C(m+b, b), for m ≤ total.
+type rankTable [][]int
+
+func newRankTable(k, total int) rankTable {
+	t := make(rankTable, k)
+	for b := range t {
+		t[b] = make([]int, total+1)
+		for m := range t[b] {
+			t[b][m] = NumModes(m, b+1)
+		}
+	}
+	return t
+}
+
+// rank returns n's index among the vectors of its total.
+func (t rankTable) rank(n []int) int {
+	r, rest := 0, 0
+	for p := len(n) - 1; p > 0; p-- {
+		if rest += n[p]; rest > 0 {
+			r += t[len(n)-p][rest-1]
+		}
+	}
+	return r
+}
+
+// parents writes into par[p] the rank of n − e_p, or −1 where n_p = 0,
+// for n of the given total and rank r. Removing e_p lowers r_1..r_p by
+// one, so by Pascal's rule each parent is the last one less one entry.
+func (t rankTable) parents(n []int, total, r int, par []int32) {
+	for p, c := range n {
+		par[p] = -1
+		if c > 0 {
+			par[p] = int32(r)
+		}
+		if total -= c; total > 0 { // total is now r_{p+1}
+			r -= t[len(n)-p-2][total-1]
+		}
+	}
+}
 
 // Size returns the number of environment modes s.
 func (p Params) Size() int { return NumModes(p.Servers.N, p.Servers.G.Rows) }
@@ -167,41 +255,68 @@ func (p Params) Threshold() int { return len(p.ServiceDiag) - 1 }
 // infinite one would never let the eigensolver's balancing terminate, and
 // a NaN one would leave QR iterating until its budget runs out.
 func (p Params) Validate() error {
-	_, _, err := p.validate()
+	_, err := p.validate()
 	return err
 }
 
-// validate is Validate, returning the modes and their lumping.
-func (p Params) validate() (*lumping, [][]int, error) {
+// validate is Validate, returning the mode space.
+func (p Params) validate() (modeSpace, error) {
+	if err := p.checkShape(); err != nil {
+		return modeSpace{}, err
+	}
+	for j, d := range p.ServiceDiag {
+		for i, v := range d {
+			if v < 0 {
+				return modeSpace{}, fmt.Errorf("qbd: negative service rate %v at level %d mode %d", v, j, i)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return modeSpace{}, fmt.Errorf("qbd: service rate %v at level %d mode %d must be finite", v, j, i)
+			}
+		}
+	}
+	ms := p.Servers.space()
+	c := p.cTop()
+	for i, n := range ms.modes {
+		var service float64
+		for q, cnt := range n {
+			service += float64(cnt) * p.Servers.Rates[q]
+		}
+		if math.Abs(c[i]-service) > serviceTol*math.Abs(service) {
+			return modeSpace{}, fmt.Errorf("qbd: server description does not reproduce C_N: mode %d serves at %v, the description at %v", i, c[i], service)
+		}
+	}
+	return ms, nil
+}
+
+// validateEnv is validate for all of p but λ, which checkPoint reports
+// after the environment's errors.
+func (p Params) validateEnv() (modeSpace, error) {
+	p.Lambda = 1
+	return p.validate()
+}
+
+// checkShape checks λ, the server description, and one service diagonal
+// of s entries per level: what Load reads.
+func (p Params) checkShape() error {
 	if p.Servers == nil {
-		return nil, nil, errors.New("qbd: Params.Servers must describe the environment")
+		return errors.New("qbd: Params.Servers must describe the environment")
 	}
 	if !(p.Lambda > 0) || math.IsInf(p.Lambda, 0) {
-		return nil, nil, fmt.Errorf("qbd: arrival rate %v must be positive and finite", p.Lambda)
+		return fmt.Errorf("qbd: arrival rate %v must be positive and finite", p.Lambda)
 	}
 	if len(p.ServiceDiag) < 2 {
-		return nil, nil, errors.New("qbd: need service diagonals for at least levels 0 and 1")
+		return errors.New("qbd: need service diagonals for at least levels 0 and 1")
 	}
-	if err := p.Servers.check(); err != nil {
-		return nil, nil, err
+	if err := p.Servers.Validate(); err != nil {
+		return err
 	}
 	s := p.Size()
 	for j, d := range p.ServiceDiag {
 		if len(d) != s {
-			return nil, nil, fmt.Errorf("qbd: ServiceDiag[%d] has %d entries, want %d", j, len(d), s)
-		}
-		for i, v := range d {
-			if v < 0 {
-				return nil, nil, fmt.Errorf("qbd: negative service rate %v at level %d mode %d", v, j, i)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, nil, fmt.Errorf("qbd: service rate %v at level %d mode %d must be finite", v, j, i)
-			}
+			return fmt.Errorf("qbd: ServiceDiag[%d] has %d entries, want %d", j, len(d), s)
 		}
 	}
-	modes := p.Servers.Modes()
-	l, err := p.Servers.lump(modes, p.cTop())
-	return l, modes, err
+	return nil
 }
 
 // move is one transition of a lumped mode: to mode to, at rate.
@@ -215,41 +330,30 @@ type move struct {
 // ascending target order, and da[i] is their total rate, Dᴬ's diagonal,
 // summed in that order as linalg.Matrix.RowSums sums A's row i.
 type lumping struct {
-	keys  monoKeys
 	start []int
 	moves []move
 	da    []float64
 }
 
-// lump lumps the checked description d by its modes' phase counts,
-// checking it against the top service diagonal c: in mode n, each of the
-// n_p servers in phase p moves to phase q at G[p][q], so the mode moves
-// to n − e_p + e_q at n_p·G[p][q]. c[i] must be the service rate
-// Σ_p n_p·Rates[p] of mode i.
-func (d *Servers) lump(modes [][]int, c []float64) (*lumping, error) {
+// lump lumps the checked description d by its modes' phase counts: in
+// mode n, each of the n_p servers in phase p moves to phase q at G[p][q],
+// so the mode moves to n − e_p + e_q, found by its rank, at n_p·G[p][q].
+func (d *Servers) lump(ms modeSpace) *lumping {
 	k := d.G.Rows
-	keys, err := newMonoKeys(d.N, k)
-	if err != nil {
-		return nil, err
+	index := make([]int32, len(ms.modes))
+	for i, n := range ms.modes {
+		index[ms.ranks.rank(n)] = int32(i)
 	}
-	index := make(map[uint64]int, len(modes))
-	for i, n := range modes {
-		var service float64
-		for p, cnt := range n {
-			service += float64(cnt) * d.Rates[p]
-		}
-		if math.Abs(c[i]-service) > serviceTol*math.Abs(service) {
-			return nil, fmt.Errorf("qbd: server description does not reproduce C_N: mode %d serves at %v, the description at %v", i, c[i], service)
-		}
-		index[keys.of(n)] = i
-	}
-	l := &lumping{keys: keys, start: make([]int, len(modes)+1), da: make([]float64, len(modes))}
-	for i, n := range modes {
-		key := keys.of(n)
+	l := &lumping{start: make([]int, len(ms.modes)+1), da: make([]float64, len(ms.modes))}
+	to := make([]int, k)
+	for i, n := range ms.modes {
 		for p, cnt := range n {
 			for q := 0; q < k; q++ {
 				if g := d.G.At(p, q); cnt > 0 && g != 0 {
-					l.moves = append(l.moves, move{index[key-keys.pow[p]+keys.pow[q]], float64(cnt) * g})
+					copy(to, n)
+					to[p]--
+					to[q]++
+					l.moves = append(l.moves, move{int(index[ms.ranks.rank(to)]), float64(cnt) * g})
 				}
 			}
 		}
@@ -259,7 +363,7 @@ func (d *Servers) lump(modes [][]int, c []float64) (*lumping, error) {
 			l.da[i] += m.rate
 		}
 	}
-	return l, nil
+	return l
 }
 
 // row returns mode i's moves.
@@ -267,13 +371,9 @@ func (l *lumping) row(i int) []move { return l.moves[l.start[i]:l.start[i+1]] }
 
 // EnvMatrix returns the environment's s×s transition matrix A, p.Servers
 // lumped by phase counts, for the solvers that work on A as a dense
-// matrix. p must be valid; it panics on a server description that
-// Validate rejects.
+// matrix. p must be valid.
 func (p Params) EnvMatrix() *linalg.Matrix {
-	l, err := p.Servers.lump(p.Servers.Modes(), p.cTop())
-	if err != nil {
-		panic(err)
-	}
+	l := p.Servers.lump(p.Servers.space())
 	a := linalg.NewMatrix(len(l.da), len(l.da))
 	for i := range l.da {
 		for _, m := range l.row(i) {
@@ -342,16 +442,17 @@ func generatorStationary(a *linalg.Matrix) ([]float64, error) {
 }
 
 // Load returns the offered load relative to capacity, λ/Servers.Capacity.
-// The queue is ergodic iff Load < 1 (paper eq. 11 in matrix form).
+// The queue is ergodic iff Load < 1 (paper eq. 11 in matrix form). Of
+// the diagonals it checks only the lengths.
 func (p Params) Load() (float64, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.checkShape(); err != nil {
 		return 0, err
 	}
-	capacity, err := p.Servers.Capacity()
+	pi, _, err := stationary(p.Servers)
 	if err != nil {
 		return 0, err
 	}
-	return p.Lambda / capacity, nil
+	return p.Lambda / p.Servers.capacity(pi), nil
 }
 
 // CheckStable returns ErrUnstable when Load ≥ 1.

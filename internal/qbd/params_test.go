@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 // TestLumpingMatchesReference: the one lumping of a server description,
@@ -43,7 +46,7 @@ func TestLumpingMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		for i := 0; i < sv.s; i++ {
+		for i := 0; i < sv.Size(); i++ {
 			row := sv.env.row(i)
 			if !slices.IsSortedFunc(row, func(a, b move) int { return a.to - b.to }) {
 				t.Fatalf("%s: mode %d's moves are not in ascending target order: %v", m.name, i, row)
@@ -85,15 +88,79 @@ func TestCapacityMatchesEnvStationary(t *testing.T) {
 			if c, err := p.Servers.Capacity(); err != nil || c != sv.Capacity() {
 				t.Fatalf("%s N=%d: Servers.Capacity = %v, %v; the hoist's is %v", e.name, n, c, err, sv.Capacity())
 			}
-			if load, err := p.Load(); err != nil || load != p.Lambda/sv.capacity {
-				t.Fatalf("%s N=%d: Load = %v, %v; the hoist's capacity gives %v", e.name, n, load, err, p.Lambda/sv.capacity)
+			if load, err := p.Load(); err != nil || load != p.Lambda/sv.Capacity() {
+				t.Fatalf("%s N=%d: Load = %v, %v; the hoist's capacity gives %v", e.name, n, load, err, p.Lambda/sv.Capacity())
 			}
-			d := math.Abs(sv.capacity-dense) / dense
+			d := math.Abs(sv.Capacity()-dense) / dense
 			if d > 1e-14 {
-				t.Errorf("%s N=%d: capacity %v, EnvStationary's %v (rel %.1e)", e.name, n, sv.capacity, dense, d)
+				t.Errorf("%s N=%d: capacity %v, EnvStationary's %v (rel %.1e)", e.name, n, sv.Capacity(), dense, d)
 			}
 			worst = math.Max(worst, d)
 		}
 	}
 	t.Logf("largest relative difference: %.1e", worst)
+}
+
+// TestModeRanking: for k = 1..5 counts and totals 0..12, nextComposition
+// starts at (t, 0, …, 0), visits C(t+k−1, k−1) vectors in strictly
+// descending lexicographic order and ends at (0, …, 0, t), and each
+// vector's rank is its visit index.
+func TestModeRanking(t *testing.T) {
+	for k := 1; k <= 5; k++ {
+		ranks := newRankTable(k, 12)
+		for total := 0; total <= 12; total++ {
+			n := make([]int, k)
+			n[0] = total
+			var prev []int
+			visits := 0
+			for more := true; more; more = nextComposition(n) {
+				if prev != nil && slices.Compare(prev, n) <= 0 {
+					t.Fatalf("k=%d total %d: %v follows %v", k, total, n, prev)
+				}
+				if r := ranks.rank(n); r != visits {
+					t.Fatalf("k=%d total %d: %v ranks %d, visited %d-th", k, total, n, r, visits)
+				}
+				prev = slices.Clone(n)
+				visits++
+			}
+			if want := NumModes(total, k); visits != want || prev[k-1] != total {
+				t.Fatalf("k=%d total %d: %d vectors ending at %v, want %d ending at (0, …, 0, %d)", k, total, visits, prev, want, total)
+			}
+		}
+	}
+}
+
+// TestTooManyModes: a mode count past the int32 tables' limit is an error
+// that names the limit, before any diagonal is read or any mode
+// enumerated, from Validate, NewSweepSolver and SolveApprox, while
+// Capacity, which needs no mode, still answers. NumModes saturates rather
+// than wrapping: C(1009, 9) and C(219, 19) exceed an int.
+func TestTooManyModes(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{1000, 10}, {200, 20}} {
+		if got := NumModes(c.n, c.k); got != math.MaxInt {
+			t.Errorf("NumModes(%d, %d) = %d, want math.MaxInt", c.n, c.k, got)
+		}
+		g := linalg.NewMatrix(c.k, c.k)
+		for q := 1; q < c.k; q++ {
+			g.Set(0, q, 1)
+			g.Set(q, 0, 1)
+		}
+		rates := make([]float64, c.k)
+		rates[0] = 1
+		p := Params{Lambda: 1, ServiceDiag: [][]float64{{1}, {1}}, Servers: &Servers{G: g, Rates: rates, N: c.n}}
+		want := fmt.Sprintf("more than %d modes", math.MaxInt32)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d servers of %d phases: Validate returned %v, want %q", c.n, c.k, err, want)
+		}
+		if _, got := NewSweepSolver(p); got == nil || got.Error() != err.Error() {
+			t.Errorf("%d servers of %d phases: NewSweepSolver returned %v, want %v", c.n, c.k, got, err)
+		}
+		if _, got := SolveApprox(p); got == nil || got.Error() != err.Error() {
+			t.Errorf("%d servers of %d phases: SolveApprox returned %v, want %v", c.n, c.k, got, err)
+		}
+		if capacity, err := p.Servers.Capacity(); err != nil || !(capacity > 0) {
+			t.Errorf("%d servers of %d phases: Capacity = %v, %v; want a positive capacity", c.n, c.k, capacity, err)
+		}
+	}
 }

@@ -66,6 +66,9 @@ func TestValidate(t *testing.T) {
 		if _, got := NewSweepSolver(bad); got == nil || got.Error() != err.Error() {
 			t.Fatalf("%s: NewSweepSolver returned %v, want %v", name, got, err)
 		}
+		if _, got := SolveApprox(bad); got == nil || got.Error() != err.Error() {
+			t.Fatalf("%s: SolveApprox returned %v, want %v", name, got, err)
+		}
 	}
 	// withServers returns p with a copy of its description changed by m.
 	withServers := func(m func(d *Servers)) Params {
@@ -126,7 +129,7 @@ func TestEnvStationaryBinomial(t *testing.T) {
 	}
 	p := eta / (xi + eta)
 	for i, x := range markov.Operative(env.Servers.Modes(), 1) {
-		want := float64(binomial(3, x)) * math.Pow(p, float64(x)) * math.Pow(1-p, float64(3-x))
+		want := float64(NumModes(3-x, x+1)) * math.Pow(p, float64(x)) * math.Pow(1-p, float64(3-x)) // C(3, x)
 		if math.Abs(pi[i]-want) > 1e-10 {
 			t.Errorf("mode %d (x=%d): π = %v, want %v", i, x, pi[i], want)
 		}

@@ -53,29 +53,14 @@ type SpectralSolution struct {
 //     closed by the normalisation condition (eq. 20).
 //
 // It is a sweep of one point: p is validated, its environment hoisted by
-// NewSweepSolver, and p.Lambda solved on a fresh SweepWorker, so a one-off
-// solve and every point of a batched sweep run the same code.
+// NewSweepSolver, and p.Lambda solved on the new solver's first worker, so
+// a one-off solve and every point of a batched sweep run the same code.
 func SolveSpectral(p Params) (*SpectralSolution, error) {
-	w, err := newWorker(p)
-	if err != nil {
-		return nil, err
-	}
-	sol := new(SpectralSolution)
-	if err := w.SolveInto(p.Lambda, sol); err != nil {
-		return nil, err
-	}
-	return sol, nil
-}
-
-// newWorker returns a fresh worker bound to p's hoisted environment.
-// NewSweepSolver validates all of p but λ, which the worker's per-point
-// check validates along with stability.
-func newWorker(p Params) (*SweepWorker, error) {
 	sv, err := NewSweepSolver(p)
 	if err != nil {
 		return nil, err
 	}
-	return sv.NewWorker(), nil
+	return sv.Solve(p.Lambda)
 }
 
 // Threshold returns N, the first level at which the expansion applies.

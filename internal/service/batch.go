@@ -27,8 +27,8 @@ import (
 // environment of s modes holds no s×s matrix and no mode list: each
 // mode's operative count, the service diagonals, each mode's moves and
 // the factored eigen stage's composition tables, O(s·(N+k²)) numbers for
-// k phases per server. Measured for the paper's H2/exp model: 21 KB at
-// N = 10, 150 KB at N = 24, 326 KB at N = 32. Each pooled per-point worker adds an O(N·s²)
+// k phases per server. Measured for the paper's H2/exp model: 20 KB at
+// N = 10, 146 KB at N = 24, 318 KB at N = 32. Each pooled per-point worker adds an O(N·s²)
 // workspace while it solves and until the next GC drops it — chiefly the
 // N−1 boundary stages: 0.28, 0.67 and 6.5 MB at N = 8, 10 and 16, about
 // 15 MB at N = 20 (qbd's TestSweepWorkerMemoryBounded). 32 entries cover
